@@ -15,7 +15,6 @@ from .decompose import (
     abelian_decompose,
     central_decompose,
     decompose,
-    factor_glz,
     lift_factor,
     ordered_product,
     verify,

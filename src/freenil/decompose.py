@@ -120,16 +120,6 @@ def _certified(
 # ---------------------------------------------------------------------------
 # class 1: integer matrices
 
-def factor_glz(matrix: intmat.Matrix) -> list[intmat.RowMove]:
-    """Ordered elementary moves whose matrix product is the given one.
-
-    Euclidean row reduction; raises NotUnimodular unless det = +-1.  Pairs of
-    sign flips are rewritten as transvections, so at most one `negate`
-    survives, and only when det = -1.
-    """
-    return intmat.factor_unimodular(matrix)
-
-
 def _move_to_map(
     ctx: GroupContext, basis: Sequence[int], move: intmat.RowMove
 ) -> tuple[GeneratorMap, str, frozenset[int]]:
@@ -166,7 +156,7 @@ def abelian_decompose(sigma: GeneratorMap, fixed: Iterable[int]) -> Decompositio
     matrix = sigma.matrix
     block = tuple(tuple(matrix[r - 1][c - 1] for c in free) for r in free)
     factors: list[Factor] = []
-    for move in factor_glz(block):
+    for move in intmat.factor_unimodular(block):
         phi, tag, touched = _move_to_map(ctx, free, move)
         cert = _half_cert(ctx, free, touched)
         factors.append(_certified(fixed, phi, cert, tag, 1))

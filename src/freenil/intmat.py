@@ -53,7 +53,8 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def det(m: Matrix) -> int:
-    """Bareiss fraction-free determinant; every division below is exact."""
+    """Bareiss fraction-free determinant; every division below is exact, and
+    rows with a zero lead are left untouched when the pivot repeats."""
     n = len(m)
     if n == 0:
         return 1
@@ -70,6 +71,9 @@ def det(m: Matrix) -> int:
         for i in range(k + 1, n):
             row_i, row_k = a[i], a[k]
             lead = row_i[k]
+            # (x * pivot - 0 * y) // prev == x when pivot == prev
+            if lead == 0 and row_k[k] == prev:
+                continue
             for j in range(k + 1, n):
                 row_i[j] = (row_i[j] * row_k[k] - lead * row_k[j]) // prev
             row_i[k] = 0
@@ -99,11 +103,10 @@ def reduce_to_identity(m: Matrix) -> list[RowMove]:
     Column by column: euclidean gcd runs among the rows at and below the
     diagonal (the gcd is forced to 1 because every trailing minor of a
     unimodular matrix is unimodular), then the +-1 pivot clears its column.
+    The reduction itself decides unimodularity: a column with no live entry
+    or with gcd above 1 raises NotUnimodular.
     """
     n = len(m)
-    d = det(m)
-    if d not in (1, -1):
-        raise NotUnimodular(f"determinant is {d}, not +-1")
     rows = [list(r) for r in m]
     moves: list[RowMove] = []
 
@@ -114,7 +117,8 @@ def reduce_to_identity(m: Matrix) -> list[RowMove]:
     for col in range(n):
         while True:
             live = [r for r in range(col, n) if rows[r][col]]
-            assert live, "unimodular matrices cannot lose a pivot"
+            if not live:
+                raise NotUnimodular("matrix is singular")
             best = min(live, key=lambda r: abs(rows[r][col]))
             if len(live) == 1 and abs(rows[best][col]) == 1:
                 break

@@ -1,10 +1,14 @@
 """Exact integer matrix helpers."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations
 
 import pytest
 
+import freenil
 from freenil.errors import NotUnimodular
 from freenil.intmat import (
     RowMove,
@@ -35,12 +39,68 @@ def _det_leibniz(m):
     return total
 
 
+def _near_identity(rng, n):
+    # identity plus sparse off-diagonal entries; a few diagonal entries become
+    # -1, 2 or 0, so zero-lead rows meet both repeated and changed pivots
+    m = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+    for r in range(n):
+        for c in range(n):
+            if r != c and rng.random() < 0.2:
+                m[r][c] = rng.choice((-3, -2, -1, 1, 2, 3))
+        if rng.random() < 0.3:
+            m[r][r] = rng.choice((-1, 2, 0))
+    return tuple(tuple(row) for row in m)
+
+
+_SPARSE_CASES = [
+    # zero-lead rows below a repeated pivot: skipped
+    ((1, 2, 0), (0, 1, 3), (0, 0, 1)),
+    ((1, 0, 0, 5), (0, 1, 0, 0), (0, 4, 1, 0), (0, 0, 0, 1)),
+    # zero-lead rows below a -1 or 2 pivot: rescaled, not skipped
+    ((-1, 0, 0), (0, 1, 2), (0, 3, 1)),
+    ((2, 0, 0), (0, 1, 1), (0, 1, 3)),
+    ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 1), (0, 0, 1, 3)),
+    # zero diagonal entries that force a swap
+    ((0, 1, 0), (1, 0, 0), (0, 0, 1)),
+    ((1, 1, 0, 0), (1, 1, 0, 1), (0, 0, 0, 1), (0, 1, 1, 0)),
+    ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
+]
+
+
 def test_det_against_leibniz():
     rng = random.Random(2718)
-    for _ in range(300):
-        n = rng.randrange(1, 5)
-        m = tuple(tuple(rng.randrange(-6, 7) for _ in range(n)) for _ in range(n))
-        assert det(m) == _det_leibniz(m)
+    dense = [
+        tuple(tuple(rng.randrange(-6, 7) for _ in range(n)) for _ in range(n))
+        for n in (rng.randrange(1, 5) for _ in range(300))
+    ]
+    rng = random.Random(3141)
+    sparse = [_near_identity(rng, rng.randrange(1, 7)) for _ in range(150)]
+    for m in dense + _SPARSE_CASES + sparse:
+        assert det(m) == _det_leibniz(m), m
+
+
+def test_det_large_near_identity_closed_form():
+    rng = random.Random(1618)
+    for _ in range(3):
+        n = rng.randrange(24, 41)
+        k = rng.choice((-5, -2, 2, 3, 7))
+        rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+        r = rng.randrange(n)
+        rows[r] = [k * x for x in rows[r]]
+        flips = 0
+        for _ in range(2 * n):
+            i, j = rng.sample(range(n), 2)
+            kind = rng.choice(("add", "add", "add", "swap", "negate"))
+            if kind == "add":
+                c = rng.choice((-2, -1, 1, 2))
+                rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+            elif kind == "swap":
+                rows[i], rows[j] = rows[j], rows[i]
+                flips += 1
+            else:
+                rows[i] = [-x for x in rows[i]]
+                flips += 1
+        assert det(tuple(tuple(r) for r in rows)) == (-1) ** flips * k
 
 
 def test_det_edges():
@@ -123,3 +183,24 @@ def test_not_unimodular_rejected():
         factor_unimodular(((2, 0), (0, 1)))
     with pytest.raises(NotUnimodular):
         inverse_unimodular(((1, 1), (1, 1)))
+
+
+def test_not_unimodular_rejected_under_optimize():
+    # the refusal must not rest on asserts, which -O strips
+    code = (
+        "from freenil.errors import NotUnimodular\n"
+        "from freenil.intmat import factor_unimodular, inverse_unimodular\n"
+        "for f, m in ((inverse_unimodular, ((1, 1), (1, 1))),\n"
+        "             (factor_unimodular, ((0, 0), (0, 1)))):\n"
+        "    try:\n"
+        "        f(m)\n"
+        "    except NotUnimodular:\n"
+        "        continue\n"
+        "    raise SystemExit(f'{f.__name__} accepted {m}')\n"
+    )
+    src = os.path.dirname(os.path.dirname(freenil.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
