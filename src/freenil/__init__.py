@@ -8,18 +8,7 @@ is exact — no floats anywhere.
 """
 
 from .context import GroupContext
-from .decompose import (
-    Decomposition,
-    Factor,
-    VerifyReport,
-    abelian_decompose,
-    central_decompose,
-    decompose,
-    lift_factor,
-    ordered_product,
-    verify,
-    verify_payload,
-)
+from .decompose import abelian_decompose, central_decompose, decompose, lift_factor
 from .endo import (
     GeneratorMap,
     MoietyCertificate,
@@ -32,6 +21,7 @@ from .endo import (
     invert,
     invert_with_rounds,
     lift_words,
+    ordered_product,
     permutational,
     project,
     random_automorphism,
@@ -83,6 +73,8 @@ from .ring import (
     retract,
     truncate_class,
 )
+from .records import Decomposition, Factor, VerifyReport
 from .rng import SplitMix64
+from .verifier import verify, verify_payload
 
 __all__ = [name for name in dir() if not name.startswith("_")]

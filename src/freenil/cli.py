@@ -18,11 +18,12 @@ from typing import Any, Callable
 
 from . import jsonio
 from .context import GroupContext
-from .decompose import decompose, verify_payload
+from .decompose import decompose
 from .endo import compose, invert, random_automorphism
 from .errors import DomainError, MalformedInput
 from .lie import central_factorize
 from .ring import comm, inv, lcs_weight, mul
+from .verifier import verify_payload
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,8 +79,11 @@ def _read(args) -> Any:
     if args.infile == "-":
         text = sys.stdin.read()
     else:
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.infile, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as err:
+            raise MalformedInput(f"cannot read --in file: {err}") from None
     return jsonio.loads(text)
 
 
@@ -113,24 +117,12 @@ def _fix(args) -> frozenset[int]:
     return frozenset(idx)
 
 
-def _envelope(obj: Any, keys: tuple[str, ...]) -> dict:
-    if not isinstance(obj, dict):
-        raise MalformedInput("input must be an object")
-    missing = [k for k in keys if k not in obj]
-    if missing:
-        raise MalformedInput(f"input is missing keys {missing}")
-    unknown = [k for k in obj if k not in keys]
-    if unknown:
-        raise MalformedInput(f"input has unknown keys {unknown}")
-    return obj
-
-
 # ---------------------------------------------------------------------------
 # handlers, one per subcommand
 
 def _cmd_mul(args) -> Any:
     ctx = _ctx(args)
-    obj = _envelope(_read(args), ("a", "b"))
+    obj = jsonio._need_keys(_read(args), "input", ("a", "b"))
     a = jsonio.parse_element(ctx, obj["a"])
     b = jsonio.parse_element(ctx, obj["b"])
     return jsonio.element_payload(mul(a, b))
@@ -143,7 +135,7 @@ def _cmd_inv(args) -> Any:
 
 def _cmd_comm(args) -> Any:
     ctx = _ctx(args)
-    obj = _envelope(_read(args), ("a", "b"))
+    obj = jsonio._need_keys(_read(args), "input", ("a", "b"))
     a = jsonio.parse_element(ctx, obj["a"])
     b = jsonio.parse_element(ctx, obj["b"])
     return jsonio.element_payload(comm(a, b))
@@ -162,14 +154,14 @@ def _cmd_central_factorize(args) -> Any:
 
 
 def _cmd_apply(args) -> Any:
-    obj = _envelope(_read(args), ("map", "a"))
+    obj = jsonio._need_keys(_read(args), "input", ("map", "a"))
     phi = jsonio.parse_map(obj["map"])
     a = jsonio.parse_element(phi.ctx, obj["a"])
     return jsonio.element_payload(phi.apply(a))
 
 
 def _cmd_compose(args) -> Any:
-    obj = _envelope(_read(args), ("phi", "psi"))
+    obj = jsonio._need_keys(_read(args), "input", ("phi", "psi"))
     phi = jsonio.parse_map(obj["phi"])
     psi = jsonio.parse_map(obj["psi"])
     return jsonio.map_payload(compose(phi, psi))

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import ContextMismatch
 
@@ -14,9 +12,7 @@ class GroupContext:
     """Free nilpotent group on `rank` generators, nilpotency class `nilclass`.
 
     All elements and maps carry one of these; operations on operands from
-    different contexts refuse to mix them.  The context also fixes the
-    monomial universe of the truncated power-series model: all words over
-    {1..rank} of length 0..nilclass, ordered by length then lexicographically.
+    different contexts refuse to mix them.
     """
 
     rank: int
@@ -27,18 +23,6 @@ class GroupContext:
             raise ValueError("rank must be >= 1")
         if self.nilclass < 1:
             raise ValueError("nilpotency class must be >= 1")
-
-    @cached_property
-    def monomials(self) -> tuple[tuple[int, ...], ...]:
-        alphabet = range(1, self.rank + 1)
-        out = []
-        for length in range(self.nilclass + 1):
-            out.extend(itertools.product(alphabet, repeat=length))
-        return tuple(out)
-
-    @property
-    def monomial_count(self) -> int:
-        return sum(self.rank ** k for k in range(self.nilclass + 1))
 
     def generators(self) -> range:
         return range(1, self.rank + 1)

@@ -16,29 +16,28 @@ nilpotency class:
             partition of half of E — the avoided cell is the certificate's
             fixed block.  A weight-c commutator mentions at most c distinct
             generators, so with c+1 cells one is always clean: that
-            pigeonhole is asserted at every assignment.
+            pigeonhole is checked at every assignment.
 
-`verify` re-reads a decomposition from its serialized form only and rechecks
-everything: the product, every certificate, and D-fixing per factor.
+The checker for the output lives in `verifier`, which does not import this
+module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import intmat
-from .context import GroupContext, check_same_context
+from .context import GroupContext
 from .endo import (
     GeneratorMap,
     MoietyCertificate,
     check_certificate,
     compose,
     ia_central,
-    identity_map,
     inversion,
     invert,
     lift_words,
+    ordered_product,
     permutational,
     project,
     transvection,
@@ -53,53 +52,12 @@ from .errors import (
     RankTooSmall,
 )
 from .lie import central_factorize, left_normed_element
+from .records import Decomposition, Factor
 from .ring import GroupElement, Word, from_word, generator, inv, lcs_weight, mul, occurs
 
-TAGS = ("elementary_abelian", "shear", "permutation", "sign", "lifted", "central_beta")
-
-
-@dataclass(frozen=True)
-class Factor:
-    """One certified piece of a decomposition."""
-
-    map: GeneratorMap
-    certificate: MoietyCertificate
-    tag: str
-    level: int  # nilpotency class at which the factor was emitted
-    origin: Optional[str] = None  # pre-lift tag, for lifted factors
-    part: Optional[int] = None  # which avoided cell, for central_beta
-    side: Optional[str] = None  # which half of E the cells partition
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    input: GeneratorMap
-    fixed: frozenset[int]
-    factors: tuple[Factor, ...]
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    ok: bool
-    factors: int
-    min_fixed_block: Optional[int]
-    max_coefficient: int
-    failures: tuple[str, ...]
-
-
-def ordered_product(ctx: GroupContext, maps: Sequence[GeneratorMap]) -> GeneratorMap:
-    """Left-to-right product under (phi o psi)(x) = phi(psi(x)).
-
-    Accumulated right to left so that each step applies one (typically
-    sparse) factor to the running images instead of the other way around.
-    """
-    if not maps:
-        return identity_map(ctx)
-    acc = maps[-1]
-    for phi in maps[-2::-1]:
-        check_same_context(ctx, phi.ctx)
-        acc = compose(phi, acc)
-    return acc
+# perfbench/ reads TAGS and verify_payload off this module
+from .records import TAGS  # noqa: F401
+from .verifier import verify_payload  # noqa: F401
 
 
 def _certified(
@@ -179,9 +137,9 @@ def abelian_decompose(sigma: GeneratorMap, fixed: Iterable[int]) -> Decompositio
             frozenset(other), frozenset(ctx.generators()) - frozenset(other)
         )
         factors.append(_certified(fixed, shear, cert, "shear", 1))
-    dec = Decomposition(sigma, fixed, tuple(factors))
-    assert ordered_product(ctx, [f.map for f in factors]) == sigma
-    return dec
+    if ordered_product(ctx, [f.map for f in factors]) != sigma:
+        raise CertificateInvalid("abelian factors do not multiply back to the input")
+    return Decomposition(sigma, fixed, tuple(factors))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +172,8 @@ def lift_factor(f: Factor, target_class: int, fixed: Iterable[int]) -> Factor:
         lifted = compose(invert(sigma1), sigma0)
     else:
         lifted = sigma0
-    assert lifted.fixes_pointwise(fixed)
+    if not lifted.fixes_pointwise(fixed):
+        raise CertificateInvalid("lifted factor moves the pinned set")
     if not check_certificate(lifted, f.certificate):
         raise CertificateInvalid("lifting did not preserve the certificate")
     return Factor(
@@ -276,7 +235,10 @@ def central_decompose(alpha: GeneratorMap, fixed: Iterable[int]) -> list[Factor]
                     (k for k in range(c + 1) if mentioned.isdisjoint(cells[k])),
                     None,
                 )
-                assert k is not None, "a weight-c term cannot touch all c+1 cells"
+                if k is None:
+                    raise CertificateInvalid(
+                        f"a weight-{c} term touches all {c + 1} cells"
+                    )
                 piece = left_normed_element(ctx, term.generators, term.exponent)
                 prev = offsets[k].get(g)
                 offsets[k][g] = piece if prev is None else mul(prev, piece)
@@ -343,47 +305,3 @@ def decompose(sigma: GeneratorMap, fixed: Iterable[int] = ()) -> Decomposition:
     alpha = GeneratorMap(ctx, images)
     factors = tuple(lifted) + tuple(central_decompose(alpha, fixed))
     return Decomposition(sigma, fixed, factors)
-
-
-def verify(dec: Decomposition) -> VerifyReport:
-    """Re-check a decomposition from its serialized form alone."""
-    from .jsonio import decomposition_payload
-
-    return verify_payload(decomposition_payload(dec))
-
-
-def verify_payload(payload: dict) -> VerifyReport:
-    """The checker behind `verify`: consumes the wire format, recomputes the
-    ordered product, and rechecks every certificate and D-fixing claim.
-    Check failures are reported, never raised."""
-    from .jsonio import parse_decomposition
-
-    dec = parse_decomposition(payload)
-    ctx = dec.input.ctx
-    failures: list[str] = []
-    coeffs = [1]
-    for img in dec.input.images:
-        coeffs.extend(abs(v) for v in img.poly.values())
-    for idx, f in enumerate(dec.factors):
-        for img in f.map.images:
-            coeffs.extend(abs(v) for v in img.poly.values())
-        try:
-            if not check_certificate(f.map, f.certificate):
-                failures.append(f"factor {idx}: certificate does not hold")
-        except Exception as err:  # domain errors count as failures here
-            failures.append(f"factor {idx}: {err}")
-        if not f.map.fixes_pointwise(dec.fixed):
-            failures.append(f"factor {idx}: moves the pinned set")
-    product = ordered_product(ctx, [f.map for f in dec.factors])
-    for img in product.images:
-        coeffs.extend(abs(v) for v in img.poly.values())
-    if product != dec.input:
-        failures.append("ordered product of factors differs from the input map")
-    sizes = [len(f.certificate.fixed - dec.fixed) for f in dec.factors]
-    return VerifyReport(
-        ok=not failures,
-        factors=len(dec.factors),
-        min_fixed_block=min(sizes) if sizes else None,
-        max_coefficient=max(coeffs),
-        failures=tuple(failures),
-    )

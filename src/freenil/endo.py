@@ -170,17 +170,17 @@ class GeneratorMap:
         moved = self.moved
         if not moved:
             return a
+        # unmoved monomials pass through (distinct keys, nonzero values);
+        # collecting the moved ones in the same pass tests each key once
         out: Poly = {}
-        get = out.get
+        hits = []
         for w, coeff in a.poly.items():
             if moved.isdisjoint(w):
-                v = get(w, 0) + coeff
-                if v:
-                    out[w] = v
-                elif w in out:
-                    del out[w]
+                out[w] = coeff
             else:
-                _poly_add_into(out, self._word_image(w), coeff)
+                hits.append((w, coeff))
+        for w, coeff in hits:
+            _poly_add_into(out, self._word_image(w), coeff)
         return GroupElement(self.ctx, out)
 
 
@@ -194,9 +194,27 @@ def compose(phi: GeneratorMap, psi: GeneratorMap) -> GeneratorMap:
     return GeneratorMap(phi.ctx, [phi.apply(img) for img in psi.images])
 
 
+def ordered_product(ctx: GroupContext, maps: Sequence[GeneratorMap]) -> GeneratorMap:
+    """Left-to-right product under (phi o psi)(x) = phi(psi(x)).
+
+    Accumulated right to left so that each step applies one (typically
+    sparse) factor to the running images instead of the other way around.
+    """
+    if not maps:
+        return identity_map(ctx)
+    acc = maps[-1]
+    for phi in maps[-2::-1]:
+        check_same_context(ctx, phi.ctx)
+        acc = compose(phi, acc)
+    return acc
+
+
 def transvection(ctx: GroupContext, i: int, j: int, k: int) -> GeneratorMap:
     """x_i -> x_i * x_j^k, everything else fixed."""
-    assert i != j, "transvection needs distinct indices"
+    if i == j or not (1 <= i <= ctx.rank and 1 <= j <= ctx.rank):
+        raise IndexOutOfRange(
+            f"transvection needs distinct indices in 1..{ctx.rank}, got {i}, {j}"
+        )
     images = [generator(ctx, g) for g in ctx.generators()]
     images[i - 1] = from_word(ctx, Word(((i, 1), (j, k))))
     return GeneratorMap(ctx, images)
@@ -379,7 +397,8 @@ def invert_with_rounds(phi: GeneratorMap) -> tuple[GeneratorMap, int]:
         if all(d.is_identity() for d in defects):
             return psi, rounds
         rounds += 1
-        assert rounds <= ctx.nilclass, "defect weight must rise every round"
+        if rounds > ctx.nilclass:
+            raise NotAutomorphism("defect weight failed to rise every round")
         anti = [inv(d) for d in defects]
         # psi <- psi o chi and delta <- delta o chi, computed columnwise via
         # f(x_i * d_i^-1) = f(x_i) * f(d_i^-1); the defects are high-weight,

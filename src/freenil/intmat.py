@@ -150,7 +150,8 @@ def reduce_to_identity(m: Matrix) -> list[RowMove]:
             do(RowMove("add", a, b, 1))
     if len(negs) % 2:
         do(RowMove("negate", negs[-1]))
-    assert rows == [list(r) for r in identity_matrix(n)]
+    if rows != [list(r) for r in identity_matrix(n)]:
+        raise NotUnimodular("reduction did not reach the identity")
     return moves
 
 

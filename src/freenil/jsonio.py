@@ -15,6 +15,9 @@ Every format has a fixed key order and integer-only numerics:
 Structural violations raise MalformedInput; out-of-range generator indices
 and mismatched contexts surface as their own domain errors so callers can
 tell "not even the right shape" from "well-formed but invalid here".
+
+The record types come from `records`, so parsing needs the group and map
+layers only, never the code that produces decompositions.
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ import json
 from typing import Any
 
 from .context import GroupContext
-from .decompose import TAGS, Decomposition, Factor, VerifyReport
 from .endo import GeneratorMap, MoietyCertificate
 from .errors import ContextMismatch, MalformedInput
 from .lie import LeftNormedTerm, word_of
+from .records import TAGS, Decomposition, Factor, VerifyReport
 from .ring import GroupElement, Word, from_word
 
 
@@ -41,6 +44,8 @@ def loads(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as err:
         raise MalformedInput(f"invalid JSON: {err}") from None
+    except RecursionError:
+        raise MalformedInput("invalid JSON: nesting too deep") from None
 
 
 # ---------------------------------------------------------------------------

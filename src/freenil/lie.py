@@ -29,6 +29,7 @@ from .ring import (
     GroupElement,
     Poly,
     Word,
+    _poly_add_into,
     comm,
     from_word,
     generator,
@@ -178,13 +179,7 @@ def lie_coordinates(ctx: GroupContext, p: LieHomogeneous) -> dict[tuple[int, ...
             raise NotLieElement(f"word {m} blocks Lyndon elimination")
         kappa = residual[m]
         coords[m] = kappa
-        get = residual.get
-        for mm, cc in exp.items():
-            v = get(mm, 0) - kappa * cc
-            if v:
-                residual[mm] = v
-            elif mm in residual:
-                del residual[mm]
+        _poly_add_into(residual, exp, -kappa)
     return coords
 
 
@@ -207,14 +202,8 @@ def _combo_bracket(combo: dict, tree: BracketTree) -> dict:
     if isinstance(tree, int):
         return {seq + (tree,): c for seq, c in combo.items()}
     left, right = tree
-    out = dict(_combo_bracket(_combo_bracket(combo, left), right))
-    get = out.get
-    for seq, c in _combo_bracket(_combo_bracket(combo, right), left).items():
-        v = get(seq, 0) - c
-        if v:
-            out[seq] = v
-        elif seq in out:
-            del out[seq]
+    out = _combo_bracket(_combo_bracket(combo, left), right)
+    _poly_add_into(out, _combo_bracket(_combo_bracket(combo, right), left), -1)
     return out
 
 
@@ -251,12 +240,7 @@ def central_factorize(w: GroupElement) -> list[LeftNormedTerm]:
     trees = {word: tree for word, tree, _ in _lyndon_layer(ctx.rank, ctx.nilclass)}
     acc: dict[tuple[int, ...], int] = {}
     for word, kappa in coords.items():
-        for seq, c in left_normalize(trees[word]).items():
-            v = acc.get(seq, 0) + kappa * c
-            if v:
-                acc[seq] = v
-            elif seq in acc:
-                del acc[seq]
+        _poly_add_into(acc, left_normalize(trees[word]), kappa)
     return [LeftNormedTerm(seq, acc[seq]) for seq in sorted(acc)]
 
 

@@ -106,6 +106,7 @@ def _binom(e: int, k: int) -> int:
 
 
 def _poly_add_into(acc: Poly, other: Poly, scale: int = 1) -> None:
+    """acc += scale * other in place, dropping coefficients that reach zero."""
     get = acc.get
     for m, c in other.items():
         v = get(m, 0) + scale * c
@@ -153,9 +154,6 @@ def _genpow_poly(g: int, e: int, cap: int) -> Poly:
     return out
 
 
-_IDENTITY_POLY_KEY = ()
-
-
 # ---------------------------------------------------------------------------
 # elements
 
@@ -180,9 +178,6 @@ class GroupElement:
 
     def is_identity(self) -> bool:
         return len(self.poly) == 1
-
-    def coefficient(self, monomial: Monomial) -> int:
-        return self.poly.get(monomial, 0)
 
     def degree_part(self, k: int) -> Poly:
         return {m: c for m, c in self.poly.items() if len(m) == k}

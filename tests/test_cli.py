@@ -221,12 +221,37 @@ def test_missing_context_flags_exit_2(tmp_path):
 
 
 def test_bad_envelope_key_exits_2(tmp_path):
-    code, _, out = run_cli(
-        tmp_path,
-        ["mul", "--rank", "2", "--class", "1"],
-        {"a": [[1, 1]], "c": [[2, 1]]},
-    )
-    assert code == 2 and out["error"] == "MalformedInput"
+    empty = {"word": []}
+    for payload, message in (
+        ({"a": [[1, 1]], "c": [[2, 1]]}, "input is missing keys ['b']"),
+        ({"a": empty, "b": empty, "c": 1}, "input has unknown keys ['c']"),
+        ([1, 2], "input must be an object"),
+    ):
+        args = ["mul", "--rank", "2", "--class", "1"]
+        code, raw, _ = run_cli(tmp_path, args, payload)
+        assert code == 2
+        assert raw == json.dumps(
+            {"error": "MalformedInput", "message": message}, separators=(",", ":")
+        ) + "\n"
+
+
+def test_deeply_nested_json_exits_2(tmp_path):
+    deep = "[" * 100000 + "]" * 100000
+    code, _, out = run_cli(tmp_path, ["verify"], text=deep)
+    assert code == 2
+    assert out["error"] == "MalformedInput"
+    assert out["message"] == "invalid JSON: nesting too deep"
+
+
+def test_unreadable_input_file_exits_2(tmp_path):
+    outfile = tmp_path / "out.json"
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b"\xff\xfe")
+    for infile in (tmp_path / "no-such-file.json", tmp_path, undecodable):
+        code = main(["verify", "--in", str(infile), "--out", str(outfile)])
+        out = json.loads(outfile.read_text(encoding="utf-8"))
+        assert code == 2 and out["error"] == "MalformedInput"
+        assert out["message"].startswith("cannot read --in file: ")
 
 
 def test_bad_fix_list_exits_2(tmp_path):

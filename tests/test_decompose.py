@@ -387,6 +387,24 @@ def test_verify_never_raises_on_moved_pinned_generator():
     assert any("pinned" in msg for msg in rep.failures)
 
 
+def test_verify_reports_domain_errors_and_raises_checker_bugs(monkeypatch):
+    import freenil.verifier
+    from freenil import verify_payload
+
+    payload = _good_payload()
+    payload["factors"][0]["map"]["images"][7] = [[8, 2]]  # not an automorphism
+    rep = verify_payload(payload)
+    assert not rep.ok
+    assert any(msg.startswith("factor 0: ") for msg in rep.failures)
+
+    def broken_check(phi, cert):
+        raise RuntimeError("checker bug")
+
+    monkeypatch.setattr(freenil.verifier, "check_certificate", broken_check)
+    with pytest.raises(RuntimeError, match="checker bug"):
+        verify_payload(_good_payload())
+
+
 def test_ordered_product_empty_is_identity():
     ctx = GroupContext(3, 2)
     assert ordered_product(ctx, []).is_identity()

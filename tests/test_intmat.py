@@ -186,17 +186,25 @@ def test_not_unimodular_rejected():
 
 
 def test_not_unimodular_rejected_under_optimize():
-    # the refusal must not rest on asserts, which -O strips
+    # refusals of bad input must not rest on asserts, which -O strips
     code = (
-        "from freenil.errors import NotUnimodular\n"
+        "from freenil.context import GroupContext\n"
+        "from freenil.endo import transvection\n"
+        "from freenil.errors import IndexOutOfRange, NotUnimodular\n"
         "from freenil.intmat import factor_unimodular, inverse_unimodular\n"
-        "for f, m in ((inverse_unimodular, ((1, 1), (1, 1))),\n"
-        "             (factor_unimodular, ((0, 0), (0, 1)))):\n"
+        "ctx = GroupContext(3, 2)\n"
+        "for f, args, err in (\n"
+        "    (inverse_unimodular, (((1, 1), (1, 1)),), NotUnimodular),\n"
+        "    (factor_unimodular, (((0, 0), (0, 1)),), NotUnimodular),\n"
+        "    (transvection, (ctx, 1, 1, -1), IndexOutOfRange),\n"
+        "    (transvection, (ctx, 4, 1, 1), IndexOutOfRange),\n"
+        "    (transvection, (ctx, 1, 0, 1), IndexOutOfRange),\n"
+        "):\n"
         "    try:\n"
-        "        f(m)\n"
-        "    except NotUnimodular:\n"
+        "        f(*args)\n"
+        "    except err:\n"
         "        continue\n"
-        "    raise SystemExit(f'{f.__name__} accepted {m}')\n"
+        "    raise SystemExit(f'{f.__name__}{args[1:]} did not raise {err.__name__}')\n"
     )
     src = os.path.dirname(os.path.dirname(freenil.__file__))
     env = {**os.environ, "PYTHONPATH": src}
