@@ -87,13 +87,27 @@ def _read(args) -> Any:
     return jsonio.loads(text)
 
 
-def _write(args, payload: Any) -> None:
+def _write(args, payload: Any, code: int) -> int:
+    """Write payload to --out (or stdout) and return the exit code to use.
+
+    An --out file that cannot be written is reported like an unreadable --in
+    file, on stdout since --out is unusable: MalformedInput, exit 2.
+    """
     text = jsonio.dumps(payload, pretty=args.pretty)
     if args.outfile == "-":
         sys.stdout.write(text)
-    else:
+        return code
+    try:
         with open(args.outfile, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as err:
+        envelope = {
+            "error": MalformedInput.__name__,
+            "message": f"cannot write --out file: {err}",
+        }
+        sys.stdout.write(jsonio.dumps(envelope, pretty=args.pretty))
+        return 2
+    return code
 
 
 def _ctx(args) -> GroupContext:
@@ -220,13 +234,10 @@ def main(argv=None) -> int:
     try:
         payload = _HANDLERS[args.command](args)
     except MalformedInput as err:
-        _write(args, {"error": err.name, "message": str(err)})
-        return 2
+        return _write(args, {"error": err.name, "message": str(err)}, 2)
     except DomainError as err:
-        _write(args, {"error": err.name, "message": str(err)})
-        return 1
-    _write(args, payload)
-    return 0
+        return _write(args, {"error": err.name, "message": str(err)}, 1)
+    return _write(args, payload, 0)
 
 
 if __name__ == "__main__":

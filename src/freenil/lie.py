@@ -5,7 +5,10 @@ degree-c component of the free Lie ring on X_1..X_n.  An integral basis is
 given by the standard bracketings of Lyndon words of length c; the expansion
 of such a bracket in the word basis is unitriangular (the bracket of w equals
 w plus lexicographically larger words of the same length), so coordinates are
-computed by elimination with no division.  That makes the passage
+computed by elimination with no division.  Elimination only ever reads the
+Lyndon words it reaches, so their bracketings and expansions are computed on
+demand and cached per word; the whole degree-c basis is never built.  That
+makes the passage
 
     central element  ->  Lie polynomial  ->  Lyndon coordinates
                      ->  left-normed commutator list
@@ -67,6 +70,7 @@ def lyndon_words(rank: int, length: int) -> tuple[tuple[int, ...], ...]:
 
 
 def is_lyndon(word: tuple[int, ...]) -> bool:
+    """True when word is nonempty and smaller than each proper rotation."""
     return bool(word) and all(word < word[i:] + word[:i] for i in range(1, len(word)))
 
 
@@ -107,22 +111,21 @@ def bracket_expansion(tree: BracketTree) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def _lyndon_layer(rank: int, degree: int):
-    """(word, tree, expansion) per Lyndon word, plus expansion lookup by word."""
-    rows = []
-    for w in lyndon_words(rank, degree):
-        tree = standard_bracketing(w)
-        exp = bracket_expansion(tree)
-        # unitriangular: the bracket hits its own word with coefficient 1 and
-        # otherwise only lexicographically larger words of the same length
-        assert exp.get(w) == 1 and min(exp) == w
-        rows.append((w, tree, exp))
-    return tuple(rows)
+def _lyndon_row(word: tuple[int, ...]) -> tuple[BracketTree, Poly]:
+    """Standard bracketing of a Lyndon word and its expansion in the word basis."""
+    tree = standard_bracketing(word)
+    exp = bracket_expansion(tree)
+    # unitriangular: the bracket hits its own word with coefficient 1 and
+    # otherwise only lexicographically larger words of the same length;
+    # elimination is only exact if this holds, so it is checked, not asserted
+    if exp.get(word) != 1 or min(exp) != word:
+        raise RuntimeError(f"bracket of Lyndon word {word} is not unitriangular")
+    return tree, exp
 
 
 def lyndon_brackets(ctx: GroupContext) -> tuple[BracketTree, ...]:
     """Standard bracketings of the Lyndon words of length ctx.nilclass."""
-    return tuple(tree for _, tree, _ in _lyndon_layer(ctx.rank, ctx.nilclass))
+    return tuple(standard_bracketing(w) for w in lyndon_words(ctx.rank, ctx.nilclass))
 
 
 # ---------------------------------------------------------------------------
@@ -169,17 +172,16 @@ def lie_coordinates(ctx: GroupContext, p: LieHomogeneous) -> dict[tuple[int, ...
     coordinates are omitted.  Raises NotLieElement when p is outside the
     Lie span (the least surviving word is then not Lyndon, or residue remains).
     """
-    table = {w: exp for w, _, exp in _lyndon_layer(ctx.rank, p.degree)}
     residual = dict(p.coefficients)
     coords: dict[tuple[int, ...], int] = {}
     while residual:
         m = min(residual)
-        exp = table.get(m)
-        if exp is None:
+        # a Lyndon word's first letter is its least, so this bounds all letters
+        if not (is_lyndon(m) and m[0] >= 1 and max(m) <= ctx.rank):
             raise NotLieElement(f"word {m} blocks Lyndon elimination")
         kappa = residual[m]
         coords[m] = kappa
-        _poly_add_into(residual, exp, -kappa)
+        _poly_add_into(residual, _lyndon_row(m)[1], -kappa)
     return coords
 
 
@@ -237,10 +239,9 @@ def central_factorize(w: GroupElement) -> list[LeftNormedTerm]:
         return []
     ctx = w.ctx
     coords = lie_coordinates(ctx, p)
-    trees = {word: tree for word, tree, _ in _lyndon_layer(ctx.rank, ctx.nilclass)}
     acc: dict[tuple[int, ...], int] = {}
     for word, kappa in coords.items():
-        _poly_add_into(acc, left_normalize(trees[word]), kappa)
+        _poly_add_into(acc, left_normalize(_lyndon_row(word)[0]), kappa)
     return [LeftNormedTerm(seq, acc[seq]) for seq in sorted(acc)]
 
 
@@ -277,10 +278,9 @@ def collect_word(a: GroupElement) -> Word:
         if not pk:
             continue
         coords = lie_coordinates(ctx, LieHomogeneous(k, pk))
-        trees = {word: tree for word, tree, _ in _lyndon_layer(ctx.rank, k)}
         layer_pairs: list[tuple[int, int]] = []
         for word in sorted(coords):
-            layer_pairs.extend(_tree_power_pairs(trees[word], coords[word]))
+            layer_pairs.extend(_tree_power_pairs(_lyndon_row(word)[0], coords[word]))
         parts.extend(layer_pairs)
         r = mul(inv(from_word(ctx, Word(layer_pairs))), r)
     if not r.is_identity():

@@ -254,6 +254,21 @@ def test_unreadable_input_file_exits_2(tmp_path):
         assert out["message"].startswith("cannot read --in file: ")
 
 
+def test_unwritable_output_file_exits_2(tmp_path, capsys):
+    infile = tmp_path / "in.json"
+    infile.write_text(json.dumps({"word": [[1, 1]]}), encoding="utf-8")
+    for outfile in (tmp_path / "no-such-dir" / "out.json", tmp_path):
+        # rank 1 writes a result, rank 0 a MalformedInput envelope: both to --out
+        for rank in ("1", "0"):
+            code = main(
+                ["weight", "--rank", rank, "--class", "1"]
+                + ["--in", str(infile), "--out", str(outfile)]
+            )
+            out = json.loads(capsys.readouterr().out)
+            assert code == 2 and out["error"] == "MalformedInput"
+            assert out["message"].startswith("cannot write --out file: ")
+
+
 def test_bad_fix_list_exits_2(tmp_path):
     phi = map_payload(identity_map(GroupContext(8, 1)))
     code, _, out = run_cli(tmp_path, ["decompose", "--fix", "1,x"], phi)

@@ -247,14 +247,17 @@ def test_central_decompose_class_and_rank_guards():
 # ---------------------------------------------------------------------------
 # the master pipeline
 
-def test_decompose_round_trip_various_cells():
-    rng = random.Random(163)
-    cells = [(8, 1, 2), (8, 2, 1), (10, 2, 2), (10, 3, 1), (12, 3, 2)]
-    for n, c, dsize in cells:
-        for _ in range(4):
+def _check_round_trips(seed, cells):
+    """Decompose, verify and multiply back seeded maps.
+
+    Each cell is (n, c, |D|, number of maps, moves per map).
+    """
+    rng = random.Random(seed)
+    for n, c, dsize, count, moves in cells:
+        for _ in range(count):
             ctx = GroupContext(n, c)
             fix = tuple(range(1, dsize + 1))
-            sigma = random_automorphism(ctx, rng.randrange(2**32), 16, fix)
+            sigma = random_automorphism(ctx, rng.randrange(2**32), moves, fix)
             dec = decompose(sigma, fix)
             rep = verify(dec)
             assert rep.ok, (n, c, dsize, rep.failures)
@@ -262,6 +265,15 @@ def test_decompose_round_trip_various_cells():
             assert product_of(ctx, dec) == sigma
             # every factor is re-emitted at the top class by the lift chain
             assert all(f.level == c for f in dec.factors)
+
+
+def test_decompose_round_trip_various_cells():
+    cells = [(8, 1, 2), (8, 2, 1), (10, 2, 2), (10, 3, 1), (12, 3, 2)]
+    _check_round_trips(163, [(n, c, dsize, 4, 16) for n, c, dsize in cells])
+
+
+def test_decompose_round_trip_above_class_3():
+    _check_round_trips(4517, [(11, 4, 1, 3, 6), (13, 5, 1, 3, 5)])
 
 
 def test_decompose_factor_provenance():

@@ -2,10 +2,13 @@
 
 `verifier` rechecks decompositions from their wire form, so it must not rest
 on the engine that produced them.  These checks read the import statements
-of every module in the package with `ast`, without importing anything.
+of every module in the package with `ast`, without importing anything.  Two
+more checks pin the public surface: `__all__` names exactly what the package
+imports, and the README's `from freenil import *` example runs.
 """
 
 import ast
+import types
 from pathlib import Path
 
 import freenil
@@ -55,3 +58,22 @@ def test_verifier_does_not_reach_the_engine():
 
 def test_jsonio_does_not_import_the_engine():
     assert "decompose" not in _sibling_imports(TREES["jsonio"])
+
+
+def test_all_lists_the_imported_names_and_no_modules():
+    imported = {
+        alias.asname or alias.name
+        for node in TREES["__init__"].body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert sorted(freenil.__all__) == sorted(imported)
+    for name in freenil.__all__:
+        assert not isinstance(getattr(freenil, name), types.ModuleType), name
+
+
+def test_readme_library_tour_runs():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    assert example.startswith("from freenil import *\n")
+    exec(compile(example, "README.md", "exec"), {})

@@ -1,13 +1,21 @@
 """Lyndon basis, left-normed rewriting, and central factorization."""
 
+import os
 import random
+import re
+import subprocess
+import sys
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
 
+import freenil
 from freenil import (
+    DomainError,
     GroupContext,
     LeftNormedTerm,
+    LieHomogeneous,
     NotCentral,
     NotLieElement,
     Word,
@@ -28,7 +36,8 @@ from freenil import (
     power,
     word_of,
 )
-from freenil.lie import bracket_expansion, left_normalize
+from freenil import lie
+from freenil.lie import bracket_expansion, left_normalize, standard_bracketing
 
 
 def _mobius(d):
@@ -99,7 +108,6 @@ def test_lie_coordinates_single_bracket():
 
 
 def test_lie_coordinates_reconstruction():
-    from freenil import LieHomogeneous
     from freenil.lie import bracket_leaves
 
     rng = random.Random(8)
@@ -118,11 +126,16 @@ def test_lie_coordinates_reconstruction():
 
 
 def test_lie_coordinates_rejects_non_lie():
-    ctx = GroupContext(2, 2)
-    from freenil import LieHomogeneous
-
-    with pytest.raises(NotLieElement):
-        lie_coordinates(ctx, LieHomogeneous(2, {(1, 2): 1}))
+    for rank, coefficients, blocker in (
+        (2, {(1, 2): 1}, (2, 1)),  # residue left after eliminating (1, 2)
+        (2, {(1, 1, 2): 1, (1, 2, 1): -1}, (1, 2, 1)),  # residue, degree 3
+        (2, {(1, 1): 1}, (1, 1)),  # non-Lyndon leading word
+        (3, {(2, 1): 1, (3, 2): -1}, (2, 1)),  # non-Lyndon leading word
+        (2, {(1, 3): 1, (3, 1): -1}, (1, 3)),  # Lyndon, but a letter above rank
+    ):
+        p = LieHomogeneous(len(blocker), coefficients)
+        with pytest.raises(NotLieElement, match=re.escape(f"word {blocker} blocks")):
+            lie_coordinates(GroupContext(rank, 2), p)
 
 
 def test_left_normalize_fixes_left_normed_input():
@@ -241,3 +254,122 @@ def test_word_of_prefers_provenance():
     bare = GroupElement(ctx, dict(a.poly))
     assert bare.word is None
     assert from_word(ctx, word_of(bare)) == a
+
+
+# ---------------------------------------------------------------------------
+# Lyndon rows built on demand, against the whole degree-k basis
+
+@lru_cache(maxsize=None)
+def _full_layer(rank, degree):
+    """Every Lyndon word of the layer -> (standard bracketing, expansion)."""
+    rows = {}
+    for w in lyndon_words(rank, degree):
+        tree = standard_bracketing(w)
+        rows[w] = (tree, bracket_expansion(tree))
+    return rows
+
+
+def _reference_coordinates(ctx, p):
+    """Unitriangular elimination over the whole layer's table."""
+    table = _full_layer(ctx.rank, p.degree)
+    residual = dict(p.coefficients)
+    coords = {}
+    while residual:
+        m = min(residual)
+        if m not in table:
+            raise NotLieElement(f"word {m} blocks Lyndon elimination")
+        coords[m] = kappa = residual[m]
+        for mono, v in table[m][1].items():
+            residual[mono] = residual.get(mono, 0) - kappa * v
+            if not residual[mono]:
+                del residual[mono]
+    return coords
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except NotLieElement as err:
+        return ("NotLieElement", str(err))
+
+
+def test_on_demand_rows_match_whole_layer(monkeypatch):
+    rng = random.Random(4021)
+    exps = (-2, -1, 1, 2)
+    for n, c in ((4, 4), (3, 5), (5, 3)):
+        ctx = GroupContext(n, c)
+        for _ in range(15):
+            z = identity(ctx)
+            for _ in range(rng.randrange(1, 5)):
+                letters = tuple(rng.randrange(1, n + 1) for _ in range(c))
+                z = mul(z, left_normed_element(ctx, letters, rng.choice(exps)))
+            letters = [(rng.randrange(1, n + 1), rng.choice(exps)) for _ in range(8)]
+            a = from_word(ctx, Word(tuple(letters[: rng.randrange(0, 9)])))
+            k = rng.randrange(2, c + 1)
+            junk = LieHomogeneous(
+                k,
+                {
+                    tuple(rng.randrange(1, n + 1) for _ in range(k)): rng.choice(exps)
+                    for _ in range(3)
+                },
+            )
+            for p in (central_log(z), junk):
+                assert _outcome(lie_coordinates, ctx, p) == _outcome(
+                    _reference_coordinates, ctx, p
+                )
+            got = (central_factorize(z), collect_word(a))
+            # the same two functions with the whole-layer table wired in
+            with monkeypatch.context() as mp:
+                mp.setattr(lie, "lie_coordinates", _reference_coordinates)
+                mp.setattr(lie, "_lyndon_row", lambda w: _full_layer(n, len(w))[w])
+                assert got == (central_factorize(z), collect_word(a))
+
+
+def test_central_factorize_never_enumerates_the_layer(monkeypatch):
+    # the degree-6 layer of N(30, 6) has about 1.2e8 Lyndon words
+    def refuse(rank, length):
+        raise AssertionError(f"enumerated the whole degree-{length} layer")
+
+    monkeypatch.setattr(lie, "lyndon_words", refuse)
+    ctx = GroupContext(30, 6)
+    z = left_normed_element(ctx, (30, 7, 1, 19, 7, 2), 3)
+    back = identity(ctx)
+    for term in central_factorize(z):
+        back = mul(back, left_normed_element(ctx, term.generators, term.exponent))
+    assert back == z
+    assert from_word(ctx, collect_word(z)) == z
+
+
+# expansions that break unitriangularity: own coefficient 2; a smaller word
+_NOT_UNITRIANGULAR = ({(1, 2): 2}, {(1, 1): 1, (1, 2): 1})
+
+
+def test_non_unitriangular_bracket_raises(monkeypatch):
+    # a library bug, not bad input: RuntimeError, so verify_payload lets it out
+    for fake in _NOT_UNITRIANGULAR:
+        monkeypatch.setattr(lie, "bracket_expansion", lambda tree, fake=fake: fake)
+        lie._lyndon_row.cache_clear()
+        with pytest.raises(RuntimeError, match="not unitriangular") as info:
+            lie._lyndon_row((1, 2))
+        assert not isinstance(info.value, DomainError)
+
+
+def test_non_unitriangular_bracket_raises_under_optimize():
+    code = (
+        "from freenil import lie\n"
+        f"for fake in {_NOT_UNITRIANGULAR!r}:\n"
+        "    lie.bracket_expansion = lambda tree: fake\n"
+        "    lie._lyndon_row.cache_clear()\n"
+        "    try:\n"
+        "        lie._lyndon_row((1, 2))\n"
+        "    except RuntimeError as err:\n"
+        "        if 'not unitriangular' in str(err):\n"
+        "            continue\n"
+        "    raise SystemExit(f'{fake} did not raise RuntimeError')\n"
+    )
+    src = os.path.dirname(os.path.dirname(freenil.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
