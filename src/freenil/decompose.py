@@ -111,10 +111,8 @@ def abelian_decompose(sigma: GeneratorMap, fixed: Iterable[int]) -> Decompositio
         raise BadClass(f"abelian decomposition needs class 1, got {ctx.nilclass}")
     fixed = _check_common(sigma, fixed, min_free=2)
     free = sorted(frozenset(ctx.generators()) - fixed)
-    matrix = sigma.matrix
-    block = tuple(tuple(matrix[r - 1][c - 1] for c in free) for r in free)
     factors: list[Factor] = []
-    for move in intmat.factor_unimodular(block):
+    for move in intmat.factor_unimodular(sigma._block(free)):
         phi, tag, touched = _move_to_map(ctx, free, move)
         cert = _half_cert(ctx, free, touched)
         factors.append(_certified(fixed, phi, cert, tag, 1))
@@ -126,7 +124,9 @@ def abelian_decompose(sigma: GeneratorMap, fixed: Iterable[int]) -> Decompositio
         images = [generator(ctx, g) for g in ctx.generators()]
         moved_any = False
         for i in own:
-            pairs = [(d, matrix[d - 1][i - 1]) for d in pinned if matrix[d - 1][i - 1]]
+            # the D rows of sigma's abelianization column i
+            col = sigma(i).poly
+            pairs = [(d, col[(d,)]) for d in pinned if (d,) in col]
             if pairs:
                 moved_any = True
                 images[i - 1] = from_word(ctx, Word(((i, 1), *pairs)))

@@ -8,11 +8,19 @@ of whose letters is moved passes through unchanged, and partial products of
 substituted slots are shared through a per-map memo keyed by monomial
 suffixes (only below the top degree, where entries stay small).
 
+Determinants and inversion work on the moved block.  The abelianization
+column of an unmoved generator is a unit vector, so det(M) is the determinant
+of the block on the moved generators, a subgroup block's determinant is that
+of its moved part, and M is block diagonal: its block on the moved generators
+plus every row their columns hit, and the identity elsewhere.  Nothing here
+builds the dense n x n matrix.
+
 Inversion works by successive central corrections: start from a word lift of
-the inverse abelianization matrix, then repeatedly cancel the lowest-weight
-defect.  Each round multiplies both the candidate inverse and the running
-composite by chi: x_i -> x_i * d_i^-1, using the homomorphism property so no
-dense map ever gets rebuilt from scratch.
+the inverse of that block, then repeatedly cancel the lowest-weight defect.
+Each round multiplies both the candidate inverse and the running composite by
+chi: x_i -> x_i * d_i^-1, using the homomorphism property so no dense map ever
+gets rebuilt from scratch.  Unmoved generators map to themselves throughout,
+so defects and corrections run over the moved generators only.
 
 The certificate vocabulary lives here too: a MoietyCertificate names a
 partition (fixed P, preserved Q) of the generators, and check_certificate
@@ -66,7 +74,6 @@ class GeneratorMap:
             check_same_context(ctx, img.ctx)
         self.ctx = ctx
         self.images = tuple(images)
-        self._matrix: Optional[intmat.Matrix] = None
         self._moved: Optional[frozenset[int]] = None
         self._u: Optional[dict[int, Poly]] = None
         self._table: dict[tuple[int, ...], Poly] = {}
@@ -96,13 +103,14 @@ class GeneratorMap:
     @property
     def matrix(self) -> intmat.Matrix:
         """Abelianization: entry (j, i) is the X_{j+1} coefficient in image i+1."""
-        if self._matrix is None:
-            n = self.ctx.rank
-            self._matrix = tuple(
-                tuple(self.images[i].poly.get((j + 1,), 0) for i in range(n))
-                for j in range(n)
-            )
-        return self._matrix
+        return self._block(self.ctx.generators())
+
+    def _block(self, sub: Sequence[int]) -> intmat.Matrix:
+        """The abelianization restricted to rows and columns `sub`, in that
+        order, read off the images."""
+        return tuple(
+            tuple(self.images[c - 1].poly.get((r,), 0) for c in sub) for r in sub
+        )
 
     @property
     def moved(self) -> frozenset[int]:
@@ -118,7 +126,7 @@ class GeneratorMap:
         return not self.moved
 
     def is_automorphism(self) -> bool:
-        return intmat.det(self.matrix) in (1, -1)
+        return intmat.det(self._block(sorted(self.moved))) in (1, -1)
 
     def fixes_pointwise(self, subset: Iterable[int]) -> bool:
         return self.moved.isdisjoint(subset)
@@ -127,16 +135,18 @@ class GeneratorMap:
         """True iff the map restricts to an automorphism of <subset>."""
         if not self.is_automorphism():
             raise NotAutomorphism("preserves() is only defined for automorphisms")
-        sub = sorted(frozenset(subset))
-        for j in sub:
+        sub = frozenset(subset)
+        moved = self.moved
+        active = []
+        for j in sorted(sub):
             if not 1 <= j <= self.ctx.rank:
                 raise IndexOutOfRange(f"generator {j} out of range 1..{self.ctx.rank}")
-            if not occurs(self.images[j - 1]) <= frozenset(sub):
-                return False
-        block = tuple(
-            tuple(self.matrix[r - 1][c - 1] for c in sub) for r in sub
-        )
-        return intmat.det(block) in (1, -1)
+            # an unmoved generator's image is itself: inside <sub>, unit column
+            if j in moved:
+                if not occurs(self.images[j - 1]) <= sub:
+                    return False
+                active.append(j)
+        return intmat.det(self._block(active)) in (1, -1)
 
     # -- substitution engine ------------------------------------------------
 
@@ -299,9 +309,7 @@ def blockwise(
             images[i - 1] = img
     assembled = GeneratorMap(ctx, images)
     for j, block in enumerate(block_sets):
-        sub = sorted(block)
-        m = tuple(tuple(assembled.matrix[r - 1][c - 1] for c in sub) for r in sub)
-        if intmat.det(m) not in (1, -1):
+        if intmat.det(assembled._block(sorted(block))) not in (1, -1):
             raise BlockConstraintViolated(
                 f"block {j + 1} piece is not an automorphism of its subgroup"
             )
@@ -373,44 +381,60 @@ def invert_with_rounds(phi: GeneratorMap) -> tuple[GeneratorMap, int]:
     Round zero is the word lift of the inverse abelianization matrix; after
     it the composite phi o psi is IA, and every subsequent round strictly
     increases the lowest defect weight, so at most `class` rounds ever run.
+    Only the moved generators are inverted and corrected (module docstring).
     """
     if not phi.is_automorphism():
         raise NotAutomorphism("map has no inverse: determinant is not +-1")
     ctx = phi.ctx
-    minv = intmat.inverse_unimodular(phi.matrix)
-    psi = GeneratorMap(
-        ctx,
-        [
-            from_word(
-                ctx,
-                Word((j, minv[j - 1][i - 1]) for j in ctx.generators()),
-            )
-            for i in ctx.generators()
-        ],
+    moved = sorted(phi.moved)
+    rows = sorted(
+        phi.moved.union(
+            m[0] for i in moved for m in phi.images[i - 1].poly if len(m) == 1
+        )
     )
-    delta = compose(phi, psi)
+    minv = intmat.inverse_unimodular(phi._block(rows))
+    unit = [generator(ctx, i) for i in ctx.generators()]
+    psi = _with_images(
+        ctx,
+        unit,
+        {
+            i: from_word(ctx, Word((j, minv[a][b]) for a, j in enumerate(rows)))
+            for b, i in enumerate(rows)
+        },
+    )
+    delta = _with_images(ctx, unit, {i: phi.apply(psi(i)) for i in moved})
     rounds = 0
     while True:
-        defects = [
-            mul(inv(generator(ctx, i)), delta(i)) for i in ctx.generators()
-        ]
-        if all(d.is_identity() for d in defects):
+        defects = {i: mul(inv(unit[i - 1]), delta(i)) for i in moved}
+        if all(d.is_identity() for d in defects.values()):
             return psi, rounds
         rounds += 1
         if rounds > ctx.nilclass:
             raise NotAutomorphism("defect weight failed to rise every round")
-        anti = [inv(d) for d in defects]
+        anti = {i: inv(d) for i, d in defects.items()}
         # psi <- psi o chi and delta <- delta o chi, computed columnwise via
         # f(x_i * d_i^-1) = f(x_i) * f(d_i^-1); the defects are high-weight,
         # so these applications stay cheap
-        psi = GeneratorMap(
-            ctx,
-            [mul(psi(i), psi.apply(anti[i - 1])) for i in ctx.generators()],
+        psi = _with_images(
+            ctx, psi.images, {i: mul(psi(i), psi.apply(a)) for i, a in anti.items()}
         )
-        delta = GeneratorMap(
+        delta = _with_images(
             ctx,
-            [mul(delta(i), delta.apply(anti[i - 1])) for i in ctx.generators()],
+            delta.images,
+            {i: mul(delta(i), delta.apply(a)) for i, a in anti.items()},
         )
+
+
+def _with_images(
+    ctx: GroupContext,
+    images: Sequence[GroupElement],
+    changes: Mapping[int, GroupElement],
+) -> GeneratorMap:
+    # `images` with generator i's image replaced by changes[i]
+    out = list(images)
+    for i, img in changes.items():
+        out[i - 1] = img
+    return GeneratorMap(ctx, out)
 
 
 def invert(phi: GeneratorMap) -> GeneratorMap:

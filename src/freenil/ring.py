@@ -97,14 +97,6 @@ class Word:
 # ---------------------------------------------------------------------------
 # polynomial plumbing
 
-def _binom(e: int, k: int) -> int:
-    """Generalized binomial C(e, k) for arbitrary integer e, k >= 0. Always an int."""
-    num = 1
-    for t in range(k):
-        num *= e - t
-    return num // math.factorial(k)
-
-
 def _poly_add_into(acc: Poly, other: Poly, scale: int = 1) -> None:
     """acc += scale * other in place, dropping coefficients that reach zero."""
     get = acc.get
@@ -146,11 +138,15 @@ def _poly_mul(a: Poly, b: Poly, cap: int) -> Poly:
 
 def _genpow_poly(g: int, e: int, cap: int) -> Poly:
     """(1 + X_g)^e truncated above degree cap; exact for any integer e."""
+    # C(e, k+1) = C(e, k) * (e - k) / (k + 1), exact in integers; once a
+    # coefficient is zero (k > e >= 0) every later one is too
     out: Poly = {}
+    c = 1
     for k in range(cap + 1):
-        c = _binom(e, k)
-        if c:
-            out[(g,) * k] = c
+        if not c:
+            break
+        out[(g,) * k] = c
+        c = c * (e - k) // (k + 1)
     return out
 
 
@@ -164,7 +160,9 @@ class GroupElement:
 
     def __init__(self, ctx: GroupContext, poly: Poly, word: Optional[Word] = None):
         # internal: callers outside this package should use the factories below
-        assert poly.get((), 0) == 1, "group elements have constant term 1"
+        if poly.get((), 0) != 1:
+            # a library bug, not bad input: not a DomainError
+            raise RuntimeError("group elements have constant term 1")
         self.ctx = ctx
         self.poly = poly
         self.word = word

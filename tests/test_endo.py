@@ -8,6 +8,7 @@ from freenil import (
     BlockConstraintViolated,
     GeneratorMap,
     GroupContext,
+    IndexOutOfRange,
     MoietyCertificate,
     NotAutomorphism,
     NotInGamma2,
@@ -22,6 +23,7 @@ from freenil import (
     generator,
     ia_central,
     identity_map,
+    inv,
     inversion,
     invert,
     invert_with_rounds,
@@ -29,6 +31,7 @@ from freenil import (
     left_normed_element,
     lift_words,
     mul,
+    occurs,
     permutational,
     project,
     random_automorphism,
@@ -36,7 +39,7 @@ from freenil import (
     truncate_class,
     word_of,
 )
-from freenil.intmat import matmul
+from freenil.intmat import det, inverse_unimodular, matmul
 
 
 def rand_word(rng, n, max_len=6):
@@ -158,6 +161,144 @@ def test_invert_rejects_non_automorphism():
     ctx = GroupContext(2, 2)
     with pytest.raises(NotAutomorphism):
         invert(GeneratorMap(ctx, [from_word(ctx, Word(((1, 2),))), generator(ctx, 2)]))
+
+
+# ---------------------------------------------------------------------------
+# the moved-block kernel against the dense n x n rules
+
+def _dense_preserves(phi, subset):
+    sub = sorted(frozenset(subset))
+    for j in sub:
+        if not 1 <= j <= phi.ctx.rank:
+            raise IndexOutOfRange(f"generator {j} out of range 1..{phi.ctx.rank}")
+        if not occurs(phi(j)) <= frozenset(sub):
+            return False
+    block = tuple(tuple(phi.matrix[r - 1][c - 1] for c in sub) for r in sub)
+    return det(block) in (1, -1)
+
+
+def _dense_invert_with_rounds(phi):
+    # the inversion over all n generators and the full abelianization
+    if det(phi.matrix) not in (1, -1):
+        raise NotAutomorphism("map has no inverse: determinant is not +-1")
+    ctx = phi.ctx
+    minv = inverse_unimodular(phi.matrix)
+    psi = GeneratorMap(
+        ctx,
+        [
+            from_word(ctx, Word((j, minv[j - 1][i - 1]) for j in ctx.generators()))
+            for i in ctx.generators()
+        ],
+    )
+    delta = compose(phi, psi)
+    rounds = 0
+    while True:
+        defects = [mul(inv(generator(ctx, i)), delta(i)) for i in ctx.generators()]
+        if all(d.is_identity() for d in defects):
+            return psi, rounds
+        rounds += 1
+        if rounds > ctx.nilclass:
+            raise NotAutomorphism("defect weight failed to rise every round")
+        anti = [inv(d) for d in defects]
+        psi = GeneratorMap(
+            ctx, [mul(psi(i), psi.apply(anti[i - 1])) for i in ctx.generators()]
+        )
+        delta = GeneratorMap(
+            ctx, [mul(delta(i), delta.apply(anti[i - 1])) for i in ctx.generators()]
+        )
+
+
+def _sparse_endo(rng, ctx, moves):
+    # `moves` generators take random words over all generators, so moved
+    # columns hit unmoved rows and determinants take many values
+    images = [generator(ctx, g) for g in ctx.generators()]
+    for i in rng.sample(list(ctx.generators()), moves):
+        images[i - 1] = from_word(ctx, rand_word(rng, ctx.rank, max_len=4))
+    return GeneratorMap(ctx, images)
+
+
+def _kernel_corpus():
+    rng = random.Random(160)
+    maps = []
+    for n, c in ((6, 1), (7, 2), (5, 3), (9, 2)):
+        ctx = GroupContext(n, c)
+        unit = [generator(ctx, g) for g in ctx.generators()]
+        maps.append(identity_map(ctx))
+        maps.append(transvection(ctx, 1, n, 1))  # column 1 hits unmoved row n
+        for head in (
+            [Word(((1, 2),))],  # det 2
+            [Word(((1, -1), (2, -1))), Word(((1, 1), (2, -1)))],  # det -2
+            [Word(((2, 1),))],  # det 0
+        ):
+            images = [from_word(ctx, w) for w in head] + unit[len(head):]
+            maps.append(GeneratorMap(ctx, images))
+        for _ in range(12):
+            maps.append(rand_aut(rng, ctx, fix=(1, 2), length=rng.randrange(1, 8)))
+            maps.append(_sparse_endo(rng, ctx, rng.randrange(1, 4)))
+            if c >= 2:
+                b = rng.randrange(1, n + 1)
+                letters = tuple(rng.randrange(1, n + 1) for _ in range(c))
+                z = left_normed_element(ctx, letters, rng.choice((-1, 1)))
+                if not z.is_identity():
+                    maps.append(ia_central(ctx, {b: z}))  # moved, IA
+                    maps.append(compose(maps[-1], rand_aut(rng, ctx, length=3)))
+    return maps
+
+
+def test_kernel_corpus_covers_the_edge_cases():
+    maps = _kernel_corpus()
+    dets = {det(phi.matrix) for phi in maps}
+    assert {0, 1, -1, 2, -2} <= dets
+    assert any(phi.is_identity() for phi in maps)
+    ia = [phi for phi in maps if phi.moved and phi.matrix == identity_map(phi.ctx).matrix]
+    assert ia
+    assert any(
+        (r,) in phi(i).poly
+        for phi in maps
+        for i in phi.moved
+        for r in set(phi.ctx.generators()) - phi.moved
+    )
+    rounds = [_dense_invert_with_rounds(phi)[1] for phi in maps if det(phi.matrix) in (1, -1)]
+    assert max(rounds) >= 2
+
+
+def test_is_automorphism_matches_dense_determinant():
+    for phi in _kernel_corpus():
+        assert phi.is_automorphism() == (det(phi.matrix) in (1, -1))
+
+
+def test_preserves_matches_dense_rule():
+    rng = random.Random(161)
+    for phi in _kernel_corpus():
+        if det(phi.matrix) not in (1, -1):
+            with pytest.raises(NotAutomorphism):
+                phi.preserves({1})
+            continue
+        gens = list(phi.ctx.generators())
+        subsets = [set(gens), sorted(phi.moved), set(gens) - phi.moved]
+        subsets += [rng.sample(gens, rng.randrange(1, len(gens))) for _ in range(8)]
+        for sub in subsets:
+            assert phi.preserves(sub) == _dense_preserves(phi, sub), (phi, sub)
+        # out-of-range indices raise, also beside unmoved generators only
+        for bad in ({0, 1}, {phi.ctx.rank + 1}, set(gens) - phi.moved | {phi.ctx.rank + 1}):
+            with pytest.raises(IndexOutOfRange):
+                _dense_preserves(phi, bad)
+            with pytest.raises(IndexOutOfRange):
+                phi.preserves(bad)
+
+
+def test_invert_matches_dense_reference():
+    for phi in _kernel_corpus():
+        if det(phi.matrix) not in (1, -1):
+            with pytest.raises(NotAutomorphism):
+                invert_with_rounds(phi)
+            continue
+        psi, rounds = invert_with_rounds(phi)
+        ref, ref_rounds = _dense_invert_with_rounds(phi)
+        assert psi == ref
+        assert rounds == ref_rounds
+        # same wire words, not just the same elements
+        assert [word_of(a) for a in psi.images] == [word_of(a) for a in ref.images]
 
 
 # ---------------------------------------------------------------------------

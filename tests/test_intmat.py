@@ -186,12 +186,14 @@ def test_not_unimodular_rejected():
 
 
 def test_not_unimodular_rejected_under_optimize():
-    # refusals of bad input must not rest on asserts, which -O strips
+    # refusals of bad input and invariant checks must not rest on asserts,
+    # which -O strips
     code = (
         "from freenil.context import GroupContext\n"
         "from freenil.endo import transvection\n"
         "from freenil.errors import IndexOutOfRange, NotUnimodular\n"
         "from freenil.intmat import factor_unimodular, inverse_unimodular\n"
+        "from freenil.ring import GroupElement\n"
         "ctx = GroupContext(3, 2)\n"
         "for f, args, err in (\n"
         "    (inverse_unimodular, (((1, 1), (1, 1)),), NotUnimodular),\n"
@@ -199,6 +201,7 @@ def test_not_unimodular_rejected_under_optimize():
         "    (transvection, (ctx, 1, 1, -1), IndexOutOfRange),\n"
         "    (transvection, (ctx, 4, 1, 1), IndexOutOfRange),\n"
         "    (transvection, (ctx, 1, 0, 1), IndexOutOfRange),\n"
+        "    (GroupElement, (ctx, {(): 2}), RuntimeError),\n"
         "):\n"
         "    try:\n"
         "        f(*args)\n"

@@ -9,7 +9,9 @@ from hypothesis import given, strategies as st
 from freenil import (
     BadClass,
     ContextMismatch,
+    DomainError,
     GroupContext,
+    GroupElement,
     IndexOutOfRange,
     Word,
     comm,
@@ -24,6 +26,7 @@ from freenil import (
     retract,
     truncate_class,
 )
+from freenil.ring import _genpow_poly
 
 C32 = GroupContext(3, 2)
 C33 = GroupContext(3, 3)
@@ -103,6 +106,25 @@ def test_identity_weight_is_infinite():
 def test_from_word_range_check():
     with pytest.raises(IndexOutOfRange):
         from_word(C32, Word(((4, 1),)))
+
+
+def test_generator_power_matches_factorial_binomials():
+    # (1 + X_g)^e has X_g^k coefficient C(e, k) = e(e-1)..(e-k+1) / k!
+    for e in range(-6, 7):
+        poly = _genpow_poly(2, e, 8)
+        for k in range(9):
+            want = math.prod(e - t for t in range(k)) // math.factorial(k)
+            assert poly.get((2,) * k, 0) == want, (e, k)
+        assert set(poly) <= {(2,) * k for k in range(9)}
+        assert 0 not in poly.values()
+
+
+def test_constant_term_other_than_one_raises():
+    # a library bug, not bad input: RuntimeError, so verify_payload lets it out
+    for poly in ({(): 2}, {(1,): 1}):
+        with pytest.raises(RuntimeError, match="constant term 1") as info:
+            GroupElement(C32, poly)
+        assert not isinstance(info.value, DomainError)
 
 
 def test_context_mismatch():
