@@ -121,18 +121,16 @@ def abelian_decompose(sigma: GeneratorMap, fixed: Iterable[int]) -> Decompositio
     half = (len(free) + 1) // 2
     pinned = sorted(fixed)
     for own, other in ((free[:half], free[half:]), (free[half:], free[:half])):
-        images = [generator(ctx, g) for g in ctx.generators()]
-        moved_any = False
+        images = {}
         for i in own:
             # the D rows of sigma's abelianization column i
             col = sigma(i).poly
             pairs = [(d, col[(d,)]) for d in pinned if (d,) in col]
             if pairs:
-                moved_any = True
-                images[i - 1] = from_word(ctx, Word(((i, 1), *pairs)))
-        if not moved_any:
+                images[i] = from_word(ctx, Word(((i, 1), *pairs)))
+        if not images:
             continue
-        shear = GeneratorMap(ctx, images)
+        shear = GeneratorMap._sparse(ctx, images)
         cert = MoietyCertificate(
             frozenset(other), frozenset(ctx.generators()) - frozenset(other)
         )
@@ -296,12 +294,9 @@ def decompose(sigma: GeneratorMap, fixed: Iterable[int] = ()) -> Decomposition:
         return abelian_decompose(sigma, fixed)
     below = decompose(project(sigma, c - 1), fixed)
     lifted = [lift_factor(f, c, fixed) for f in below.factors]
-    # alpha = (lifted product)^-1 o sigma, computed one inverse at a time so
-    # no dense-by-dense composition is ever materialized
-    images = list(sigma.images)
-    for f in lifted:
-        anti = invert(f.map)
-        images = [anti.apply(a) for a in images]
-    alpha = GeneratorMap(ctx, images)
+    # alpha = (lifted product)^-1 o sigma: the sparse inverses multiply into
+    # one map first, so each of sigma's images is substituted only once
+    anti = ordered_product(ctx, [invert(f.map) for f in lifted][::-1])
+    alpha = compose(anti, sigma)
     factors = tuple(lifted) + tuple(central_decompose(alpha, fixed))
     return Decomposition(sigma, fixed, factors)

@@ -1,12 +1,16 @@
 """Endomorphisms and automorphisms given by generator images.
 
-A GeneratorMap stores one GroupElement per generator.  Applying it to an
-element substitutes X_i -> (image of x_i) - 1 into every monomial, which is
-exactly the ring extension of the group homomorphism.  The substitution is
-organized around two facts that keep the common cases cheap: a monomial none
-of whose letters is moved passes through unchanged, and partial products of
-substituted slots are shared through a per-map memo keyed by monomial
-suffixes (only below the top degree, where entries stay small).
+A GeneratorMap stores only the images that are not the literal generator
+x_i; every other generator maps to itself.  Every map operation below reads
+the stored images only, so its cost follows the number of generators a map
+moves, not the rank.
+
+Applying a map to an element substitutes X_i -> (image of x_i) - 1 into every
+monomial, which is exactly the ring extension of the group homomorphism.  The
+substitution is organized around two facts that keep the common cases cheap:
+a monomial none of whose letters is moved passes through unchanged, and
+partial products of substituted slots are shared through a per-map memo keyed
+by monomial suffixes (only below the top degree, where entries stay small).
 
 Determinants and inversion work on the moved block.  The abelianization
 column of an unmoved generator is a unit vector, so det(M) is the determinant
@@ -63,7 +67,15 @@ from .rng import SplitMix64
 
 
 class GeneratorMap:
-    """Endomorphism of N_{n,c} determined by generator images."""
+    """Endomorphism of N_{n,c} determined by generator images.
+
+    Only the images that are not the literal generator are kept: `stored`
+    maps i to its image whenever that image is not x_i spelled as the word
+    x_i (or spelled by no word).  An image equal to x_i under a longer word
+    is kept, because its word is serialized and survives lifting.  `moved`
+    is the set of i whose image is not x_i as an element, so it is a subset
+    of the stored keys.  Both are read-only.
+    """
 
     def __init__(self, ctx: GroupContext, images: Sequence[GroupElement]):
         if len(images) != ctx.rank:
@@ -72,23 +84,54 @@ class GeneratorMap:
             )
         for img in images:
             check_same_context(ctx, img.ctx)
+        self._setup(ctx, dict(enumerate(images, 1)))
+
+    @classmethod
+    def _sparse(
+        cls, ctx: GroupContext, images: Mapping[int, GroupElement]
+    ) -> "GeneratorMap":
+        """The map sending x_i to images[i] and fixing every other generator;
+        keys must lie in 1..rank and images in `ctx`."""
+        phi = cls.__new__(cls)
+        phi._setup(ctx, images)
+        return phi
+
+    def _setup(self, ctx: GroupContext, images: Mapping[int, GroupElement]) -> None:
+        # the one place that decides which images are literal (class docstring)
+        kept: dict[int, GroupElement] = {}
+        moved = []
+        for i, img in images.items():
+            poly = img.poly
+            if len(poly) != 2 or poly.get((i,)) != 1:
+                moved.append(i)
+                kept[i] = img
+            elif img.word is not None and img.word.letters != ((i, 1),):
+                kept[i] = img
         self.ctx = ctx
-        self.images = tuple(images)
-        self._moved: Optional[frozenset[int]] = None
-        self._u: Optional[dict[int, Poly]] = None
+        self.stored = kept
+        self.moved = frozenset(moved)
+        self._u: dict[int, Poly] = {}
         self._table: dict[tuple[int, ...], Poly] = {}
 
     def __call__(self, i: int) -> GroupElement:
         if not 1 <= i <= self.ctx.rank:
             raise IndexOutOfRange(f"generator {i} out of range 1..{self.ctx.rank}")
-        return self.images[i - 1]
+        img = self.stored.get(i)
+        return generator(self.ctx, i) if img is None else img
+
+    @property
+    def images(self) -> tuple[GroupElement, ...]:
+        """All n images in index order, unstored ones as fresh generators."""
+        return tuple(self(i) for i in self.ctx.generators())
 
     def __eq__(self, other) -> bool:
         # extensional: maps agree iff their generator images agree as elements
         if not isinstance(other, GeneratorMap):
             return NotImplemented
-        return self.ctx == other.ctx and all(
-            a.poly == b.poly for a, b in zip(self.images, other.images)
+        return (
+            self.ctx == other.ctx
+            and self.moved == other.moved
+            and all(self.stored[i].poly == other.stored[i].poly for i in self.moved)
         )
 
     __hash__ = None
@@ -108,19 +151,8 @@ class GeneratorMap:
     def _block(self, sub: Sequence[int]) -> intmat.Matrix:
         """The abelianization restricted to rows and columns `sub`, in that
         order, read off the images."""
-        return tuple(
-            tuple(self.images[c - 1].poly.get((r,), 0) for c in sub) for r in sub
-        )
-
-    @property
-    def moved(self) -> frozenset[int]:
-        if self._moved is None:
-            self._moved = frozenset(
-                i
-                for i in self.ctx.generators()
-                if self.images[i - 1].poly != {(): 1, (i,): 1}
-            )
-        return self._moved
+        cols = [self.stored[c].poly if c in self.moved else {(c,): 1} for c in sub]
+        return tuple(tuple(col.get((r,), 0) for col in cols) for r in sub)
 
     def is_identity(self) -> bool:
         return not self.moved
@@ -136,39 +168,40 @@ class GeneratorMap:
         if not self.is_automorphism():
             raise NotAutomorphism("preserves() is only defined for automorphisms")
         sub = frozenset(subset)
-        moved = self.moved
-        active = []
         for j in sorted(sub):
             if not 1 <= j <= self.ctx.rank:
                 raise IndexOutOfRange(f"generator {j} out of range 1..{self.ctx.rank}")
-            # an unmoved generator's image is itself: inside <sub>, unit column
-            if j in moved:
-                if not occurs(self.images[j - 1]) <= sub:
-                    return False
-                active.append(j)
+        # an unmoved generator's image is itself: inside <sub>, unit column
+        active = sorted(sub & self.moved)
+        if any(not occurs(self.stored[j]) <= sub for j in active):
+            return False
         return intmat.det(self._block(active)) in (1, -1)
 
     # -- substitution engine ------------------------------------------------
 
-    def _slot_options(self) -> dict[int, Poly]:
-        if self._u is None:
-            self._u = {
-                i: {m: c for m, c in self.images[i - 1].poly.items() if m}
-                for i in self.ctx.generators()
-            }
-        return self._u
+    def _slot(self, i: int) -> Poly:
+        # X_i -> (image of x_i) - 1, built on first use: X_i itself when x_i
+        # is unmoved, and possibly empty (an endomorphism sending x_i to 1)
+        slot = self._u.get(i)
+        if slot is None:
+            if i in self.moved:
+                slot = {m: c for m, c in self.stored[i].poly.items() if m}
+            else:
+                slot = {(i,): 1}
+            self._u[i] = slot
+        return slot
 
     def _word_image(self, w: tuple[int, ...]) -> Poly:
         got = self._table.get(w)
         if got is not None:
             return got
-        u = self._slot_options()
         if self.moved.isdisjoint(w):
             out: Poly = {w: 1}
         elif len(w) == 1:
-            out = u[w[0]]
+            out = self._slot(w[0])
         else:
-            out = _poly_mul(u[w[0]], self._word_image(w[1:]), self.ctx.nilclass)
+            rest = self._word_image(w[1:])
+            out = _poly_mul(self._slot(w[0]), rest, self.ctx.nilclass)
         if len(w) < self.ctx.nilclass:
             # top-degree products are recomputed rather than cached: they are
             # the numerous ones, and each costs a single short multiplication
@@ -195,27 +228,43 @@ class GeneratorMap:
 
 
 def identity_map(ctx: GroupContext) -> GeneratorMap:
-    return GeneratorMap(ctx, [generator(ctx, i) for i in ctx.generators()])
+    return GeneratorMap._sparse(ctx, {})
 
 
 def compose(phi: GeneratorMap, psi: GeneratorMap) -> GeneratorMap:
-    """(phi o psi)(x) = phi(psi(x)); matrices multiply in the same order."""
+    """(phi o psi)(x) = phi(psi(x)); matrices multiply in the same order.
+
+    Only generators stored by psi or moved by phi can have a non-literal
+    image; every other one is x_i on both sides.  Where psi leaves x_i alone
+    and phi moves it, the image is phi's without its word, which is exactly
+    what phi.apply(x_i) returns.
+    """
     check_same_context(phi.ctx, psi.ctx)
-    return GeneratorMap(phi.ctx, [phi.apply(img) for img in psi.images])
+    stored = {}
+    for i in psi.stored.keys() | phi.moved:
+        img = psi.stored.get(i)
+        if img is not None:
+            stored[i] = phi.apply(img)
+        else:
+            img = phi.stored[i]
+            stored[i] = img if img.word is None else GroupElement(phi.ctx, img.poly)
+    return GeneratorMap._sparse(phi.ctx, stored)
 
 
 def ordered_product(ctx: GroupContext, maps: Sequence[GeneratorMap]) -> GeneratorMap:
     """Left-to-right product under (phi o psi)(x) = phi(psi(x)).
 
-    Accumulated right to left so that each step applies one (typically
-    sparse) factor to the running images instead of the other way around.
+    Accumulated left to right: each step substitutes the running product
+    into the few images the next (typically sparse) factor stores, and the
+    running product's other images carry over without any substitution.
     """
+    for phi in maps:
+        check_same_context(ctx, phi.ctx)
     if not maps:
         return identity_map(ctx)
-    acc = maps[-1]
-    for phi in maps[-2::-1]:
-        check_same_context(ctx, phi.ctx)
-        acc = compose(phi, acc)
+    acc = maps[0]
+    for psi in maps[1:]:
+        acc = compose(acc, psi)
     return acc
 
 
@@ -225,23 +274,19 @@ def transvection(ctx: GroupContext, i: int, j: int, k: int) -> GeneratorMap:
         raise IndexOutOfRange(
             f"transvection needs distinct indices in 1..{ctx.rank}, got {i}, {j}"
         )
-    images = [generator(ctx, g) for g in ctx.generators()]
-    images[i - 1] = from_word(ctx, Word(((i, 1), (j, k))))
-    return GeneratorMap(ctx, images)
+    return GeneratorMap._sparse(ctx, {i: from_word(ctx, Word(((i, 1), (j, k))))})
 
 
 def inversion(ctx: GroupContext, i: int) -> GeneratorMap:
     """x_i -> x_i^-1, everything else fixed."""
-    images = [generator(ctx, g) for g in ctx.generators()]
-    images[i - 1] = from_word(ctx, Word(((i, -1),)))
-    return GeneratorMap(ctx, images)
+    return GeneratorMap._sparse(ctx, {i: from_word(ctx, Word(((i, -1),)))})
 
 
 def permutational(ctx: GroupContext, perm) -> GeneratorMap:
     """x_i -> x_{p(i)} for a bijection p of 1..n.
 
     `perm` may be a mapping (missing indices are fixed) or a sequence of
-    length n giving p(1)..p(n).
+    length n giving p(1)..p(n).  Every key and value must lie in 1..n.
     """
     if isinstance(perm, Mapping):
         table = dict(perm)
@@ -252,25 +297,33 @@ def permutational(ctx: GroupContext, perm) -> GeneratorMap:
                 f"permutation sequence has length {len(seq)}, rank is {ctx.rank}"
             )
         table = {i + 1: seq[i] for i in range(ctx.rank)}
-    full = {i: table.get(i, i) for i in ctx.generators()}
-    if set(full) != set(full.values()) or set(full) != set(ctx.generators()):
+    gens = ctx.generators()
+    for a, b in table.items():
+        if a not in gens or b not in gens:
+            raise PermutationInvalid(
+                f"permutation entry {a} -> {b} leaves 1..{ctx.rank}"
+            )
+    # a bijection of 1..n iff its non-fixed points are permuted among themselves
+    moves = {a: b for a, b in table.items() if a != b}
+    if set(moves.values()) != set(moves):
         raise PermutationInvalid("mapping is not a bijection of 1..rank")
-    return GeneratorMap(ctx, [generator(ctx, full[i]) for i in ctx.generators()])
+    images = {a: generator(ctx, b) for a, b in moves.items()}
+    return GeneratorMap._sparse(ctx, images)
 
 
 def ia_central(ctx: GroupContext, assignment: Mapping[int, GroupElement]) -> GeneratorMap:
     """x_b -> x_b * z_b for each assigned b; z_b must lie in the commutator
     subgroup (weight >= 2), which makes the result an automorphism with
     identity abelianization."""
-    images = [generator(ctx, g) for g in ctx.generators()]
+    stored = {}
     for b, z in assignment.items():
         if not 1 <= b <= ctx.rank:
             raise IndexOutOfRange(f"generator {b} out of range 1..{ctx.rank}")
         check_same_context(ctx, z.ctx)
         if lcs_weight(z) < 2:
             raise NotInGamma2(f"offset for generator {b} has weight 1")
-        images[b - 1] = mul(generator(ctx, b), z)
-    return GeneratorMap(ctx, images)
+        stored[b] = mul(generator(ctx, b), z)
+    return GeneratorMap._sparse(ctx, stored)
 
 
 def blockwise(
@@ -296,20 +349,22 @@ def blockwise(
     pieces = [fixed, *block_sets]
     if frozenset().union(*pieces) != everything or sum(map(len, pieces)) != ctx.rank:
         raise PartitionInvalid("fixed set and blocks must partition 1..rank")
-    images = [generator(ctx, g) for g in ctx.generators()]
+    stored = {}
     for j, (block, piece) in enumerate(zip(block_sets, maps)):
         check_same_context(ctx, piece.ctx)
         allowed = fixed | block
-        for i in sorted(block):
-            img = piece(i)
+        for i in sorted(block & piece.stored.keys()):
+            img = piece.stored[i]
             if not occurs(img) <= allowed:
                 raise BlockConstraintViolated(
                     f"image of generator {i} leaves block {j + 1}"
                 )
-            images[i - 1] = img
-    assembled = GeneratorMap(ctx, images)
+            stored[i] = img
+    assembled = GeneratorMap._sparse(ctx, stored)
     for j, block in enumerate(block_sets):
-        if intmat.det(assembled._block(sorted(block))) not in (1, -1):
+        # unmoved columns of the block are unit vectors (module docstring)
+        active = sorted(block & assembled.moved)
+        if intmat.det(assembled._block(active)) not in (1, -1):
             raise BlockConstraintViolated(
                 f"block {j + 1} piece is not an automorphism of its subgroup"
             )
@@ -353,8 +408,14 @@ def check_certificate(phi: GeneratorMap, cert: MoietyCertificate) -> bool:
 
 def project(phi: GeneratorMap, new_class: int) -> GeneratorMap:
     """The induced map one or more classes down (images truncated)."""
-    images = [truncate_class(img, new_class) for img in phi.images]
-    return GeneratorMap(images[0].ctx, images)
+    if not 1 <= new_class < phi.ctx.nilclass:
+        raise BadClass(
+            f"target class {new_class} must satisfy 1 <= it < {phi.ctx.nilclass}"
+        )
+    return GeneratorMap._sparse(
+        GroupContext(phi.ctx.rank, new_class),
+        {i: truncate_class(img, new_class) for i, img in phi.stored.items()},
+    )
 
 
 def lift_words(phi: GeneratorMap, new_class: Optional[int] = None) -> GeneratorMap:
@@ -369,7 +430,9 @@ def lift_words(phi: GeneratorMap, new_class: Optional[int] = None) -> GeneratorM
             f"lift target {target} must exceed current class {phi.ctx.nilclass}"
         )
     ctx2 = GroupContext(phi.ctx.rank, target)
-    return GeneratorMap(ctx2, [from_word(ctx2, word_of(img)) for img in phi.images])
+    return GeneratorMap._sparse(
+        ctx2, {i: from_word(ctx2, word_of(img)) for i, img in phi.stored.items()}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -388,24 +451,21 @@ def invert_with_rounds(phi: GeneratorMap) -> tuple[GeneratorMap, int]:
     ctx = phi.ctx
     moved = sorted(phi.moved)
     rows = sorted(
-        phi.moved.union(
-            m[0] for i in moved for m in phi.images[i - 1].poly if len(m) == 1
-        )
+        phi.moved.union(m[0] for i in moved for m in phi.stored[i].poly if len(m) == 1)
     )
     minv = intmat.inverse_unimodular(phi._block(rows))
-    unit = [generator(ctx, i) for i in ctx.generators()]
-    psi = _with_images(
+    psi = GeneratorMap._sparse(
         ctx,
-        unit,
         {
             i: from_word(ctx, Word((j, minv[a][b]) for a, j in enumerate(rows)))
             for b, i in enumerate(rows)
         },
     )
-    delta = _with_images(ctx, unit, {i: phi.apply(psi(i)) for i in moved})
+    delta = GeneratorMap._sparse(ctx, {i: phi.apply(psi(i)) for i in moved})
+    unit_inv = {i: inv(generator(ctx, i)) for i in moved}
     rounds = 0
     while True:
-        defects = {i: mul(inv(unit[i - 1]), delta(i)) for i in moved}
+        defects = {i: mul(unit_inv[i], delta(i)) for i in moved}
         if all(d.is_identity() for d in defects.values()):
             return psi, rounds
         rounds += 1
@@ -415,26 +475,13 @@ def invert_with_rounds(phi: GeneratorMap) -> tuple[GeneratorMap, int]:
         # psi <- psi o chi and delta <- delta o chi, computed columnwise via
         # f(x_i * d_i^-1) = f(x_i) * f(d_i^-1); the defects are high-weight,
         # so these applications stay cheap
-        psi = _with_images(
-            ctx, psi.images, {i: mul(psi(i), psi.apply(a)) for i, a in anti.items()}
+        psi = GeneratorMap._sparse(
+            ctx, psi.stored | {i: mul(psi(i), psi.apply(a)) for i, a in anti.items()}
         )
-        delta = _with_images(
+        delta = GeneratorMap._sparse(
             ctx,
-            delta.images,
-            {i: mul(delta(i), delta.apply(a)) for i, a in anti.items()},
+            delta.stored | {i: mul(delta(i), delta.apply(a)) for i, a in anti.items()},
         )
-
-
-def _with_images(
-    ctx: GroupContext,
-    images: Sequence[GroupElement],
-    changes: Mapping[int, GroupElement],
-) -> GeneratorMap:
-    # `images` with generator i's image replaced by changes[i]
-    out = list(images)
-    for i, img in changes.items():
-        out[i - 1] = img
-    return GeneratorMap(ctx, out)
 
 
 def invert(phi: GeneratorMap) -> GeneratorMap:

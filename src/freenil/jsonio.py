@@ -109,10 +109,14 @@ def parse_element(ctx: GroupContext, obj: Any) -> GroupElement:
 # maps
 
 def map_payload(phi: GeneratorMap) -> dict:
+    stored = phi.stored
     return {
         "rank": phi.ctx.rank,
         "class": phi.ctx.nilclass,
-        "images": [word_payload(word_of(img)) for img in phi.images],
+        "images": [
+            word_payload(word_of(stored[i])) if i in stored else [[i, 1]]
+            for i in phi.ctx.generators()
+        ],
     }
 
 
@@ -126,7 +130,14 @@ def parse_map(obj: Any) -> GeneratorMap:
     if len(images) != rank:
         raise MalformedInput(f"expected {rank} images, got {len(images)}")
     ctx = GroupContext(rank, nilclass)
-    return GeneratorMap(ctx, [from_word(ctx, parse_word(w)) for w in images])
+    stored = {}
+    for i, w in enumerate(images, 1):
+        # the literal image [[i, 1]] needs no ring work; `==` alone would
+        # also match [[True, 1]] or [[1.0, 1]], which parse_word refuses
+        if w == [[i, 1]] and type(w[0][0]) is int and type(w[0][1]) is int:
+            continue
+        stored[i] = from_word(ctx, parse_word(w))
+    return GeneratorMap._sparse(ctx, stored)
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,12 @@ def verify_payload(payload: dict) -> VerifyReport:
     dec = parse_decomposition(payload)
     ctx = dec.input.ctx
     failures: list[str] = []
+    # unstored images are generators, whose coefficients are all 1
     coeffs = [1]
-    for img in dec.input.images:
+    for img in dec.input.stored.values():
         coeffs.extend(abs(v) for v in img.poly.values())
     for idx, f in enumerate(dec.factors):
-        for img in f.map.images:
+        for img in f.map.stored.values():
             coeffs.extend(abs(v) for v in img.poly.values())
         try:
             if not check_certificate(f.map, f.certificate):
@@ -40,7 +41,7 @@ def verify_payload(payload: dict) -> VerifyReport:
         if not f.map.fixes_pointwise(dec.fixed):
             failures.append(f"factor {idx}: moves the pinned set")
     product = ordered_product(ctx, [f.map for f in dec.factors])
-    for img in product.images:
+    for img in product.stored.values():
         coeffs.extend(abs(v) for v in img.poly.values())
     if product != dec.input:
         failures.append("ordered product of factors differs from the input map")

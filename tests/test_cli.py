@@ -9,8 +9,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from freenil import (
     GroupContext,
+    MalformedInput,
     Word,
     comm,
     compose,
@@ -20,7 +23,7 @@ from freenil import (
     transvection,
 )
 from freenil.cli import main
-from freenil.jsonio import map_payload, parse_element, parse_map
+from freenil.jsonio import dumps, map_payload, parse_element, parse_map
 
 CLI = (sys.executable, "-m", "freenil.cli")
 
@@ -287,6 +290,49 @@ def test_decompose_domain_errors_exit_1(tmp_path):
         tmp_path, ["decompose"], map_payload(identity_map(GroupContext(4, 2)))
     )
     assert code == 1 and out["error"] == "RankTooSmall"
+
+
+@pytest.mark.parametrize(
+    "letter, message",
+    [
+        ([True, 1], "generator index must be an integer"),
+        ([1.0, 1], "generator index must be an integer"),
+        ([1, True], "exponent must be an integer"),
+        ([1, 1.0], "exponent must be an integer"),
+    ],
+)
+def test_literal_image_lookalikes_are_refused(tmp_path, letter, message):
+    # [[True, 1]] == [[1, 1]] in Python, so the literal-image shortcut in
+    # parse_map must not accept them
+    payload = {"rank": 2, "class": 2, "images": [[letter], [[2, 1]]]}
+    with pytest.raises(MalformedInput, match=message):
+        parse_map(payload)
+    code, raw, _ = run_cli(tmp_path, ["is-aut"], payload)
+    assert code == 2
+    assert raw == json.dumps(
+        {"error": "MalformedInput", "message": message}, separators=(",", ":")
+    ) + "\n"
+
+
+# x1 [[x2, x3], x4]: equal to x1 at class 2, spelled with 11 letters
+LONG_LITERAL = [
+    [1, 1], [3, -1], [2, -1], [3, 1], [2, 1], [4, -1],
+    [2, -1], [3, -1], [2, 1], [3, 1], [4, 1],
+]
+
+
+def test_long_word_literal_image_keeps_its_bytes(tmp_path):
+    payload = {
+        "rank": 6,
+        "class": 2,
+        "images": [LONG_LITERAL, [[2, 1]], [[3, 1], [4, 1]], [[4, 1]], [[5, 1]], [[6, 1]]],
+    }
+    assert dumps(map_payload(parse_map(payload))) == dumps(payload)
+    code, _, dec = run_cli(tmp_path, ["decompose"], payload)
+    assert code == 0
+    assert dumps(dec["input"]) == dumps(payload)
+    code, _, report = run_cli(tmp_path, ["verify"], dec)
+    assert code == 0 and report["ok"] is True
 
 
 def test_index_out_of_range_is_a_domain_error(tmp_path):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from freenil import (
+    BadClass,
     BlockConstraintViolated,
     GeneratorMap,
     GroupContext,
@@ -32,6 +33,7 @@ from freenil import (
     lift_words,
     mul,
     occurs,
+    ordered_product,
     permutational,
     project,
     random_automorphism,
@@ -39,6 +41,7 @@ from freenil import (
     truncate_class,
     word_of,
 )
+from freenil import endo, lie, ring
 from freenil.intmat import det, inverse_unimodular, matmul
 
 
@@ -171,6 +174,7 @@ def _dense_preserves(phi, subset):
     for j in sub:
         if not 1 <= j <= phi.ctx.rank:
             raise IndexOutOfRange(f"generator {j} out of range 1..{phi.ctx.rank}")
+    for j in sub:
         if not occurs(phi(j)) <= frozenset(sub):
             return False
     block = tuple(tuple(phi.matrix[r - 1][c - 1] for c in sub) for r in sub)
@@ -331,6 +335,10 @@ def test_permutational_rejects_non_bijection():
         permutational(ctx, {1: 2})
     with pytest.raises(PermutationInvalid):
         permutational(ctx, [1, 2])
+    # entries outside 1..rank are refused, not dropped, fixed points included
+    for perm in ({1: 2, 2: 1, 99: 5}, {0: 0}, {1: 1, 5: 5}, {2: 0}, [1, 2, 5, 4]):
+        with pytest.raises(PermutationInvalid):
+            permutational(GroupContext(4, 2), perm)
 
 
 def test_ia_central_empty_assignment_is_identity():
@@ -430,6 +438,11 @@ def test_preserves_examples():
     assert phi.preserves(set(range(2, 5)))
     assert phi.preserves({1, 2})
     assert not phi.preserves({1})
+    # every index is range-checked first: the answer for {1} alone is False,
+    # and no early return may hide the bad index beside it
+    for bad in ({1, 99}, {2, 99}, {0, 1}, {0, 2}):
+        with pytest.raises(IndexOutOfRange):
+            phi.preserves(bad)
 
 
 def test_check_certificate_examples():
@@ -511,6 +524,10 @@ def test_certificate_transports_along_conjugation():
 def test_project_identity():
     ctx = GroupContext(3, 3)
     assert project(identity_map(ctx), 2) == identity_map(GroupContext(3, 2))
+    # the identity stores no image, and still refuses a bad target class
+    for target in (0, 3, 4):
+        with pytest.raises(BadClass):
+            project(identity_map(ctx), target)
 
 
 def test_project_commutes_with_apply():
@@ -622,3 +639,83 @@ def test_small_automorphism_extends_with_large_fixed_block():
         cert = MoietyCertificate(frozenset(rest), frozenset(positions))
         assert check_certificate(rho, cert)
         assert len(cert.fixed) >= big.rank // 2
+
+
+# ---------------------------------------------------------------------------
+# the sparse contract: only non-literal images are stored
+
+def test_dense_and_sparse_construction_agree():
+    ctx = GroupContext(5, 3)
+    full = [generator(ctx, g) for g in ctx.generators()]
+    full[1] = from_word(ctx, Word(((2, 1), (4, -1))))
+    full[3] = mul(generator(ctx, 4), comm(generator(ctx, 1), generator(ctx, 5)))
+    dense = GeneratorMap(ctx, full)
+    built = compose(
+        transvection(ctx, 2, 4, -1),
+        ia_central(ctx, {4: comm(generator(ctx, 1), generator(ctx, 5))}),
+    )
+    assert dense == built
+    assert dense.images == tuple(full)
+    assert built.images == tuple(full)
+    assert sorted(dense.stored) == sorted(dense.moved) == [2, 4]
+    assert identity_map(ctx).stored == {}
+    assert identity_map(ctx).images == tuple(generator(ctx, g) for g in ctx.generators())
+
+
+def test_long_word_for_a_generator_is_stored_and_lifts():
+    # x1 [[x2, x3], x4] equals x1 at class 2 but not at class 3, so its word
+    # is kept even though the generator does not move
+    ctx = GroupContext(4, 2)
+    x = [generator(ctx, g) for g in ctx.generators()]
+    image = mul(x[0], comm(comm(x[1], x[2]), x[3]))
+    assert image.poly == x[0].poly and len(image.word) == 11
+    phi = GeneratorMap(ctx, [image, *x[1:]])
+    assert phi.is_identity() and phi == identity_map(ctx)
+    assert list(phi.stored) == [1]
+    assert phi(1).word == image.word
+    assert word_of(compose(identity_map(ctx), phi)(1)) == image.word
+    assert lift_words(phi).moved == {1}
+    # a single-letter or word-less x_i is not stored
+    wordless = transvection(ctx, 2, 3, 1).apply(x[0])
+    assert wordless.word is None
+    for literal in (from_word(ctx, Word(((1, 1),))), wordless):
+        assert GeneratorMap(ctx, [literal, *x[1:]]).stored == {}
+
+
+def test_map_operation_calls_do_not_grow_with_rank(monkeypatch):
+    # a two-move map costs the same number of substitutions and generator
+    # builds whether the group has rank 8 or 64
+    counts = {}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(GeneratorMap, "apply", counting("apply", GeneratorMap.apply))
+    make = counting("generator", ring.generator)
+    for module in (ring, endo, lie):
+        monkeypatch.setattr(module, "generator", make)
+
+    def profile(rank):
+        ctx = GroupContext(rank, 3)
+        t = transvection(ctx, 1, 2, 1)
+        z = ia_central(ctx, {3: left_normed_element(ctx, (1, 2), 1)})
+        phi = compose(z, t)
+        out = {}
+        for name, run in (
+            ("compose", lambda: compose(phi, t)),
+            ("ordered_product", lambda: ordered_product(ctx, [t, z, phi])),
+            ("invert_with_rounds", lambda: invert_with_rounds(phi)),
+        ):
+            counts.clear()
+            run()
+            out[name] = dict(counts)
+        assert invert_with_rounds(phi)[1] >= 1
+        return out
+
+    low, high = profile(8), profile(64)
+    assert low == high
+    assert all(calls.get("apply", 0) > 0 for calls in low.values())
