@@ -11,8 +11,9 @@ nilpotency class:
 
   class c   project one class down, decompose recursively, lift each factor
             back up (word reinterpretation plus a central correction pinning
-            D exactly), divide out, and split the remaining central piece
-            into 2(c+1) commuting maps beta_k, each avoiding one cell of a
+            D exactly), divide their product out of sigma with a single
+            inversion, and split the remaining central piece into 2(c+1)
+            commuting maps beta_k, each avoiding one cell of a
             partition of half of E — the avoided cell is the certificate's
             fixed block.  A weight-c commutator mentions at most c distinct
             generators, so with c+1 cells one is always clean: that
@@ -149,8 +150,10 @@ def lift_factor(f: Factor, target_class: int, fixed: Iterable[int]) -> Factor:
     sigma_0 reinterprets the image words one class higher; it already fixes D
     modulo the center.  sigma_1 is the central IA map agreeing with sigma_0
     on D and fixing everything else, so sigma_1^-1 o sigma_0 fixes D on the
-    nose while inducing the original factor one class down.  The certificate
-    is carried over unchanged and rechecked; a factor whose D-image words
+    nose while inducing the original factor one class down.  Its offsets are
+    central, so sigma_1^-1 is sigma_1 with every offset inverted; a factor
+    that moves D has no such correction and is refused.  The certificate is
+    carried over unchanged and rechecked; a factor whose D-image words
     smuggle letters from outside the preserved block can break it, which is
     reported rather than repaired.
     """
@@ -160,14 +163,16 @@ def lift_factor(f: Factor, target_class: int, fixed: Iterable[int]) -> Factor:
         raise BadClass(f"cannot lift class {low} factor to class {target_class}")
     sigma0 = lift_words(f.map)
     ctx = sigma0.ctx
-    offsets = {}
+    undo = {}  # the offsets of sigma_1^-1
     for d in sorted(fixed):
         z = mul(inv(generator(ctx, d)), sigma0(d))
-        if not z.is_identity():
-            offsets[d] = z
-    if offsets:
-        sigma1 = ia_central(ctx, offsets)
-        lifted = compose(invert(sigma1), sigma0)
+        if z.is_identity():
+            continue
+        if lcs_weight(z) < ctx.nilclass:
+            raise CertificateInvalid(f"factor moves pinned generator {d}")
+        undo[d] = inv(z)
+    if undo:
+        lifted = compose(ia_central(ctx, undo), sigma0)
     else:
         lifted = sigma0
     if not lifted.fixes_pointwise(fixed):
@@ -294,9 +299,7 @@ def decompose(sigma: GeneratorMap, fixed: Iterable[int] = ()) -> Decomposition:
         return abelian_decompose(sigma, fixed)
     below = decompose(project(sigma, c - 1), fixed)
     lifted = [lift_factor(f, c, fixed) for f in below.factors]
-    # alpha = (lifted product)^-1 o sigma: the sparse inverses multiply into
-    # one map first, so each of sigma's images is substituted only once
-    anti = ordered_product(ctx, [invert(f.map) for f in lifted][::-1])
-    alpha = compose(anti, sigma)
+    # alpha = (lifted product)^-1 o sigma, with one inversion of the product
+    alpha = compose(invert(ordered_product(ctx, [f.map for f in lifted])), sigma)
     factors = tuple(lifted) + tuple(central_decompose(alpha, fixed))
     return Decomposition(sigma, fixed, factors)

@@ -26,6 +26,13 @@ chi: x_i -> x_i * d_i^-1, using the homomorphism property so no dense map ever
 gets rebuilt from scratch.  Unmoved generators map to themselves throughout,
 so defects and corrections run over the moved generators only.
 
+Whether a map is an automorphism (det = +-1) is decided once and stored on
+the map.  Constructors that know the answer set it and skip the determinant:
+project keeps the degree-1 part, lift_words keeps word exponent sums,
+ia_central has the identity abelianization, and compose multiplies
+determinants, so two unimodular maps give a unimodular one.  A map parsed
+from the wire knows nothing and takes its own determinant.
+
 The certificate vocabulary lives here too: a MoietyCertificate names a
 partition (fixed P, preserved Q) of the generators, and check_certificate
 decides whether a map fixes P pointwise and restricts to an automorphism of
@@ -88,18 +95,31 @@ class GeneratorMap:
 
     @classmethod
     def _sparse(
-        cls, ctx: GroupContext, images: Mapping[int, GroupElement]
+        cls,
+        ctx: GroupContext,
+        images: Mapping[int, GroupElement],
+        carried: Optional[Mapping[int, GroupElement]] = None,
+        unimodular: Optional[bool] = None,
     ) -> "GeneratorMap":
         """The map sending x_i to images[i] and fixing every other generator;
-        keys must lie in 1..rank and images in `ctx`."""
+        keys must lie in 1..rank and images in `ctx`.  `carried` holds further
+        images the caller knows to be moved, and `unimodular` the answer of
+        is_automorphism when the caller knows it without a determinant."""
         phi = cls.__new__(cls)
-        phi._setup(ctx, images)
+        phi._setup(ctx, images, carried, unimodular)
         return phi
 
-    def _setup(self, ctx: GroupContext, images: Mapping[int, GroupElement]) -> None:
-        # the one place that decides which images are literal (class docstring)
-        kept: dict[int, GroupElement] = {}
-        moved = []
+    def _setup(
+        self,
+        ctx: GroupContext,
+        images: Mapping[int, GroupElement],
+        carried: Optional[Mapping[int, GroupElement]] = None,
+        unimodular: Optional[bool] = None,
+    ) -> None:
+        # the one place that decides which images are literal (class
+        # docstring); carried images are moved already and skip the test
+        kept: dict[int, GroupElement] = dict(carried) if carried else {}
+        moved = list(kept)
         for i, img in images.items():
             poly = img.poly
             if len(poly) != 2 or poly.get((i,)) != 1:
@@ -112,6 +132,7 @@ class GeneratorMap:
         self.moved = frozenset(moved)
         self._u: dict[int, Poly] = {}
         self._table: dict[tuple[int, ...], Poly] = {}
+        self._unimodular = unimodular
 
     def __call__(self, i: int) -> GroupElement:
         if not 1 <= i <= self.ctx.rank:
@@ -158,7 +179,10 @@ class GeneratorMap:
         return not self.moved
 
     def is_automorphism(self) -> bool:
-        return intmat.det(self._block(sorted(self.moved))) in (1, -1)
+        # decided once per map, unless its constructor already knew
+        if self._unimodular is None:
+            self._unimodular = intmat.det(self._block(sorted(self.moved))) in (1, -1)
+        return self._unimodular
 
     def fixes_pointwise(self, subset: Iterable[int]) -> bool:
         return self.moved.isdisjoint(subset)
@@ -237,18 +261,17 @@ def compose(phi: GeneratorMap, psi: GeneratorMap) -> GeneratorMap:
     Only generators stored by psi or moved by phi can have a non-literal
     image; every other one is x_i on both sides.  Where psi leaves x_i alone
     and phi moves it, the image is phi's without its word, which is exactly
-    what phi.apply(x_i) returns.
+    what phi.apply(x_i) returns, and is known to be moved.  Determinants
+    multiply, so two maps known to be unimodular compose to one.
     """
     check_same_context(phi.ctx, psi.ctx)
-    stored = {}
-    for i in psi.stored.keys() | phi.moved:
-        img = psi.stored.get(i)
-        if img is not None:
-            stored[i] = phi.apply(img)
-        else:
-            img = phi.stored[i]
-            stored[i] = img if img.word is None else GroupElement(phi.ctx, img.poly)
-    return GeneratorMap._sparse(phi.ctx, stored)
+    fresh = {i: phi.apply(img) for i, img in psi.stored.items()}
+    carried = {}
+    for i in phi.moved - fresh.keys():
+        img = phi.stored[i]
+        carried[i] = img if img.word is None else GroupElement(phi.ctx, img.poly)
+    known = True if phi._unimodular and psi._unimodular else None
+    return GeneratorMap._sparse(phi.ctx, fresh, carried, known)
 
 
 def ordered_product(ctx: GroupContext, maps: Sequence[GeneratorMap]) -> GeneratorMap:
@@ -323,7 +346,8 @@ def ia_central(ctx: GroupContext, assignment: Mapping[int, GroupElement]) -> Gen
         if lcs_weight(z) < 2:
             raise NotInGamma2(f"offset for generator {b} has weight 1")
         stored[b] = mul(generator(ctx, b), z)
-    return GeneratorMap._sparse(ctx, stored)
+    # the abelianization is the identity
+    return GeneratorMap._sparse(ctx, stored, unimodular=True)
 
 
 def blockwise(
@@ -412,9 +436,11 @@ def project(phi: GeneratorMap, new_class: int) -> GeneratorMap:
         raise BadClass(
             f"target class {new_class} must satisfy 1 <= it < {phi.ctx.nilclass}"
         )
+    # truncation keeps the degree-1 part, so the determinant too
     return GeneratorMap._sparse(
         GroupContext(phi.ctx.rank, new_class),
         {i: truncate_class(img, new_class) for i, img in phi.stored.items()},
+        unimodular=phi._unimodular,
     )
 
 
@@ -430,8 +456,11 @@ def lift_words(phi: GeneratorMap, new_class: Optional[int] = None) -> GeneratorM
             f"lift target {target} must exceed current class {phi.ctx.nilclass}"
         )
     ctx2 = GroupContext(phi.ctx.rank, target)
+    # a word's exponent sums, hence the abelianization, survive the lift
     return GeneratorMap._sparse(
-        ctx2, {i: from_word(ctx2, word_of(img)) for i, img in phi.stored.items()}
+        ctx2,
+        {i: from_word(ctx2, word_of(img)) for i, img in phi.stored.items()},
+        unimodular=True,
     )
 
 

@@ -27,7 +27,7 @@ from typing import Any
 
 from .context import GroupContext
 from .endo import GeneratorMap, MoietyCertificate
-from .errors import ContextMismatch, MalformedInput
+from .errors import ContextMismatch, IndexOutOfRange, MalformedInput
 from .lie import LeftNormedTerm, word_of
 from .records import TAGS, Decomposition, Factor, VerifyReport
 from .ring import GroupElement, Word, from_word
@@ -212,15 +212,13 @@ def parse_factor(ctx: GroupContext, obj: Any) -> Factor:
     side = obj.get("side")
     if side is not None and side not in ("F", "G"):
         raise MalformedInput("side must be 'F' or 'G'")
-    return Factor(
-        phi,
-        parse_certificate(obj["certificate"]),
-        tag,
-        _need_int(obj["level"], "level"),
-        origin=origin,
-        part=None if part is None else _need_int(part, "part"),
-        side=side,
-    )
+    cert = parse_certificate(obj["certificate"])
+    level = _need_int(obj["level"], "level")
+    if part is not None:
+        part = _need_int(part, "part")
+    if level < 1 or (part is not None and part < 1):
+        raise MalformedInput("level and part must be at least 1")
+    return Factor(phi, cert, tag, level, origin=origin, part=part, side=side)
 
 
 def decomposition_payload(dec: Decomposition) -> dict:
@@ -237,6 +235,9 @@ def parse_decomposition(obj: Any) -> Decomposition:
     fixed = [_need_int(d, "fixed index") for d in _need_list(obj["fixed"], "fixed")]
     if any(d < 1 for d in fixed):
         raise MalformedInput("fixed indices must be positive")
+    for d in fixed:
+        if d > sigma.ctx.rank:
+            raise IndexOutOfRange(f"generator {d} out of range 1..{sigma.ctx.rank}")
     factors = [
         parse_factor(sigma.ctx, f) for f in _need_list(obj["factors"], "factors")
     ]

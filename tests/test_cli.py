@@ -20,6 +20,7 @@ from freenil import (
     from_word,
     identity_map,
     mul,
+    random_automorphism,
     transvection,
 )
 from freenil.cli import main
@@ -290,6 +291,27 @@ def test_decompose_domain_errors_exit_1(tmp_path):
         tmp_path, ["decompose"], map_payload(identity_map(GroupContext(4, 2)))
     )
     assert code == 1 and out["error"] == "RankTooSmall"
+
+
+@pytest.mark.parametrize(
+    "edit, code, error",
+    [
+        ({"fixed": [1, 99]}, 1, "IndexOutOfRange"),
+        ({"level": -5}, 2, "MalformedInput"),
+        ({"part": 0}, 2, "MalformedInput"),
+    ],
+)
+def test_verify_refuses_out_of_contract_decompositions(tmp_path, edit, code, error):
+    # each of these used to verify as ok: true
+    phi = map_payload(random_automorphism(GroupContext(8, 2), 4041, 10, (1,)))
+    status, _, dec = run_cli(tmp_path, ["decompose", "--fix", "1"], phi)
+    assert status == 0
+    if "fixed" in edit:
+        dec.update(edit)
+    else:
+        dec["factors"][0].update(edit)
+    status, _, out = run_cli(tmp_path, ["verify"], dec)
+    assert status == code and out["error"] == error
 
 
 @pytest.mark.parametrize(

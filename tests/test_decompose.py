@@ -176,6 +176,48 @@ def test_lift_factor_reports_unliftable_certificate():
         lift_factor(Factor(base, cert, "elementary_abelian", 1), 2, ())
 
 
+def test_lift_factor_refuses_a_factor_that_moves_the_pinned_set():
+    # the correction at D inverts a central IA map in closed form, which is
+    # only right when every offset at D is central
+    low = GroupContext(8, 1)
+    cert = MoietyCertificate(frozenset({5, 6, 7, 8}), frozenset({1, 2, 3, 4}))
+    slipping = Factor(transvection(low, 1, 2, 1), cert, "elementary_abelian", 1)
+    with pytest.raises(CertificateInvalid):
+        lift_factor(slipping, 2, (1,))
+    mid = GroupContext(8, 2)
+    shallow = ia_central(mid, {1: left_normed_element(mid, (2, 3), 1)})
+    with pytest.raises(CertificateInvalid):
+        lift_factor(Factor(shallow, cert, "lifted", 2), 3, (1,))
+
+
+def test_central_ia_inverse_is_the_negated_offsets():
+    # lift_factor's closed form: for central offsets z_b, the map
+    # x_b -> x_b z_b^-1 is exactly the inverse of x_b -> x_b z_b
+    from freenil import inv, mul
+
+    rng = random.Random(164)
+    checked = 0
+    for n, c in ((6, 2), (6, 3), (5, 4), (7, 5)):
+        ctx = GroupContext(n, c)
+        for _ in range(5):
+            offsets = {}
+            for b in rng.sample(range(1, n + 1), rng.randrange(1, 4)):
+                z = from_word(ctx, Word(()))
+                for _ in range(rng.randrange(1, 4)):
+                    letters = tuple(rng.randrange(1, n + 1) for _ in range(c))
+                    z = mul(z, left_normed_element(ctx, letters, rng.choice((-1, 1, 2))))
+                if not z.is_identity():
+                    offsets[b] = z
+            if not offsets:
+                continue
+            sigma1 = ia_central(ctx, offsets)
+            closed = ia_central(ctx, {b: inv(z) for b, z in offsets.items()})
+            assert closed == invert(sigma1)
+            assert compose(closed, sigma1).is_identity()
+            checked += 1
+    assert checked >= 16
+
+
 # ---------------------------------------------------------------------------
 # the central stage
 
@@ -274,6 +316,28 @@ def test_decompose_round_trip_various_cells():
 
 def test_decompose_round_trip_above_class_3():
     _check_round_trips(4517, [(11, 4, 1, 3, 6), (13, 5, 1, 3, 5)])
+
+
+def test_decompose_inverts_once_per_class_above_one(monkeypatch):
+    # the lifted factors' product is inverted once per level c >= 2, and
+    # nothing else in the pipeline inverts a map
+    from freenil import endo
+
+    calls = []
+    original = endo.invert_with_rounds
+
+    def counting(phi):
+        calls.append(phi.ctx.nilclass)
+        return original(phi)
+
+    monkeypatch.setattr(endo, "invert_with_rounds", counting)
+    ctx = GroupContext(12, 4)
+    for seed in (41, 42, 43):
+        calls.clear()
+        sigma = random_automorphism(ctx, seed, 10, (1, 2))
+        dec = decompose(sigma, (1, 2))
+        assert sorted(calls) == [2, 3, 4]
+        assert product_of(ctx, dec) == sigma
 
 
 def test_decompose_factor_provenance():
@@ -415,6 +479,28 @@ def test_verify_reports_domain_errors_and_raises_checker_bugs(monkeypatch):
     monkeypatch.setattr(freenil.verifier, "check_certificate", broken_check)
     with pytest.raises(RuntimeError, match="checker bug"):
         verify_payload(_good_payload())
+
+
+def test_verify_refuses_pinned_index_above_the_rank():
+    # decompose refuses D = {1, 99} at rank 8, and so does the verifier
+    from freenil import verify_payload
+
+    payload = _good_payload()
+    payload["fixed"] = [1, 99]
+    with pytest.raises(IndexOutOfRange, match="99"):
+        verify_payload(payload)
+    with pytest.raises(IndexOutOfRange):
+        decompose(random_automorphism(GroupContext(8, 2), 7321, 12, (1,)), (1, 99))
+
+
+@pytest.mark.parametrize("key, value", [("level", -5), ("level", 0), ("part", 0), ("part", -1)])
+def test_verify_refuses_nonpositive_level_or_part(key, value):
+    from freenil import MalformedInput, verify_payload
+
+    payload = _good_payload()
+    payload["factors"][0][key] = value
+    with pytest.raises(MalformedInput, match="level and part must be at least 1"):
+        verify_payload(payload)
 
 
 def test_ordered_product_empty_is_identity():

@@ -719,3 +719,87 @@ def test_map_operation_calls_do_not_grow_with_rank(monkeypatch):
     low, high = profile(8), profile(64)
     assert low == high
     assert all(calls.get("apply", 0) > 0 for calls in low.values())
+
+
+# ---------------------------------------------------------------------------
+# facts decided once: unimodularity and literal images
+
+def _count_det(monkeypatch):
+    calls = []
+    original = endo.intmat.det
+
+    def counting(m):
+        calls.append(len(m))
+        return original(m)
+
+    monkeypatch.setattr(endo.intmat, "det", counting)
+    return calls
+
+
+def test_is_automorphism_takes_one_determinant_per_map(monkeypatch):
+    maps = [GeneratorMap(phi.ctx, phi.images) for phi in _kernel_corpus()]
+    calls = _count_det(monkeypatch)
+    for phi in maps:
+        calls.clear()
+        first = phi.is_automorphism()
+        assert len(calls) == 1
+        assert phi.is_automorphism() == first == (det(phi.matrix) in (1, -1))
+        assert len(calls) == 1
+        if first:
+            # preserves takes its own subgroup determinant, not the map's again
+            phi.preserves(phi.ctx.generators())
+            assert len(calls) == 2
+
+
+def test_constructors_that_know_unimodularity_take_no_determinant(monkeypatch):
+    corpus = [phi for phi in _kernel_corpus() if phi.ctx.nilclass >= 2]
+    for phi in corpus:
+        phi.is_automorphism()  # decided before counting starts
+    calls = _count_det(monkeypatch)
+    for phi in corpus:
+        ctx = phi.ctx
+        z = left_normed_element(ctx, (1, 2) + (3,) * (ctx.nilclass - 2), 1)
+        built = [project(phi, ctx.nilclass - 1), ia_central(ctx, {ctx.rank: z})]
+        if det(phi.matrix) in (1, -1):
+            built.append(lift_words(phi))
+            built.append(compose(built[-1], lift_words(ia_central(ctx, {1: z}))))
+        for result in built:
+            calls.clear()
+            answer = result.is_automorphism()
+            assert not calls, (phi, result)
+            assert answer == (det(result.matrix) in (1, -1))
+        # one unimodular factor says nothing about the product
+        mixed = compose(ia_central(ctx, {ctx.rank: z}), phi)
+        assert mixed.is_automorphism() == (det(mixed.matrix) in (1, -1))
+    # a map of unknown status still takes its determinant
+    calls.clear()
+    phi = GeneratorMap(corpus[0].ctx, corpus[0].images)
+    assert project(phi, 1).is_automorphism() == (det(phi.matrix) in (1, -1))
+    assert len(calls) == 1
+
+
+def test_compose_classifies_images_like_a_fresh_map():
+    # only the substituted images are tested for literalness; an image
+    # carried over from phi's moved ones must come out exactly as a fresh
+    # classification of the same stored dict would leave it
+    ctx = GroupContext(4, 2)
+    x = [generator(ctx, g) for g in ctx.generators()]
+    long_literal = GeneratorMap(ctx, [mul(x[0], comm(comm(x[1], x[2]), x[3])), *x[1:]])
+    by_ctx = {}
+    for phi in _kernel_corpus() + [long_literal, transvection(ctx, 2, 1, 1)]:
+        by_ctx.setdefault(phi.ctx, []).append(phi)
+    rng = random.Random(171)
+    checked = 0
+    for maps in by_ctx.values():
+        pairs = [(phi, phi) for phi in maps] + [
+            (rng.choice(maps), rng.choice(maps)) for _ in range(60)
+        ]
+        for phi, psi in pairs:
+            result = compose(phi, psi)
+            fresh = GeneratorMap._sparse(result.ctx, dict(result.stored))
+            assert result.moved == fresh.moved
+            assert {i: (a.poly, a.word) for i, a in result.stored.items()} == {
+                i: (a.poly, a.word) for i, a in fresh.stored.items()
+            }
+            checked += 1
+    assert checked > 300
