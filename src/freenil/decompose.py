@@ -52,9 +52,9 @@ from .errors import (
     NotCentralIA,
     RankTooSmall,
 )
-from .lie import central_factorize, left_normed_element
+from .lie import LeftNormedTerm, central_factorize, central_offset
 from .records import Decomposition, Factor
-from .ring import GroupElement, Word, from_word, generator, inv, lcs_weight, mul, occurs
+from .ring import Word, from_word, generator, inv, lcs_weight, mul, occurs
 
 # perfbench/ reads TAGS and verify_payload off this module
 from .records import TAGS  # noqa: F401
@@ -106,11 +106,15 @@ def _half_cert(
 
 
 def abelian_decompose(sigma: GeneratorMap, fixed: Iterable[int]) -> Decomposition:
-    """Base case: class 1, where the map is its abelianization matrix."""
+    """Base case: class 1, where the map is its abelianization matrix.
+
+    Needs three free generators: a move touches at most two of them, so
+    every factor leaves one untouched for its certificate to fix.
+    """
     ctx = sigma.ctx
     if ctx.nilclass != 1:
         raise BadClass(f"abelian decomposition needs class 1, got {ctx.nilclass}")
-    fixed = _check_common(sigma, fixed, min_free=2)
+    fixed = _check_common(sigma, fixed, min_free=3)
     free = sorted(frozenset(ctx.generators()) - fixed)
     factors: list[Factor] = []
     for move in intmat.factor_unimodular(sigma._block(free)):
@@ -211,6 +215,10 @@ def central_decompose(alpha: GeneratorMap, fixed: Iterable[int]) -> list[Factor]
     beta_k's offsets avoid cell F_k (possible because a weight-c commutator
     mentions at most c distinct generators), then the same with F and G
     swapped.  All emitted maps are central IA, hence commute pairwise.
+
+    Each beta offset is built in closed form from its cell's left-normed
+    terms (`central_offset`), and the factor keeps those terms as `offsets`
+    for the wire format.
     """
     ctx = alpha.ctx
     c = ctx.nilclass
@@ -223,7 +231,7 @@ def central_decompose(alpha: GeneratorMap, fixed: Iterable[int]) -> list[Factor]
     factors: list[Factor] = []
     for cells_source, movers, side in sides:
         cells = _chunks(cells_source, c + 1)
-        offsets: list[dict[int, GroupElement]] = [{} for _ in range(c + 1)]
+        cell_terms: list[dict[int, list[LeftNormedTerm]]] = [{} for _ in range(c + 1)]
         for g in movers:
             w = mul(inv(generator(ctx, g)), alpha(g))
             if w.is_identity():
@@ -242,11 +250,14 @@ def central_decompose(alpha: GeneratorMap, fixed: Iterable[int]) -> list[Factor]
                     raise CertificateInvalid(
                         f"a weight-{c} term touches all {c + 1} cells"
                     )
-                piece = left_normed_element(ctx, term.generators, term.exponent)
-                prev = offsets[k].get(g)
-                offsets[k][g] = piece if prev is None else mul(prev, piece)
+                cell_terms[k].setdefault(g, []).append(term)
         for k in range(c + 1):
-            assignment = {g: z for g, z in offsets[k].items() if not z.is_identity()}
+            assignment, offsets = {}, []
+            for g, terms in cell_terms[k].items():
+                z = central_offset(ctx, terms)
+                if not z.is_identity():
+                    assignment[g] = z
+                    offsets.append((g, tuple(terms)))
             if not assignment:
                 continue
             beta = ia_central(ctx, assignment)
@@ -261,7 +272,14 @@ def central_decompose(alpha: GeneratorMap, fixed: Iterable[int]) -> list[Factor]
             )
             factors.append(
                 _certified(
-                    fixed, beta, cert, "central_beta", c, part=k + 1, side=side
+                    fixed,
+                    beta,
+                    cert,
+                    "central_beta",
+                    c,
+                    part=k + 1,
+                    side=side,
+                    offsets=tuple(offsets),
                 )
             )
     return factors

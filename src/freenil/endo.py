@@ -14,10 +14,9 @@ by monomial suffixes (only below the top degree, where entries stay small).
 
 Determinants and inversion work on the moved block.  The abelianization
 column of an unmoved generator is a unit vector, so det(M) is the determinant
-of the block on the moved generators, a subgroup block's determinant is that
-of its moved part, and M is block diagonal: its block on the moved generators
-plus every row their columns hit, and the identity elsewhere.  Nothing here
-builds the dense n x n matrix.
+of the block on the moved generators, and M is block diagonal: its block on
+the moved generators plus every row their columns hit, and the identity
+elsewhere.  Nothing here builds the dense n x n matrix.
 
 Inversion works by successive central corrections: start from a word lift of
 the inverse of that block, then repeatedly cancel the lowest-weight defect.
@@ -27,8 +26,10 @@ gets rebuilt from scratch.  Unmoved generators map to themselves throughout,
 so defects and corrections run over the moved generators only.
 
 Whether a map is an automorphism (det = +-1) is decided once and stored on
-the map.  Constructors that know the answer set it and skip the determinant:
-project keeps the degree-1 part, lift_words keeps word exponent sums,
+the map, and preserves needs no determinant beyond that one: an
+automorphism that maps a subgroup <S> into itself has a block triangular
+abelianization whose S block divides its determinant.  Constructors that
+know the answer set it and skip the determinant: project keeps the degree-1 part, lift_words keeps word exponent sums,
 ia_central has the identity abelianization, and compose multiplies
 determinants, so two unimodular maps give a unimodular one.  A map parsed
 from the wire knows nothing and takes its own determinant.
@@ -195,11 +196,11 @@ class GeneratorMap:
         for j in sorted(sub):
             if not 1 <= j <= self.ctx.rank:
                 raise IndexOutOfRange(f"generator {j} out of range 1..{self.ctx.rank}")
-        # an unmoved generator's image is itself: inside <sub>, unit column
-        active = sorted(sub & self.moved)
-        if any(not occurs(self.stored[j]) <= sub for j in active):
-            return False
-        return intmat.det(self._block(active)) in (1, -1)
+        # an unmoved generator's image is itself, inside <sub>.  Once every
+        # moved one maps into <sub>, the abelianization is block triangular
+        # with the sub block A on the diagonal, so det(A) divides det = +-1
+        # and the restriction is an automorphism: no determinant is needed
+        return all(occurs(self.stored[j]) <= sub for j in sub & self.moved)
 
     # -- substitution engine ------------------------------------------------
 

@@ -7,10 +7,20 @@ Every format has a fixed key order and integer-only numerics:
   map             {"rank", "class", "images"}      images are words
   certificate     {"fixed", "preserved"}           sorted generator indices
   term            {"comm", "exp"}                  left-normed commutator
-  factor          {"map", "certificate", "tag", "level"} (+ provenance keys)
-  decomposition   {"input", "fixed", "factors"}
+  offsets         [[g, [TERM, ...]], ...]          x_g -> x_g * prod of terms
+  factor          {"map" | "offsets", "certificate", "tag", "level"}
+                  (+ provenance keys)
+  decomposition   {"version"?, "input", "fixed", "factors"}
   report          {"ok", "factors", "min_fixed_block", "max_coefficient",
                    "failures"}
+
+A decomposition whose central_beta factors keep their terms (as `decompose`
+makes them) is written as version 2, where those factors carry "offsets" in
+place of "map": images x_g times weight-c commutator terms, rebuilt in
+closed form by `lie.central_offset`.  Any integer combination of such terms
+is a central group element, so a parsed factor is a genuine map whatever
+its terms say.  Any other decomposition is written as version 1, which has
+no "version" key and a "map" in every factor; both versions are read.
 
 Structural violations raise MalformedInput; out-of-range generator indices
 and mismatched contexts surface as their own domain errors so callers can
@@ -26,9 +36,9 @@ import json
 from typing import Any
 
 from .context import GroupContext
-from .endo import GeneratorMap, MoietyCertificate
+from .endo import GeneratorMap, MoietyCertificate, ia_central
 from .errors import ContextMismatch, IndexOutOfRange, MalformedInput
-from .lie import LeftNormedTerm, word_of
+from .lie import LeftNormedTerm, central_offset, word_of
 from .records import TAGS, Decomposition, Factor, VerifyReport
 from .ring import GroupElement, Word, from_word
 
@@ -167,19 +177,43 @@ def parse_term(obj: Any) -> LeftNormedTerm:
     gens = [_need_int(g, "commutator entry") for g in _need_list(obj["comm"], "comm")]
     if len(gens) < 2 or any(g < 1 for g in gens):
         raise MalformedInput("comm must list at least two positive generator indices")
-    return LeftNormedTerm(tuple(gens), _need_int(obj["exp"], "exp"))
+    exp = _need_int(obj["exp"], "exp")
+    if exp == 0:
+        raise MalformedInput("exp must be nonzero")
+    return LeftNormedTerm(tuple(gens), exp)
+
+
+def offsets_payload(offsets) -> list:
+    return [[g, [term_payload(t) for t in terms]] for g, terms in offsets]
+
+
+def parse_offsets(ctx: GroupContext, obj: Any) -> tuple[GeneratorMap, tuple]:
+    """The central IA map x_g -> x_g * prod of terms, and the offsets read."""
+    assignment, offsets = {}, []
+    for item in _need_list(obj, "offsets"):
+        item = _need_list(item, "offset")
+        if len(item) != 2:
+            raise MalformedInput("offsets must be [generator, [term, ...]] pairs")
+        g = _need_int(item[0], "offset generator")
+        if g in assignment:
+            raise MalformedInput(f"offsets name generator {g} twice")
+        terms = tuple(parse_term(t) for t in _need_list(item[1], "offset terms"))
+        assignment[g] = central_offset(ctx, terms)
+        offsets.append((g, terms))
+    return ia_central(ctx, assignment), tuple(offsets)
 
 
 # ---------------------------------------------------------------------------
 # factors and decompositions
 
 def factor_payload(f: Factor) -> dict:
-    out = {
-        "map": map_payload(f.map),
-        "certificate": certificate_payload(f.certificate),
-        "tag": f.tag,
-        "level": f.level,
-    }
+    if f.offsets is not None:
+        out = {"offsets": offsets_payload(f.offsets)}
+    else:
+        out = {"map": map_payload(f.map)}
+    out["certificate"] = certificate_payload(f.certificate)
+    out["tag"] = f.tag
+    out["level"] = f.level
     if f.origin is not None:
         out["origin"] = f.origin
     if f.part is not None:
@@ -189,22 +223,32 @@ def factor_payload(f: Factor) -> dict:
     return out
 
 
-def parse_factor(ctx: GroupContext, obj: Any) -> Factor:
+def parse_factor(ctx: GroupContext, obj: Any, version: int = 1) -> Factor:
     obj = _need_keys(
         obj,
         "factor",
-        ("map", "certificate", "tag", "level"),
-        optional=("origin", "part", "side"),
+        ("certificate", "tag", "level"),
+        optional=("map", "offsets", "origin", "part", "side"),
     )
-    phi = parse_map(obj["map"])
-    if phi.ctx != ctx:
-        raise ContextMismatch(
-            f"factor map lives in {phi.ctx.rank}/{phi.ctx.nilclass}, "
-            f"decomposition in {ctx.rank}/{ctx.nilclass}"
-        )
     tag = obj["tag"]
     if tag not in TAGS:
         raise MalformedInput(f"unknown factor tag {tag!r}")
+    if ("map" in obj) == ("offsets" in obj):
+        raise MalformedInput("factor needs exactly one of the keys map and offsets")
+    offsets = None
+    if "map" in obj:
+        phi = parse_map(obj["map"])
+        if phi.ctx != ctx:
+            raise ContextMismatch(
+                f"factor map lives in {phi.ctx.rank}/{phi.ctx.nilclass}, "
+                f"decomposition in {ctx.rank}/{ctx.nilclass}"
+            )
+    elif version < 2:
+        raise MalformedInput("offsets need a version 2 decomposition")
+    elif tag != "central_beta":
+        raise MalformedInput(f"only central_beta factors carry offsets, not {tag!r}")
+    else:
+        phi, offsets = parse_offsets(ctx, obj["offsets"])
     origin = obj.get("origin")
     if origin is not None and origin not in TAGS:
         raise MalformedInput(f"unknown origin tag {origin!r}")
@@ -218,19 +262,35 @@ def parse_factor(ctx: GroupContext, obj: Any) -> Factor:
         part = _need_int(part, "part")
     if level < 1 or (part is not None and part < 1):
         raise MalformedInput("level and part must be at least 1")
-    return Factor(phi, cert, tag, level, origin=origin, part=part, side=side)
+    return Factor(
+        phi, cert, tag, level, origin=origin, part=part, side=side, offsets=offsets
+    )
+
+
+VERSIONS = (1, 2)  # decomposition versions parse_decomposition reads
 
 
 def decomposition_payload(dec: Decomposition) -> dict:
+    """Version 2 when some factor is written as offsets, else version 1,
+    which has no "version" key, so class-1 payloads keep their v1 bytes."""
+    factors = [factor_payload(f) for f in dec.factors]
+    head = {"version": 2} if any("offsets" in f for f in factors) else {}
     return {
+        **head,
         "input": map_payload(dec.input),
         "fixed": sorted(dec.fixed),
-        "factors": [factor_payload(f) for f in dec.factors],
+        "factors": factors,
     }
 
 
 def parse_decomposition(obj: Any) -> Decomposition:
-    obj = _need_keys(obj, "decomposition", ("input", "fixed", "factors"))
+    obj = _need_keys(
+        obj, "decomposition", ("input", "fixed", "factors"), optional=("version",)
+    )
+    # a payload without the key is version 1, which predates it
+    version = obj.get("version", 1)
+    if type(version) is not int or version not in VERSIONS:
+        raise MalformedInput(f"unknown decomposition version {version!r}")
     sigma = parse_map(obj["input"])
     fixed = [_need_int(d, "fixed index") for d in _need_list(obj["fixed"], "fixed")]
     if any(d < 1 for d in fixed):
@@ -239,7 +299,8 @@ def parse_decomposition(obj: Any) -> Decomposition:
         if d > sigma.ctx.rank:
             raise IndexOutOfRange(f"generator {d} out of range 1..{sigma.ctx.rank}")
     factors = [
-        parse_factor(sigma.ctx, f) for f in _need_list(obj["factors"], "factors")
+        parse_factor(sigma.ctx, f, version)
+        for f in _need_list(obj["factors"], "factors")
     ]
     return Decomposition(sigma, frozenset(fixed), tuple(factors))
 
@@ -268,9 +329,15 @@ SCHEMAS: dict[str, Any] = {
         "fixed": "[int, ...]  generators fixed pointwise",
         "preserved": "[int, ...]  generators whose span is preserved; disjoint union with fixed covers 1..rank",
     },
-    "term": {"comm": "[int>=1 x>=2]  left-normed commutator letters", "exp": "int"},
+    "term": {
+        "comm": "[int>=1 x>=2]  left-normed commutator letters [x_b1, .., x_bk]",
+        "exp": "int!=0  power of the commutator",
+    },
+    "offsets": "[[g:int, [<term>, ...]], ...]  x_g -> x_g * product of its terms, "
+    "every term of length exactly class; each g at most once, in 1..rank",
     "factor": {
-        "map": "<map>",
+        "map": "<map>  (or offsets, in version 2 central_beta factors)",
+        "offsets?": "<offsets>  version 2 central_beta factors, in place of map",
         "certificate": "<certificate>",
         "tag": "one of %s" % (list(TAGS),),
         "level": "int>=1  class at which the factor was emitted",
@@ -279,6 +346,7 @@ SCHEMAS: dict[str, Any] = {
         "side?": "'F' | 'G'  (central_beta only)",
     },
     "decomposition": {
+        "version?": "2 when some factor carries offsets; absent means 1, where every factor has a map",
         "input": "<map>",
         "fixed": "[int, ...]  the pinned generator set D",
         "factors": "[<factor>, ...]  left-to-right composition order",

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import Sequence, Union
 
 from .context import GroupContext
-from .errors import NotCentral, NotLieElement
+from .errors import IndexOutOfRange, NotCentral, NotLieElement
 from .ring import (
     GroupElement,
     Poly,
@@ -212,19 +212,70 @@ def _combo_bracket(combo: dict, tree: BracketTree) -> dict:
 # ---------------------------------------------------------------------------
 # central factorization and collected words
 
+def _left_normed_letters(seq: Sequence[int], exponent: int) -> list[tuple[int, int]]:
+    # the letters of [x_{b1}, x_{b2}^e, x_{b3}, .., x_{bk}], each bracket
+    # [a, b] spelled a^-1 b^-1 a b as ring.comm multiplies it, left unreduced
+    if len(seq) == 1:
+        return [(seq[0], exponent)]
+    acc = [(seq[0], 1)]
+    for k, b in enumerate(seq[1:]):
+        e = exponent if k == 0 else 1
+        acc = [(g, -x) for g, x in reversed(acc)] + [(b, -e)] + acc + [(b, e)]
+    return acc
+
+
 def left_normed_element(ctx: GroupContext, seq: tuple[int, ...], exponent: int) -> GroupElement:
     """Group element [x_{b1}, .., x_{bk}]^exponent with a compact word.
 
     The exponent rides on the innermost right slot: [u, v]^e and [u, v^e]
     agree modulo weight > k, and exactly at weight k = nilclass, so the word
-    stays short no matter how large the exponent is.
+    stays short no matter how large the exponent is.  The polynomial comes
+    from group commutators of word-less generators, the word from
+    _left_normed_letters.
     """
-    if len(seq) == 1:
-        return power(generator(ctx, seq[0]), exponent)
-    acc = comm(generator(ctx, seq[0]), power(generator(ctx, seq[1]), exponent))
-    for b in seq[2:]:
-        acc = comm(acc, generator(ctx, b))
-    return acc
+    x = [GroupElement(ctx, generator(ctx, b).poly) for b in seq]
+    if len(x) == 1:
+        acc = power(x[0], exponent)
+    else:
+        acc = comm(x[0], power(x[1], exponent))
+        for b in x[2:]:
+            acc = comm(acc, b)
+    return GroupElement(ctx, acc.poly, Word(_left_normed_letters(seq, exponent)))
+
+
+@lru_cache(maxsize=None)
+def _left_normed_expansion(seq: tuple[int, ...]) -> Poly:
+    # cached per sequence like _lyndon_row; callers only read the dict
+    tree: BracketTree = seq[0]
+    for b in seq[1:]:
+        tree = (tree, b)
+    return bracket_expansion(tree)
+
+
+def central_offset(ctx: GroupContext, terms: Sequence[LeftNormedTerm]) -> GroupElement:
+    """Product of the weight-c commutator powers `terms`, in closed form.
+
+    In class c such a product is central with polynomial
+    1 + sum of e * bracket(b1, .., bc), so it is read off the left-normed
+    bracket expansions; no group product is formed.  The element also
+    carries the word left_normed_element spells for each term, concatenated
+    and freely reduced once, so it equals the product of left_normed_element
+    pieces in polynomial and in word letters.
+    """
+    c = ctx.nilclass
+    poly: Poly = {(): 1}
+    letters: list[tuple[int, int]] = []
+    for t in terms:
+        seq = t.generators
+        if len(seq) != c or c < 2:
+            raise NotCentral(
+                f"term {list(seq)} has weight {len(seq)}; central terms need weight {c} >= 2"
+            )
+        if not all(1 <= b <= ctx.rank for b in seq):
+            raise IndexOutOfRange(f"term {list(seq)} leaves generators 1..{ctx.rank}")
+        _poly_add_into(poly, _left_normed_expansion(seq), t.exponent)
+        letters.extend(_left_normed_letters(seq, t.exponent))
+    return GroupElement(ctx, poly, Word(letters))
 
 
 def central_factorize(w: GroupElement) -> list[LeftNormedTerm]:
@@ -232,7 +283,9 @@ def central_factorize(w: GroupElement) -> list[LeftNormedTerm]:
 
     Returns terms sorted by generator sequence; the product of the
     corresponding elements (in any order, they are central) reconstructs w
-    exactly.  Terms only mention generators in occurs(w).
+    exactly.  Terms only mention generators in occurs(w).  A term opening
+    with [x_a, x_a] is the identity, so left normalization's terms of that
+    shape are dropped.
     """
     p = central_log(w)
     if p.is_zero():
@@ -242,7 +295,7 @@ def central_factorize(w: GroupElement) -> list[LeftNormedTerm]:
     acc: dict[tuple[int, ...], int] = {}
     for word, kappa in coords.items():
         _poly_add_into(acc, left_normalize(_lyndon_row(word)[0]), kappa)
-    return [LeftNormedTerm(seq, acc[seq]) for seq in sorted(acc)]
+    return [LeftNormedTerm(seq, acc[seq]) for seq in sorted(acc) if len(seq) < 2 or seq[0] != seq[1]]
 
 
 def _tree_power_pairs(tree: BracketTree, e: int) -> list[tuple[int, int]]:

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .endo import GeneratorMap, MoietyCertificate
+from .lie import LeftNormedTerm
 
 TAGS = ("elementary_abelian", "shear", "permutation", "sign", "lifted", "central_beta")
 
@@ -24,6 +25,8 @@ class Factor:
     origin: Optional[str] = None  # pre-lift tag, for lifted factors
     part: Optional[int] = None  # which avoided cell, for central_beta
     side: Optional[str] = None  # which half of E the cells partition
+    # central_beta: (g, terms) per moved generator, x_g -> x_g * prod of terms
+    offsets: Optional[tuple[tuple[int, tuple[LeftNormedTerm, ...]], ...]] = None
 
 
 @dataclass(frozen=True)

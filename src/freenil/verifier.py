@@ -40,6 +40,10 @@ def verify_payload(payload: dict) -> VerifyReport:
             failures.append(f"factor {idx}: {err}")
         if not f.map.fixes_pointwise(dec.fixed):
             failures.append(f"factor {idx}: moves the pinned set")
+        if f.certificate.fixed <= dec.fixed:
+            failures.append(
+                f"factor {idx} ({f.tag}): certificate fixes no generator outside D"
+            )
     product = ordered_product(ctx, [f.map for f in dec.factors])
     for img in product.stored.values():
         coeffs.extend(abs(v) for v in img.poly.values())

@@ -102,6 +102,14 @@ def test_central_factorize_emits_term_list(tmp_path):
     )
     assert code == 0
     assert out == [{"comm": [1, 2], "exp": 3}]
+    # in class 1 every element is central and its terms are single letters
+    code, _, out = run_cli(
+        tmp_path,
+        ["central-factorize", "--rank", "3", "--class", "1"],
+        {"word": [[1, 1], [3, -2]]},
+    )
+    assert code == 0
+    assert out == [{"comm": [1], "exp": 1}, {"comm": [3], "exp": -2}]
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +320,24 @@ def test_verify_refuses_out_of_contract_decompositions(tmp_path, edit, code, err
         dec["factors"][0].update(edit)
     status, _, out = run_cli(tmp_path, ["verify"], dec)
     assert status == code and out["error"] == error
+
+
+@pytest.mark.parametrize("fixed", [[], [1]])
+def test_verify_reports_a_factor_fixing_nothing_outside_d(tmp_path, fixed):
+    # both used to verify as ok: true with min_fixed_block 0
+    phi = map_payload(random_automorphism(GroupContext(8, 2), 4041, 10, (1,)))
+    status, _, dec = run_cli(tmp_path, ["decompose", "--fix", "1"], phi)
+    assert status == 0
+    cert = dec["factors"][0]["certificate"]
+    cert["fixed"] = fixed
+    cert["preserved"] = [g for g in range(1, 9) if g not in fixed]
+    status, _, out = run_cli(tmp_path, ["verify"], dec)
+    assert status == 0
+    assert out["ok"] is False and out["min_fixed_block"] == 0
+    assert any(
+        msg.startswith("factor 0 (") and "fixes no generator outside D" in msg
+        for msg in out["failures"]
+    )
 
 
 @pytest.mark.parametrize(

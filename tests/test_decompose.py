@@ -58,7 +58,7 @@ def test_identity_decomposes_to_nothing():
 
 def test_translation_only_map_is_a_single_shear():
     # n - |D| = 3 is below the master entry point's bound but fine for the
-    # base-case routine, which only needs two free generators
+    # base-case routine, which only needs three free generators
     ctx = GroupContext(4, 1)
     sigma = transvection(ctx, 2, 1, 1)  # x2 -> x2 x1, translation by the pinned x1
     dec = abelian_decompose(sigma, (1,))
@@ -103,11 +103,17 @@ def test_abelian_round_trips_seeded():
 
 
 def test_abelian_decompose_accepts_small_free_sets():
-    # the direct entry point only needs two free generators
+    # the direct entry point needs three free generators, so that every move
+    # leaves one untouched for its certificate to fix
     ctx = GroupContext(4, 1)
-    sigma = transvection(ctx, 3, 4, 1)
-    dec = abelian_decompose(sigma, (1, 2))
-    assert verify(dec).ok
+    with pytest.raises(RankTooSmall):
+        abelian_decompose(transvection(ctx, 3, 4, 1), (1, 2))
+    sigma = compose(transvection(ctx, 3, 4, 1), transvection(ctx, 2, 3, -1))
+    dec = abelian_decompose(sigma, (1,))
+    assert product_of(ctx, dec) == sigma
+    assert all(f.certificate.fixed for f in dec.factors)
+    rep = verify(dec)
+    assert rep.ok and rep.min_fixed_block == 1
 
 
 def test_abelian_decompose_wrong_class_rejected():
@@ -491,6 +497,22 @@ def test_verify_refuses_pinned_index_above_the_rank():
         verify_payload(payload)
     with pytest.raises(IndexOutOfRange):
         decompose(random_automorphism(GroupContext(8, 2), 7321, 12, (1,)), (1, 99))
+
+
+@pytest.mark.parametrize("fixed", [[], [1]])
+def test_verify_flags_a_certificate_fixing_nothing_outside_d(fixed):
+    # D = {1}: "fixed": [] and "fixed": [1] both leave the factor's fixed
+    # block without a generator outside D
+    from freenil import verify_payload
+
+    payload = _good_payload()
+    assert payload["fixed"] == [1]
+    cert = payload["factors"][0]["certificate"]
+    cert["fixed"] = fixed
+    cert["preserved"] = [g for g in range(1, 9) if g not in fixed]
+    rep = verify_payload(payload)
+    assert not rep.ok and rep.min_fixed_block == 0
+    assert "factor 0 (lifted): certificate fixes no generator outside D" in rep.failures
 
 
 @pytest.mark.parametrize("key, value", [("level", -5), ("level", 0), ("part", 0), ("part", -1)])

@@ -746,9 +746,10 @@ def test_is_automorphism_takes_one_determinant_per_map(monkeypatch):
         assert phi.is_automorphism() == first == (det(phi.matrix) in (1, -1))
         assert len(calls) == 1
         if first:
-            # preserves takes its own subgroup determinant, not the map's again
+            # preserves takes no determinant beyond the map's own
             phi.preserves(phi.ctx.generators())
-            assert len(calls) == 2
+            phi.preserves(sorted(phi.moved)[:1])
+            assert len(calls) == 1
 
 
 def test_constructors_that_know_unimodularity_take_no_determinant(monkeypatch):
@@ -803,3 +804,42 @@ def test_compose_classifies_images_like_a_fresh_map():
             }
             checked += 1
     assert checked > 300
+
+
+def test_preserves_takes_no_determinant(monkeypatch):
+    maps = [phi for phi in _kernel_corpus() if det(phi.matrix) in (1, -1)]
+    for phi in maps:
+        phi.is_automorphism()  # the map's own determinant, before counting
+    calls = _count_det(monkeypatch)
+    rng = random.Random(162)
+    inside = outside = 0
+    for phi in maps:
+        gens = list(phi.ctx.generators())
+        for sub in [gens, sorted(phi.moved)] + [
+            rng.sample(gens, rng.randrange(1, len(gens))) for _ in range(4)
+        ]:
+            phi.preserves(sub)
+            if phi.moved <= set(sub):
+                inside += 1
+            else:
+                outside += 1
+    assert not calls
+    assert inside > 50 and outside > 50
+
+
+def test_preserves_refuses_a_non_unimodular_sub_block_outside_moved():
+    # x1 -> x1^2 x3, x3 -> x1 x3 is an automorphism (det 1 on {1, 3}); on
+    # <x1, x2> its block is diag(2, 1) and x1 leaves the subgroup
+    ctx = GroupContext(4, 2)
+    phi = GeneratorMap._sparse(
+        ctx,
+        {
+            1: from_word(ctx, Word(((1, 2), (3, 1)))),
+            3: from_word(ctx, Word(((1, 1), (3, 1)))),
+        },
+    )
+    assert phi.is_automorphism()
+    assert not phi.moved <= {1, 2}
+    assert det(phi._block([1, 2])) == 2
+    assert not phi.preserves({1, 2})
+    assert phi.preserves({1, 3}) and phi.preserves({1, 2, 3})

@@ -183,12 +183,16 @@ def test_left_normalize_preserves_leaf_multiset(seed):
 
 
 def test_left_normed_element_exponent_slot():
+    # the element and its word letters agree with ring.comm's a^-1 b^-1 a b
     ctx = GroupContext(3, 3)
-    assert left_normed_element(ctx, (1, 2), 5) == comm(
-        generator(ctx, 1), power(generator(ctx, 2), 5)
-    )
-    deep = left_normed_element(ctx, (1, 2, 3), 1)
-    assert deep == comm(comm(generator(ctx, 1), generator(ctx, 2)), generator(ctx, 3))
+    x1, x2, x3 = (generator(ctx, i) for i in (1, 2, 3))
+    for got, want in (
+        (left_normed_element(ctx, (1, 2), 5), comm(x1, power(x2, 5))),
+        (left_normed_element(ctx, (1, 2, 3), 1), comm(comm(x1, x2), x3)),
+        (left_normed_element(ctx, (1, 1, 2), -2), comm(comm(x1, power(x1, -2)), x2)),
+        (left_normed_element(ctx, (3,), 4), power(x3, 4)),
+    ):
+        assert (got.poly, got.word) == (want.poly, want.word)
 
 
 def test_central_factorize_identity_is_empty():
@@ -200,6 +204,14 @@ def test_central_factorize_single_power():
     ctx = GroupContext(2, 2)
     z = power(comm(generator(ctx, 1), generator(ctx, 2)), 3)
     assert central_factorize(z) == [LeftNormedTerm((1, 2), 3)]
+
+
+def test_central_factorize_class_one_keeps_single_letters():
+    # in class 1 the whole group is central and its terms are single letters
+    ctx = GroupContext(3, 1)
+    assert central_factorize(generator(ctx, 1)) == [LeftNormedTerm((1,), 1)]
+    z = mul(power(generator(ctx, 3), 2), power(generator(ctx, 1), -1))
+    assert central_factorize(z) == [LeftNormedTerm((1,), -1), LeftNormedTerm((3,), 2)]
 
 
 def test_central_factorize_rejects_non_central():
@@ -225,6 +237,27 @@ def test_central_factorize_round_trip():
                 assert set(term.generators) <= occurs(z)
                 assert term.exponent != 0
                 assert len(term.generators) == c
+
+
+def test_central_factorize_drops_terms_opening_with_a_repeat():
+    # [x1, [x1, x2]] left-normalizes to [x1, x1, x2] - [x1, x2, x1], and the
+    # first term is the identity
+    ctx = GroupContext(2, 3)
+    x1, x2 = generator(ctx, 1), generator(ctx, 2)
+    z = comm(x1, comm(x1, x2))
+    assert central_factorize(z) == [LeftNormedTerm((1, 2, 1), -1)]
+    rng = random.Random(617)
+    for n, c in ((4, 3), (4, 4), (3, 5)):
+        ctx = GroupContext(n, c)
+        for _ in range(20):
+            letters = tuple(rng.randrange(1, n + 1) for _ in range(c))
+            z = left_normed_element(ctx, letters, rng.choice((-2, 1, 3)))
+            terms = central_factorize(z)
+            assert all(t.generators[0] != t.generators[1] for t in terms)
+            back = identity(ctx)
+            for t in terms:
+                back = mul(back, left_normed_element(ctx, t.generators, t.exponent))
+            assert back == z
 
 
 def test_collect_word_round_trip():
