@@ -113,8 +113,6 @@ def _write(args, payload: Any, code: int) -> int:
 def _ctx(args) -> GroupContext:
     if args.rank is None or args.nilclass is None:
         raise MalformedInput("--rank and --class are required for this command")
-    if args.rank < 1 or args.nilclass < 1:
-        raise MalformedInput("--rank and --class must be at least 1")
     return GroupContext(args.rank, args.nilclass)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ContextMismatch
+from .errors import ContextMismatch, MalformedInput
 
 
 @dataclass(frozen=True)
@@ -19,10 +19,8 @@ class GroupContext:
     nilclass: int
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if self.nilclass < 1:
-            raise ValueError("nilpotency class must be >= 1")
+        if self.rank < 1 or self.nilclass < 1:
+            raise MalformedInput("rank and class must be at least 1")
 
     def generators(self) -> range:
         return range(1, self.rank + 1)

@@ -168,22 +168,15 @@ def lift_factor(f: Factor, target_class: int, fixed: Iterable[int]) -> Factor:
     sigma0 = lift_words(f.map)
     ctx = sigma0.ctx
     undo = {}  # the offsets of sigma_1^-1
-    for d in sorted(fixed):
+    # sigma_0 fixes every pinned generator it does not move
+    for d in sorted(fixed & sigma0.moved):
         z = mul(inv(generator(ctx, d)), sigma0(d))
-        if z.is_identity():
-            continue
         if lcs_weight(z) < ctx.nilclass:
             raise CertificateInvalid(f"factor moves pinned generator {d}")
         undo[d] = inv(z)
-    if undo:
-        lifted = compose(ia_central(ctx, undo), sigma0)
-    else:
-        lifted = sigma0
-    if not lifted.fixes_pointwise(fixed):
-        raise CertificateInvalid("lifted factor moves the pinned set")
-    if not check_certificate(lifted, f.certificate):
-        raise CertificateInvalid("lifting did not preserve the certificate")
-    return Factor(
+    lifted = compose(ia_central(ctx, undo), sigma0) if undo else sigma0
+    return _certified(
+        fixed,
         lifted,
         f.certificate,
         "lifted",
@@ -233,9 +226,10 @@ def central_decompose(alpha: GeneratorMap, fixed: Iterable[int]) -> list[Factor]
         cells = _chunks(cells_source, c + 1)
         cell_terms: list[dict[int, list[LeftNormedTerm]]] = [{} for _ in range(c + 1)]
         for g in movers:
-            w = mul(inv(generator(ctx, g)), alpha(g))
-            if w.is_identity():
+            # an unmoved generator has the identity offset
+            if g not in alpha.moved:
                 continue
+            w = mul(inv(generator(ctx, g)), alpha(g))
             if lcs_weight(w) < c:
                 raise NotCentralIA(
                     f"image of generator {g} is not central modulo the identity"

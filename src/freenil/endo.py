@@ -8,9 +8,10 @@ moves, not the rank.
 Applying a map to an element substitutes X_i -> (image of x_i) - 1 into every
 monomial, which is exactly the ring extension of the group homomorphism.  The
 substitution is organized around two facts that keep the common cases cheap:
-a monomial none of whose letters is moved passes through unchanged, and
-partial products of substituted slots are shared through a per-map memo keyed
-by monomial suffixes (only below the top degree, where entries stay small).
+a monomial none of whose letters is moved passes through unchanged, and the
+substituted slots and their partial products are shared through one per-map
+memo keyed by monomial suffixes (only below the top degree, where entries
+stay small).
 
 Determinants and inversion work on the moved block.  The abelianization
 column of an unmoved generator is a unit vector, so det(M) is the determinant
@@ -29,10 +30,12 @@ Whether a map is an automorphism (det = +-1) is decided once and stored on
 the map, and preserves needs no determinant beyond that one: an
 automorphism that maps a subgroup <S> into itself has a block triangular
 abelianization whose S block divides its determinant.  Constructors that
-know the answer set it and skip the determinant: project keeps the degree-1 part, lift_words keeps word exponent sums,
-ia_central has the identity abelianization, and compose multiplies
-determinants, so two unimodular maps give a unimodular one.  A map parsed
-from the wire knows nothing and takes its own determinant.
+know the answer set it and skip the determinant: project keeps the degree-1
+part, lift_words keeps word exponent sums, ia_central has the identity
+abelianization, invert inverts a map already checked to be unimodular, and
+compose multiplies determinants, so two unimodular maps give a unimodular
+one.  A map parsed from the wire knows nothing and takes its own
+determinant.
 
 The certificate vocabulary lives here too: a MoietyCertificate names a
 partition (fixed P, preserved Q) of the generators, and check_certificate
@@ -99,28 +102,25 @@ class GeneratorMap:
         cls,
         ctx: GroupContext,
         images: Mapping[int, GroupElement],
-        carried: Optional[Mapping[int, GroupElement]] = None,
         unimodular: Optional[bool] = None,
     ) -> "GeneratorMap":
         """The map sending x_i to images[i] and fixing every other generator;
-        keys must lie in 1..rank and images in `ctx`.  `carried` holds further
-        images the caller knows to be moved, and `unimodular` the answer of
-        is_automorphism when the caller knows it without a determinant."""
+        keys must lie in 1..rank and images in `ctx`.  `unimodular` is the
+        answer of is_automorphism when the caller knows it without a
+        determinant."""
         phi = cls.__new__(cls)
-        phi._setup(ctx, images, carried, unimodular)
+        phi._setup(ctx, images, unimodular)
         return phi
 
     def _setup(
         self,
         ctx: GroupContext,
         images: Mapping[int, GroupElement],
-        carried: Optional[Mapping[int, GroupElement]] = None,
         unimodular: Optional[bool] = None,
     ) -> None:
-        # the one place that decides which images are literal (class
-        # docstring); carried images are moved already and skip the test
-        kept: dict[int, GroupElement] = dict(carried) if carried else {}
-        moved = list(kept)
+        # the one place that decides which images are literal (class docstring)
+        kept: dict[int, GroupElement] = {}
+        moved = []
         for i, img in images.items():
             poly = img.poly
             if len(poly) != 2 or poly.get((i,)) != 1:
@@ -131,7 +131,6 @@ class GeneratorMap:
         self.ctx = ctx
         self.stored = kept
         self.moved = frozenset(moved)
-        self._u: dict[int, Poly] = {}
         self._table: dict[tuple[int, ...], Poly] = {}
         self._unimodular = unimodular
 
@@ -204,18 +203,6 @@ class GeneratorMap:
 
     # -- substitution engine ------------------------------------------------
 
-    def _slot(self, i: int) -> Poly:
-        # X_i -> (image of x_i) - 1, built on first use: X_i itself when x_i
-        # is unmoved, and possibly empty (an endomorphism sending x_i to 1)
-        slot = self._u.get(i)
-        if slot is None:
-            if i in self.moved:
-                slot = {m: c for m, c in self.stored[i].poly.items() if m}
-            else:
-                slot = {(i,): 1}
-            self._u[i] = slot
-        return slot
-
     def _word_image(self, w: tuple[int, ...]) -> Poly:
         got = self._table.get(w)
         if got is not None:
@@ -223,10 +210,12 @@ class GeneratorMap:
         if self.moved.isdisjoint(w):
             out: Poly = {w: 1}
         elif len(w) == 1:
-            out = self._slot(w[0])
+            # the slot X_i -> (image of x_i) - 1, possibly empty (an
+            # endomorphism sending x_i to 1)
+            out = {m: c for m, c in self.stored[w[0]].poly.items() if m}
         else:
-            rest = self._word_image(w[1:])
-            out = _poly_mul(self._slot(w[0]), rest, self.ctx.nilclass)
+            head = self._word_image(w[:1])
+            out = _poly_mul(head, self._word_image(w[1:]), self.ctx.nilclass)
         if len(w) < self.ctx.nilclass:
             # top-degree products are recomputed rather than cached: they are
             # the numerous ones, and each costs a single short multiplication
@@ -262,17 +251,16 @@ def compose(phi: GeneratorMap, psi: GeneratorMap) -> GeneratorMap:
     Only generators stored by psi or moved by phi can have a non-literal
     image; every other one is x_i on both sides.  Where psi leaves x_i alone
     and phi moves it, the image is phi's without its word, which is exactly
-    what phi.apply(x_i) returns, and is known to be moved.  Determinants
-    multiply, so two maps known to be unimodular compose to one.
+    what phi.apply(x_i) returns.  Determinants multiply, so two maps known
+    to be unimodular compose to one.
     """
     check_same_context(phi.ctx, psi.ctx)
-    fresh = {i: phi.apply(img) for i, img in psi.stored.items()}
-    carried = {}
-    for i in phi.moved - fresh.keys():
+    images = {i: phi.apply(img) for i, img in psi.stored.items()}
+    for i in phi.moved - images.keys():
         img = phi.stored[i]
-        carried[i] = img if img.word is None else GroupElement(phi.ctx, img.poly)
+        images[i] = img if img.word is None else GroupElement(phi.ctx, img.poly)
     known = True if phi._unimodular and psi._unimodular else None
-    return GeneratorMap._sparse(phi.ctx, fresh, carried, known)
+    return GeneratorMap._sparse(phi.ctx, images, known)
 
 
 def ordered_product(ctx: GroupContext, maps: Sequence[GeneratorMap]) -> GeneratorMap:
@@ -484,12 +472,14 @@ def invert_with_rounds(phi: GeneratorMap) -> tuple[GeneratorMap, int]:
         phi.moved.union(m[0] for i in moved for m in phi.stored[i].poly if len(m) == 1)
     )
     minv = intmat.inverse_unimodular(phi._block(rows))
+    # every candidate inverse has the unimodular abelianization minv
     psi = GeneratorMap._sparse(
         ctx,
         {
             i: from_word(ctx, Word((j, minv[a][b]) for a, j in enumerate(rows)))
             for b, i in enumerate(rows)
         },
+        unimodular=True,
     )
     delta = GeneratorMap._sparse(ctx, {i: phi.apply(psi(i)) for i in moved})
     unit_inv = {i: inv(generator(ctx, i)) for i in moved}
@@ -504,13 +494,15 @@ def invert_with_rounds(phi: GeneratorMap) -> tuple[GeneratorMap, int]:
         anti = {i: inv(d) for i, d in defects.items()}
         # psi <- psi o chi and delta <- delta o chi, computed columnwise via
         # f(x_i * d_i^-1) = f(x_i) * f(d_i^-1); the defects are high-weight,
-        # so these applications stay cheap
-        psi = GeneratorMap._sparse(
-            ctx, psi.stored | {i: mul(psi(i), psi.apply(a)) for i, a in anti.items()}
-        )
-        delta = GeneratorMap._sparse(
-            ctx,
-            delta.stored | {i: mul(delta(i), delta.apply(a)) for i, a in anti.items()},
+        # so these applications stay cheap, and chi is IA, so both maps stay
+        # unimodular
+        psi, delta = (
+            GeneratorMap._sparse(
+                ctx,
+                f.stored | {i: mul(f(i), f.apply(a)) for i, a in anti.items()},
+                unimodular=True,
+            )
+            for f in (psi, delta)
         )
 
 

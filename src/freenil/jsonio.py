@@ -133,13 +133,10 @@ def map_payload(phi: GeneratorMap) -> dict:
 def parse_map(obj: Any) -> GeneratorMap:
     obj = _need_keys(obj, "map", ("rank", "class", "images"))
     rank = _need_int(obj["rank"], "rank")
-    nilclass = _need_int(obj["class"], "class")
-    if rank < 1 or nilclass < 1:
-        raise MalformedInput("rank and class must be at least 1")
+    ctx = GroupContext(rank, _need_int(obj["class"], "class"))
     images = _need_list(obj["images"], "images")
     if len(images) != rank:
         raise MalformedInput(f"expected {rank} images, got {len(images)}")
-    ctx = GroupContext(rank, nilclass)
     stored = {}
     for i, w in enumerate(images, 1):
         # the literal image [[i, 1]] needs no ring work; `==` alone would

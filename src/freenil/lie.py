@@ -97,6 +97,8 @@ def bracket_expansion(tree: BracketTree) -> Poly:
         return {(tree,): 1}
     a = bracket_expansion(tree[0])
     b = bracket_expansion(tree[1])
+    # UV and VU in one pass over the pairs: as _poly_mul(a, b) plus
+    # _poly_add_into of _poly_mul(b, a) a Lyndon row took twice as long
     out: Poly = {}
     get = out.get
     for m1, c1 in a.items():

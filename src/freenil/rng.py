@@ -10,9 +10,8 @@ across platforms and Python versions.  State update and output mix:
     output: z XOR z>>31
 
 Derived draws (documented because callers promise reproducibility):
-`below(m)` is one raw draw reduced modulo m, `choice(seq)` is
-`seq[below(len(seq))]`, `shuffle` is a Fisher-Yates pass drawing
-`below(i + 1)` for i from len-1 down to 1.
+`below(m)` is one raw draw reduced modulo m, `shuffle` is a Fisher-Yates
+pass drawing `below(i + 1)` for i from len-1 down to 1.
 """
 
 from __future__ import annotations
@@ -37,9 +36,6 @@ class SplitMix64:
         if m <= 0:
             raise ValueError("below() needs a positive bound")
         return self.next_u64() % m
-
-    def choice(self, seq):
-        return seq[self.below(len(seq))]
 
     def sign(self) -> int:
         return 1 if self.below(2) == 0 else -1

@@ -232,6 +232,17 @@ def test_missing_context_flags_exit_2(tmp_path):
     assert code == 2 and out["error"] == "MalformedInput"
 
 
+def test_nonpositive_rank_exits_2(tmp_path):
+    message = "rank and class must be at least 1"
+    with pytest.raises(MalformedInput, match=message):
+        parse_map({"rank": 0, "class": 2, "images": []})
+    code, raw, _ = run_cli(tmp_path, ["weight", "--rank", "0", "--class", "2"], {"word": []})
+    assert code == 2
+    assert raw == json.dumps(
+        {"error": "MalformedInput", "message": message}, separators=(",", ":")
+    ) + "\n"
+
+
 def test_bad_envelope_key_exits_2(tmp_path):
     empty = {"word": []}
     for payload, message in (

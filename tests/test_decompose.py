@@ -1,5 +1,6 @@
 """The certified factorization pipeline and its recheck."""
 
+import importlib
 import random
 
 import pytest
@@ -31,6 +32,7 @@ from freenil import (
     invert,
     left_normed_element,
     lift_factor,
+    lift_words,
     ordered_product,
     permutational,
     project,
@@ -344,6 +346,69 @@ def test_decompose_inverts_once_per_class_above_one(monkeypatch):
         dec = decompose(sigma, (1, 2))
         assert sorted(calls) == [2, 3, 4]
         assert product_of(ctx, dec) == sigma
+
+
+def _counting(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(name)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_central_decompose_works_on_moved_generators_only(monkeypatch):
+    # within decompose, alpha = invert(P) o sigma is known to be unimodular,
+    # so the central stage takes no determinant, and it multiplies and
+    # factorizes at the generators alpha moves, never at the ones it fixes
+    from freenil import intmat
+
+    engine = importlib.import_module("freenil.decompose")
+    calls = []
+    for module, name in (
+        (intmat, "det"),
+        (engine, "mul"),
+        (engine, "central_factorize"),
+    ):
+        _counting(monkeypatch, module, name, calls)
+    seen = []
+    original = engine.central_decompose
+
+    def stage(alpha, fixed):
+        calls.clear()
+        out = original(alpha, fixed)
+        seen.append((len(alpha.moved), alpha.ctx.rank - len(fixed), sorted(calls)))
+        return out
+
+    monkeypatch.setattr(engine, "central_decompose", stage)
+    ctx = GroupContext(12, 4)
+    for seed in (41, 42, 43):
+        sigma = random_automorphism(ctx, seed, 10, (1, 2))
+        assert product_of(ctx, decompose(sigma, (1, 2))) == sigma
+    assert len(seen) == 9
+    for moved, free, stage_calls in seen:
+        assert stage_calls == ["central_factorize"] * moved + ["mul"] * moved
+    assert any(moved < free for moved, free, _ in seen)
+
+
+def test_lift_factor_multiplies_only_at_moved_pinned_generators(monkeypatch):
+    engine = importlib.import_module("freenil.decompose")
+    calls = []
+    _counting(monkeypatch, engine, "mul", calls)
+    ctx = GroupContext(10, 2)
+    fix = (1, 2)
+    quiet = 0
+    for seed in (5, 6, 7):
+        sigma = random_automorphism(ctx, seed, 12, fix)
+        for f in decompose(sigma, fix).factors:
+            pinned = set(fix) & lift_words(f.map).moved
+            calls.clear()
+            lifted = lift_factor(f, 3, fix)
+            assert len(calls) == len(pinned)
+            assert lifted.map.fixes_pointwise(fix)
+            quiet += not pinned
+    assert quiet > 10
 
 
 def test_decompose_factor_provenance():

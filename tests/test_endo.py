@@ -779,10 +779,24 @@ def test_constructors_that_know_unimodularity_take_no_determinant(monkeypatch):
     assert len(calls) == 1
 
 
+def test_inverse_takes_no_determinant(monkeypatch):
+    # invert has checked phi, so invert(phi) is known to be unimodular
+    inverses = [
+        (phi, invert(phi)) for phi in _kernel_corpus() if det(phi.matrix) in (1, -1)
+    ]
+    calls = _count_det(monkeypatch)
+    for phi, psi in inverses:
+        assert psi.is_automorphism()
+        assert compose(psi, phi).is_automorphism()
+        assert compose(psi, phi).is_identity()
+    assert not calls
+    assert len(inverses) > 50
+
+
 def test_compose_classifies_images_like_a_fresh_map():
-    # only the substituted images are tested for literalness; an image
-    # carried over from phi's moved ones must come out exactly as a fresh
-    # classification of the same stored dict would leave it
+    # an image phi moves and psi leaves alone loses its word; every image
+    # must come out exactly as a fresh classification of the same stored
+    # dict would leave it
     ctx = GroupContext(4, 2)
     x = [generator(ctx, g) for g in ctx.generators()]
     long_literal = GeneratorMap(ctx, [mul(x[0], comm(comm(x[1], x[2]), x[3])), *x[1:]])

@@ -13,6 +13,7 @@ from freenil import (
     GroupContext,
     GroupElement,
     IndexOutOfRange,
+    MalformedInput,
     Word,
     comm,
     from_word,
@@ -125,6 +126,12 @@ def test_constant_term_other_than_one_raises():
         with pytest.raises(RuntimeError, match="constant term 1") as info:
             GroupElement(C32, poly)
         assert not isinstance(info.value, DomainError)
+
+
+def test_nonpositive_rank_or_class_is_malformed_input():
+    for rank, nilclass in ((0, 2), (2, 0), (-1, 1)):
+        with pytest.raises(MalformedInput, match="rank and class must be at least 1"):
+            GroupContext(rank, nilclass)
 
 
 def test_context_mismatch():
