@@ -5,9 +5,10 @@ One JSON payload in (``--in FILE`` or stdin), one JSON payload out
 (reported as ``{"error": NAME, "message": ...}``), 2 for malformed input.
 ``--schema`` prints all wire formats and exits.
 
-Element commands (mul, inv, comm, weight, central-factorize) need the group
-pinned down with ``--rank``/``--class``; map commands carry the context
-inside their payloads.
+The element commands (mul, inv, comm, weight, central-factorize) and
+random-aut take the group as ``--rank``/``--class``.  The other map commands
+read it from their payloads and refuse both flags: argparse exits 2 with its
+usage on stderr.
 """
 
 from __future__ import annotations
@@ -25,55 +26,6 @@ from .lie import central_factorize
 from .ring import comm, inv, lcs_weight, mul
 from .verifier import verify_payload
 
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="freenil",
-        description="exact computation in finitely generated free nilpotent groups",
-    )
-    parser.add_argument(
-        "--schema", action="store_true", help="print the JSON wire formats and exit"
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rank", type=int, help="number of generators")
-    common.add_argument(
-        "--class", dest="nilclass", type=int, help="nilpotency class"
-    )
-    common.add_argument("--in", dest="infile", default="-", metavar="FILE")
-    common.add_argument("--out", dest="outfile", default="-", metavar="FILE")
-    common.add_argument("--pretty", action="store_true", help="indent the output")
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    for name, text in (
-        ("mul", "multiply two elements: {'a': ELEMENT, 'b': ELEMENT}"),
-        ("inv", "invert an element"),
-        ("comm", "commutator a^-1 b^-1 a b: {'a': ELEMENT, 'b': ELEMENT}"),
-        ("weight", "lower central series weight (null for the identity)"),
-        ("central-factorize", "write a central element as commutator terms"),
-        ("apply", "apply a map to an element: {'map': MAP, 'a': ELEMENT}"),
-        ("compose", "compose two maps: {'phi': MAP, 'psi': MAP}"),
-        ("is-aut", "test whether a map is an automorphism"),
-        ("invert-aut", "invert an automorphism"),
-        ("random-aut", "seeded random automorphism fixing --fix"),
-        ("decompose", "factor an automorphism fixing --fix into certified pieces"),
-        ("verify", "recheck a serialized decomposition"),
-    ):
-        p = sub.add_parser(name, parents=[common], help=text)
-        if name == "random-aut":
-            p.add_argument("--seed", type=int, required=True)
-            p.add_argument(
-                "--length", type=int, default=10, help="number of elementary moves"
-            )
-        if name in ("random-aut", "decompose"):
-            p.add_argument(
-                "--fix",
-                default="",
-                help="comma separated generator indices to pin, e.g. 1,2",
-            )
-    return parser
-
-
-# ---------------------------------------------------------------------------
-# shared plumbing
 
 def _read(args) -> Any:
     if args.infile == "-":
@@ -94,19 +46,16 @@ def _write(args, payload: Any, code: int) -> int:
     file, on stdout since --out is unusable: MalformedInput, exit 2.
     """
     text = jsonio.dumps(payload, pretty=args.pretty)
-    if args.outfile == "-":
-        sys.stdout.write(text)
-        return code
-    try:
-        with open(args.outfile, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as err:
-        envelope = {
-            "error": MalformedInput.__name__,
-            "message": f"cannot write --out file: {err}",
-        }
-        sys.stdout.write(jsonio.dumps(envelope, pretty=args.pretty))
-        return 2
+    if args.outfile != "-":
+        try:
+            with open(args.outfile, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return code
+        except OSError as err:
+            message = f"cannot write --out file: {err}"
+            envelope = {"error": MalformedInput.__name__, "message": message}
+            text, code = jsonio.dumps(envelope, pretty=args.pretty), 2
+    sys.stdout.write(text)
     return code
 
 
@@ -117,11 +66,8 @@ def _ctx(args) -> GroupContext:
 
 
 def _fix(args) -> frozenset[int]:
-    text = args.fix.strip()
-    if not text:
-        return frozenset()
     try:
-        idx = [int(tok) for tok in text.split(",")]
+        idx = [int(tok) for tok in args.fix.split(",")] if args.fix.strip() else []
     except ValueError:
         raise MalformedInput("--fix must be comma separated integers") from None
     if any(i < 1 for i in idx):
@@ -129,53 +75,39 @@ def _fix(args) -> frozenset[int]:
     return frozenset(idx)
 
 
-# ---------------------------------------------------------------------------
-# handlers, one per subcommand
+# handlers: each takes the parsed arguments and returns the output payload
+def _elements(op: Callable, *keys: str, emit: Callable = jsonio.element_payload):
+    """The handler of an element command: `emit(op(...))` of the input element,
+    or of the input's elements under `keys`, in the group of --rank/--class."""
 
-def _cmd_mul(args) -> Any:
-    ctx = _ctx(args)
-    obj = jsonio._need_keys(_read(args), "input", ("a", "b"))
-    a = jsonio.parse_element(ctx, obj["a"])
-    b = jsonio.parse_element(ctx, obj["b"])
-    return jsonio.element_payload(mul(a, b))
+    def handler(args) -> Any:
+        ctx = _ctx(args)
+        obj = _read(args)
+        if not keys:
+            return emit(op(jsonio.parse_element(ctx, obj)))
+        obj = jsonio._need_keys(obj, "input", keys)
+        return emit(op(*(jsonio.parse_element(ctx, obj[k]) for k in keys)))
 
-
-def _cmd_inv(args) -> Any:
-    ctx = _ctx(args)
-    return jsonio.element_payload(inv(jsonio.parse_element(ctx, _read(args))))
-
-
-def _cmd_comm(args) -> Any:
-    ctx = _ctx(args)
-    obj = jsonio._need_keys(_read(args), "input", ("a", "b"))
-    a = jsonio.parse_element(ctx, obj["a"])
-    b = jsonio.parse_element(ctx, obj["b"])
-    return jsonio.element_payload(comm(a, b))
+    return handler
 
 
-def _cmd_weight(args) -> Any:
-    ctx = _ctx(args)
-    w = lcs_weight(jsonio.parse_element(ctx, _read(args)))
+def _weight_payload(w) -> dict:
     return {"weight": None if w == float("inf") else w}
 
 
-def _cmd_central_factorize(args) -> Any:
-    ctx = _ctx(args)
-    a = jsonio.parse_element(ctx, _read(args))
-    return [jsonio.term_payload(t) for t in central_factorize(a)]
+def _terms_payload(terms) -> list:
+    return [jsonio.term_payload(t) for t in terms]
 
 
 def _cmd_apply(args) -> Any:
     obj = jsonio._need_keys(_read(args), "input", ("map", "a"))
     phi = jsonio.parse_map(obj["map"])
-    a = jsonio.parse_element(phi.ctx, obj["a"])
-    return jsonio.element_payload(phi.apply(a))
+    return jsonio.element_payload(phi.apply(jsonio.parse_element(phi.ctx, obj["a"])))
 
 
 def _cmd_compose(args) -> Any:
     obj = jsonio._need_keys(_read(args), "input", ("phi", "psi"))
-    phi = jsonio.parse_map(obj["phi"])
-    psi = jsonio.parse_map(obj["psi"])
+    phi, psi = (jsonio.parse_map(obj[k]) for k in ("phi", "psi"))
     return jsonio.map_payload(compose(phi, psi))
 
 
@@ -191,9 +123,8 @@ def _cmd_random_aut(args) -> Any:
     ctx = _ctx(args)
     if args.length < 0:
         raise MalformedInput("--length must be nonnegative")
-    return jsonio.map_payload(
-        random_automorphism(ctx, args.seed, args.length, _fix(args))
-    )
+    phi = random_automorphism(ctx, args.seed, args.length, _fix(args))
+    return jsonio.map_payload(phi)
 
 
 def _cmd_decompose(args) -> Any:
@@ -205,20 +136,57 @@ def _cmd_verify(args) -> Any:
     return jsonio.report_payload(verify_payload(_read(args)))
 
 
-_HANDLERS: dict[str, Callable] = {
-    "mul": _cmd_mul,
-    "inv": _cmd_inv,
-    "comm": _cmd_comm,
-    "weight": _cmd_weight,
-    "central-factorize": _cmd_central_factorize,
-    "apply": _cmd_apply,
-    "compose": _cmd_compose,
-    "is-aut": _cmd_is_aut,
-    "invert-aut": _cmd_invert_aut,
-    "random-aut": _cmd_random_aut,
-    "decompose": _cmd_decompose,
-    "verify": _cmd_verify,
+# flag sets, given to the commands that take them as argparse parents
+_GROUP, _IO, _SEED, _FIX = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+_GROUP.add_argument("--rank", type=int, help="number of generators")
+_GROUP.add_argument("--class", dest="nilclass", type=int, help="nilpotency class")
+_IO.add_argument("--in", dest="infile", default="-", metavar="FILE")
+_IO.add_argument("--out", dest="outfile", default="-", metavar="FILE")
+_IO.add_argument("--pretty", action="store_true", help="indent the output")
+_SEED.add_argument("--seed", type=int, required=True)
+_SEED.add_argument("--length", type=int, default=10, help="number of elementary moves")
+_FIX.add_argument(
+    "--fix", default="", help="comma separated generator indices to pin, e.g. 1,2"
+)
+
+# the command table, read by _build_parser and main.  A row is
+# name: (handler, takes --rank/--class, help, parsers of its own flags...)
+COMMANDS = {
+    "mul": (_elements(mul, "a", "b"), True,
+            "multiply two elements: {'a': ELEMENT, 'b': ELEMENT}"),
+    "inv": (_elements(inv), True, "invert an element"),
+    "comm": (_elements(comm, "a", "b"), True,
+             "commutator a^-1 b^-1 a b: {'a': ELEMENT, 'b': ELEMENT}"),
+    "weight": (_elements(lcs_weight, emit=_weight_payload), True,
+               "lower central series weight (null for the identity)"),
+    "central-factorize": (_elements(central_factorize, emit=_terms_payload), True,
+                          "write a central element as commutator terms"),
+    "apply": (_cmd_apply, False,
+              "apply a map to an element: {'map': MAP, 'a': ELEMENT}"),
+    "compose": (_cmd_compose, False, "compose two maps: {'phi': MAP, 'psi': MAP}"),
+    "is-aut": (_cmd_is_aut, False, "test whether a map is an automorphism"),
+    "invert-aut": (_cmd_invert_aut, False, "invert an automorphism"),
+    "random-aut": (_cmd_random_aut, True,
+                   "seeded random automorphism fixing --fix", _SEED, _FIX),
+    "decompose": (_cmd_decompose, False,
+                  "factor an automorphism fixing --fix into certified pieces", _FIX),
+    "verify": (_cmd_verify, False, "recheck a serialized decomposition"),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="freenil",
+        description="exact computation in finitely generated free nilpotent groups",
+    )
+    parser.add_argument(
+        "--schema", action="store_true", help="print the JSON wire formats and exit"
+    )
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    for name, (_, group, text, *own) in COMMANDS.items():
+        parents = [_GROUP, _IO] if group else [_IO]
+        sub.add_parser(name, parents=parents + own, help=text)
+    return parser
 
 
 def main(argv=None) -> int:
@@ -230,12 +198,11 @@ def main(argv=None) -> int:
         sys.stderr.write("freenil: a COMMAND is required (see --help)\n")
         return 2
     try:
-        payload = _HANDLERS[args.command](args)
-    except MalformedInput as err:
-        return _write(args, {"error": err.name, "message": str(err)}, 2)
+        payload, code = COMMANDS[args.command][0](args), 0
     except DomainError as err:
-        return _write(args, {"error": err.name, "message": str(err)}, 1)
-    return _write(args, payload, 0)
+        payload = {"error": err.name, "message": str(err)}
+        code = 2 if isinstance(err, MalformedInput) else 1
+    return _write(args, payload, code)
 
 
 if __name__ == "__main__":

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from .errors import ContextMismatch, MalformedInput
+from .errors import ContextMismatch, IndexOutOfRange, MalformedInput
 
 
 @dataclass(frozen=True)
@@ -24,6 +25,13 @@ class GroupContext:
 
     def generators(self) -> range:
         return range(1, self.rank + 1)
+
+    def check_generators(self, indices: Iterable[int]) -> None:
+        """Raise IndexOutOfRange at the first index, in iteration order,
+        outside 1..rank."""
+        for i in indices:
+            if not 1 <= i <= self.rank:
+                raise IndexOutOfRange(f"generator {i} out of range 1..{self.rank}")
 
 
 def check_same_context(a: GroupContext, b: GroupContext) -> None:

@@ -47,7 +47,6 @@ from .errors import (
     BadClass,
     CertificateInvalid,
     DoesNotFixD,
-    IndexOutOfRange,
     NotAutomorphism,
     NotCentralIA,
     RankTooSmall,
@@ -135,7 +134,9 @@ def abelian_decompose(sigma: GeneratorMap, fixed: Iterable[int]) -> Decompositio
                 images[i] = from_word(ctx, Word(((i, 1), *pairs)))
         if not images:
             continue
-        shear = GeneratorMap._sparse(ctx, images)
+        # the block on the moved generators is the identity: each image adds
+        # only D letters to its own generator
+        shear = GeneratorMap._sparse(ctx, images, unimodular=True)
         cert = MoietyCertificate(
             frozenset(other), frozenset(ctx.generators()) - frozenset(other)
         )
@@ -286,9 +287,7 @@ def _check_common(
     phi: GeneratorMap, fixed: Iterable[int], min_free: int
 ) -> frozenset[int]:
     fixed = frozenset(fixed)
-    for d in fixed:
-        if not 1 <= d <= phi.ctx.rank:
-            raise IndexOutOfRange(f"generator {d} out of range 1..{phi.ctx.rank}")
+    phi.ctx.check_generators(fixed)
     if not phi.is_automorphism():
         raise NotAutomorphism("determinant of the abelianization is not +-1")
     if not phi.fixes_pointwise(fixed):

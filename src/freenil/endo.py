@@ -30,12 +30,14 @@ Whether a map is an automorphism (det = +-1) is decided once and stored on
 the map, and preserves needs no determinant beyond that one: an
 automorphism that maps a subgroup <S> into itself has a block triangular
 abelianization whose S block divides its determinant.  Constructors that
-know the answer set it and skip the determinant: project keeps the degree-1
-part, lift_words keeps word exponent sums, ia_central has the identity
-abelianization, invert inverts a map already checked to be unimodular, and
-compose multiplies determinants, so two unimodular maps give a unimodular
-one.  A map parsed from the wire knows nothing and takes its own
-determinant.
+know the answer set it and skip the determinant: the identity and the
+elementary moves (transvection, inversion, permutational) are unimodular by
+construction, project keeps the degree-1 part, lift_words keeps word exponent
+sums, ia_central has the identity abelianization, blockwise has a block
+triangular one whose diagonal blocks it checks, invert inverts a map already
+checked to be unimodular, and compose multiplies determinants, so two
+unimodular maps give a unimodular one.  A map parsed from the wire knows
+nothing and takes its own determinant.
 
 The certificate vocabulary lives here too: a MoietyCertificate names a
 partition (fixed P, preserved Q) of the generators, and check_certificate
@@ -135,8 +137,7 @@ class GeneratorMap:
         self._unimodular = unimodular
 
     def __call__(self, i: int) -> GroupElement:
-        if not 1 <= i <= self.ctx.rank:
-            raise IndexOutOfRange(f"generator {i} out of range 1..{self.ctx.rank}")
+        self.ctx.check_generators((i,))
         img = self.stored.get(i)
         return generator(self.ctx, i) if img is None else img
 
@@ -192,9 +193,7 @@ class GeneratorMap:
         if not self.is_automorphism():
             raise NotAutomorphism("preserves() is only defined for automorphisms")
         sub = frozenset(subset)
-        for j in sorted(sub):
-            if not 1 <= j <= self.ctx.rank:
-                raise IndexOutOfRange(f"generator {j} out of range 1..{self.ctx.rank}")
+        self.ctx.check_generators(sorted(sub))
         # an unmoved generator's image is itself, inside <sub>.  Once every
         # moved one maps into <sub>, the abelianization is block triangular
         # with the sub block A on the diagonal, so det(A) divides det = +-1
@@ -242,7 +241,7 @@ class GeneratorMap:
 
 
 def identity_map(ctx: GroupContext) -> GeneratorMap:
-    return GeneratorMap._sparse(ctx, {})
+    return GeneratorMap._sparse(ctx, {}, unimodular=True)
 
 
 def compose(phi: GeneratorMap, psi: GeneratorMap) -> GeneratorMap:
@@ -286,12 +285,16 @@ def transvection(ctx: GroupContext, i: int, j: int, k: int) -> GeneratorMap:
         raise IndexOutOfRange(
             f"transvection needs distinct indices in 1..{ctx.rank}, got {i}, {j}"
         )
-    return GeneratorMap._sparse(ctx, {i: from_word(ctx, Word(((i, 1), (j, k))))})
+    return GeneratorMap._sparse(
+        ctx, {i: from_word(ctx, Word(((i, 1), (j, k))))}, unimodular=True
+    )
 
 
 def inversion(ctx: GroupContext, i: int) -> GeneratorMap:
     """x_i -> x_i^-1, everything else fixed."""
-    return GeneratorMap._sparse(ctx, {i: from_word(ctx, Word(((i, -1),)))})
+    return GeneratorMap._sparse(
+        ctx, {i: from_word(ctx, Word(((i, -1),)))}, unimodular=True
+    )
 
 
 def permutational(ctx: GroupContext, perm) -> GeneratorMap:
@@ -320,7 +323,7 @@ def permutational(ctx: GroupContext, perm) -> GeneratorMap:
     if set(moves.values()) != set(moves):
         raise PermutationInvalid("mapping is not a bijection of 1..rank")
     images = {a: generator(ctx, b) for a, b in moves.items()}
-    return GeneratorMap._sparse(ctx, images)
+    return GeneratorMap._sparse(ctx, images, unimodular=True)
 
 
 def ia_central(ctx: GroupContext, assignment: Mapping[int, GroupElement]) -> GeneratorMap:
@@ -329,8 +332,7 @@ def ia_central(ctx: GroupContext, assignment: Mapping[int, GroupElement]) -> Gen
     identity abelianization."""
     stored = {}
     for b, z in assignment.items():
-        if not 1 <= b <= ctx.rank:
-            raise IndexOutOfRange(f"generator {b} out of range 1..{ctx.rank}")
+        ctx.check_generators((b,))
         check_same_context(ctx, z.ctx)
         if lcs_weight(z) < 2:
             raise NotInGamma2(f"offset for generator {b} has weight 1")
@@ -373,7 +375,10 @@ def blockwise(
                     f"image of generator {i} leaves block {j + 1}"
                 )
             stored[i] = img
-    assembled = GeneratorMap._sparse(ctx, stored)
+    # the abelianization is block triangular (fixed columns are unit vectors,
+    # block j's columns live in fixed + block j rows), so its determinant is
+    # the product of the block determinants, each checked to be +-1 below
+    assembled = GeneratorMap._sparse(ctx, stored, unimodular=True)
     for j, block in enumerate(block_sets):
         # unmoved columns of the block are unit vectors (module docstring)
         active = sorted(block & assembled.moved)
@@ -538,9 +543,7 @@ def random_automorphism(
     is empty the identity map returns immediately (no draws happen).
     """
     fix = frozenset(fix)
-    for d in fix:
-        if not 1 <= d <= ctx.rank:
-            raise IndexOutOfRange(f"generator {d} out of range 1..{ctx.rank}")
+    ctx.check_generators(fix)
     free = sorted(frozenset(ctx.generators()) - fix)
     acc = identity_map(ctx)
     if not free:

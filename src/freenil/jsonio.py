@@ -37,7 +37,7 @@ from typing import Any
 
 from .context import GroupContext
 from .endo import GeneratorMap, MoietyCertificate, ia_central
-from .errors import ContextMismatch, IndexOutOfRange, MalformedInput
+from .errors import ContextMismatch, MalformedInput
 from .lie import LeftNormedTerm, central_offset, word_of
 from .records import TAGS, Decomposition, Factor, VerifyReport
 from .ring import GroupElement, Word, from_word
@@ -292,9 +292,7 @@ def parse_decomposition(obj: Any) -> Decomposition:
     fixed = [_need_int(d, "fixed index") for d in _need_list(obj["fixed"], "fixed")]
     if any(d < 1 for d in fixed):
         raise MalformedInput("fixed indices must be positive")
-    for d in fixed:
-        if d > sigma.ctx.rank:
-            raise IndexOutOfRange(f"generator {d} out of range 1..{sigma.ctx.rank}")
+    sigma.ctx.check_generators(fixed)
     factors = [
         parse_factor(sigma.ctx, f, version)
         for f in _need_list(obj["factors"], "factors")

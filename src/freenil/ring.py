@@ -206,8 +206,7 @@ def identity(ctx: GroupContext) -> GroupElement:
 
 
 def generator(ctx: GroupContext, i: int) -> GroupElement:
-    if not 1 <= i <= ctx.rank:
-        raise IndexOutOfRange(f"generator {i} out of range 1..{ctx.rank}")
+    ctx.check_generators((i,))
     return GroupElement(ctx, {(): 1, (i,): 1}, Word(((i, 1),)))
 
 
@@ -296,9 +295,7 @@ def truncate_class(a: GroupElement, new_class: int) -> GroupElement:
 def retract(a: GroupElement, keep: Iterable[int]) -> GroupElement:
     """Image under the retraction killing every generator outside `keep`."""
     keep = frozenset(keep)
-    for g in keep:
-        if not 1 <= g <= a.ctx.rank:
-            raise IndexOutOfRange(f"generator {g} out of range 1..{a.ctx.rank}")
+    a.ctx.check_generators(keep)
     drop = frozenset(range(1, a.ctx.rank + 1)) - keep
     poly = {m: c for m, c in a.poly.items() if drop.isdisjoint(m)}
     word = Word((g, e) for g, e in a.word.letters if g in keep) if a.word is not None else None

@@ -23,7 +23,7 @@ from freenil import (
     random_automorphism,
     transvection,
 )
-from freenil.cli import main
+from freenil.cli import _build_parser, main
 from freenil.jsonio import dumps, map_payload, parse_element, parse_map
 
 CLI = (sys.executable, "-m", "freenil.cli")
@@ -421,6 +421,31 @@ def test_missing_required_seed_is_argparse_error():
     proc = run_proc(["random-aut", "--rank", "4", "--class", "1"])
     assert proc.returncode == 2
     assert b"--seed" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command", ["apply", "compose", "is-aut", "invert-aut", "decompose", "verify"]
+)
+def test_map_commands_refuse_group_flags(tmp_path, capsys, command):
+    # these commands read the group from their payloads; a --rank or --class
+    # would be ignored, so argparse refuses it before any input is read
+    infile = tmp_path / "in.json"
+    infile.write_text(json.dumps(map_payload(identity_map(GroupContext(8, 2)))))
+    outfile = tmp_path / "out.json"
+    argv = [command, "--rank", "0", "--class", "99", "--in", str(infile)]
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--out", str(outfile)])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --rank 0 --class 99" in capsys.readouterr().err
+    assert not outfile.exists()
+
+
+def test_element_commands_and_random_aut_take_group_flags():
+    parser = _build_parser()
+    for command in ["mul", "inv", "comm", "weight", "central-factorize", "random-aut"]:
+        seed = ["--seed", "1"] if command == "random-aut" else []
+        args = parser.parse_args([command, "--rank", "3", "--class", "2", *seed])
+        assert (args.rank, args.nilclass) == (3, 2)
 
 
 def test_pretty_output_is_indented(tmp_path):

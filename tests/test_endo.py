@@ -16,6 +16,7 @@ from freenil import (
     PartitionInvalid,
     PermutationInvalid,
     Word,
+    abelian_decompose,
     blockwise,
     check_certificate,
     comm,
@@ -759,8 +760,23 @@ def test_constructors_that_know_unimodularity_take_no_determinant(monkeypatch):
     calls = _count_det(monkeypatch)
     for phi in corpus:
         ctx = phi.ctx
+        n = ctx.rank
         z = left_normed_element(ctx, (1, 2) + (3,) * (ctx.nilclass - 2), 1)
-        built = [project(phi, ctx.nilclass - 1), ia_central(ctx, {ctx.rank: z})]
+        built = [
+            project(phi, ctx.nilclass - 1),
+            ia_central(ctx, {n: z}),
+            identity_map(ctx),
+            transvection(ctx, 1, n, -1),
+            inversion(ctx, 2),
+            permutational(ctx, {1: 2, 2: 3, 3: 1}),
+            # blockwise checks each block's determinant while it assembles
+            blockwise(
+                ctx,
+                (1,),
+                ((2, 3), range(4, n + 1)),
+                (transvection(ctx, 2, 3, 1), inversion(ctx, n)),
+            ),
+        ]
         if det(phi.matrix) in (1, -1):
             built.append(lift_words(phi))
             built.append(compose(built[-1], lift_words(ia_central(ctx, {1: z}))))
@@ -777,6 +793,20 @@ def test_constructors_that_know_unimodularity_take_no_determinant(monkeypatch):
     phi = GeneratorMap(corpus[0].ctx, corpus[0].images)
     assert project(phi, 1).is_automorphism() == (det(phi.matrix) in (1, -1))
     assert len(calls) == 1
+    # at class 1 every factor, the shear included, is unimodular by
+    # construction: once the input's own determinant is known, decomposing
+    # it takes none
+    ctx = GroupContext(8, 1)
+    for seed in (3, 4, 5):
+        # x_5 -> x_5 x_1 moves a free generator by a pinned one: a shear
+        rho = random_automorphism(ctx, seed, 10, (1, 2))
+        sigma = GeneratorMap(ctx, compose(transvection(ctx, 5, 1, 1), rho).images)
+        sigma.is_automorphism()
+        calls.clear()
+        dec = abelian_decompose(sigma, (1, 2))
+        assert not calls
+        assert "shear" in {f.tag for f in dec.factors}
+        assert ordered_product(ctx, [f.map for f in dec.factors]) == sigma
 
 
 def test_inverse_takes_no_determinant(monkeypatch):

@@ -134,6 +134,21 @@ def test_nonpositive_rank_or_class_is_malformed_input():
             GroupContext(rank, nilclass)
 
 
+def test_check_generators_reports_the_first_bad_index_in_order():
+    ctx = GroupContext(3, 2)
+    ctx.check_generators(())
+    ctx.check_generators(range(1, 4))
+    for indices, bad in (([1, 5, 0], 5), ([0, 5], 0), ((2, 3, -1, 7), -1)):
+        with pytest.raises(IndexOutOfRange) as info:
+            ctx.check_generators(indices)
+        assert str(info.value) == f"generator {bad} out of range 1..3"
+    # the callers keep that message
+    for call in (lambda: generator(ctx, 4), lambda: retract(generator(ctx, 1), [4])):
+        with pytest.raises(IndexOutOfRange) as info:
+            call()
+        assert str(info.value) == "generator 4 out of range 1..3"
+
+
 def test_context_mismatch():
     with pytest.raises(ContextMismatch):
         mul(generator(C32, 1), generator(C33, 1))
