@@ -6,9 +6,9 @@ One JSON payload in (``--in FILE`` or stdin), one JSON payload out
 ``--schema`` prints all wire formats and exits.
 
 The element commands (mul, inv, comm, weight, central-factorize) and
-random-aut take the group as ``--rank``/``--class``.  The other map commands
-read it from their payloads and refuse both flags: argparse exits 2 with its
-usage on stderr.
+random-aut take the group as ``--rank``/``--class``; the other map commands
+read it from their payloads.  random-aut reads no input.  A command refuses
+the flags it does not read: argparse exits 2 with its usage on stderr.
 """
 
 from __future__ import annotations
@@ -137,12 +137,14 @@ def _cmd_verify(args) -> Any:
 
 
 # flag sets, given to the commands that take them as argparse parents
-_GROUP, _IO, _SEED, _FIX = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+_GROUP, _IN, _OUT, _SEED, _FIX = (
+    argparse.ArgumentParser(add_help=False) for _ in range(5)
+)
 _GROUP.add_argument("--rank", type=int, help="number of generators")
 _GROUP.add_argument("--class", dest="nilclass", type=int, help="nilpotency class")
-_IO.add_argument("--in", dest="infile", default="-", metavar="FILE")
-_IO.add_argument("--out", dest="outfile", default="-", metavar="FILE")
-_IO.add_argument("--pretty", action="store_true", help="indent the output")
+_IN.add_argument("--in", dest="infile", default="-", metavar="FILE")
+_OUT.add_argument("--out", dest="outfile", default="-", metavar="FILE")
+_OUT.add_argument("--pretty", action="store_true", help="indent the output")
 _SEED.add_argument("--seed", type=int, required=True)
 _SEED.add_argument("--length", type=int, default=10, help="number of elementary moves")
 _FIX.add_argument(
@@ -150,27 +152,28 @@ _FIX.add_argument(
 )
 
 # the command table, read by _build_parser and main.  A row is
-# name: (handler, takes --rank/--class, help, parsers of its own flags...)
+# name: (handler, help, parsers of the flags it takes besides --out/--pretty...)
 COMMANDS = {
-    "mul": (_elements(mul, "a", "b"), True,
-            "multiply two elements: {'a': ELEMENT, 'b': ELEMENT}"),
-    "inv": (_elements(inv), True, "invert an element"),
-    "comm": (_elements(comm, "a", "b"), True,
-             "commutator a^-1 b^-1 a b: {'a': ELEMENT, 'b': ELEMENT}"),
-    "weight": (_elements(lcs_weight, emit=_weight_payload), True,
-               "lower central series weight (null for the identity)"),
-    "central-factorize": (_elements(central_factorize, emit=_terms_payload), True,
-                          "write a central element as commutator terms"),
-    "apply": (_cmd_apply, False,
-              "apply a map to an element: {'map': MAP, 'a': ELEMENT}"),
-    "compose": (_cmd_compose, False, "compose two maps: {'phi': MAP, 'psi': MAP}"),
-    "is-aut": (_cmd_is_aut, False, "test whether a map is an automorphism"),
-    "invert-aut": (_cmd_invert_aut, False, "invert an automorphism"),
-    "random-aut": (_cmd_random_aut, True,
-                   "seeded random automorphism fixing --fix", _SEED, _FIX),
-    "decompose": (_cmd_decompose, False,
-                  "factor an automorphism fixing --fix into certified pieces", _FIX),
-    "verify": (_cmd_verify, False, "recheck a serialized decomposition"),
+    "mul": (_elements(mul, "a", "b"),
+            "multiply two elements: {'a': ELEMENT, 'b': ELEMENT}", _GROUP, _IN),
+    "inv": (_elements(inv), "invert an element", _GROUP, _IN),
+    "comm": (_elements(comm, "a", "b"),
+             "commutator a^-1 b^-1 a b: {'a': ELEMENT, 'b': ELEMENT}", _GROUP, _IN),
+    "weight": (_elements(lcs_weight, emit=_weight_payload),
+               "lower central series weight (null for the identity)", _GROUP, _IN),
+    "central-factorize": (_elements(central_factorize, emit=_terms_payload),
+                          "write a central element as commutator terms", _GROUP, _IN),
+    "apply": (_cmd_apply,
+              "apply a map to an element: {'map': MAP, 'a': ELEMENT}", _IN),
+    "compose": (_cmd_compose, "compose two maps: {'phi': MAP, 'psi': MAP}", _IN),
+    "is-aut": (_cmd_is_aut, "test whether a map is an automorphism", _IN),
+    "invert-aut": (_cmd_invert_aut, "invert an automorphism", _IN),
+    "random-aut": (_cmd_random_aut,
+                   "seeded random automorphism fixing --fix", _GROUP, _SEED, _FIX),
+    "decompose": (_cmd_decompose,
+                  "factor an automorphism fixing --fix into certified pieces",
+                  _IN, _FIX),
+    "verify": (_cmd_verify, "recheck a serialized decomposition", _IN),
 }
 
 
@@ -183,9 +186,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--schema", action="store_true", help="print the JSON wire formats and exit"
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    for name, (_, group, text, *own) in COMMANDS.items():
-        parents = [_GROUP, _IO] if group else [_IO]
-        sub.add_parser(name, parents=parents + own, help=text)
+    for name, (_, text, *flags) in COMMANDS.items():
+        sub.add_parser(name, parents=[*flags, _OUT], help=text)
     return parser
 
 

@@ -149,8 +149,8 @@ def abelian_decompose(sigma: GeneratorMap, fixed: Iterable[int]) -> Decompositio
 # ---------------------------------------------------------------------------
 # lifting one class up
 
-def lift_factor(f: Factor, target_class: int, fixed: Iterable[int]) -> Factor:
-    """Lift a certified factor one class up, pinning D exactly.
+def lift_factor(f: Factor, fixed: Iterable[int]) -> Factor:
+    """Lift a certified factor of class c to class c + 1, pinning D exactly.
 
     sigma_0 reinterprets the image words one class higher; it already fixes D
     modulo the center.  sigma_1 is the central IA map agreeing with sigma_0
@@ -163,9 +163,6 @@ def lift_factor(f: Factor, target_class: int, fixed: Iterable[int]) -> Factor:
     reported rather than repaired.
     """
     fixed = frozenset(fixed)
-    low = f.map.ctx.nilclass
-    if target_class != low + 1:
-        raise BadClass(f"cannot lift class {low} factor to class {target_class}")
     sigma0 = lift_words(f.map)
     ctx = sigma0.ctx
     undo = {}  # the offsets of sigma_1^-1
@@ -181,7 +178,7 @@ def lift_factor(f: Factor, target_class: int, fixed: Iterable[int]) -> Factor:
         lifted,
         f.certificate,
         "lifted",
-        target_class,
+        ctx.nilclass,
         origin=f.origin or f.tag,
         part=f.part,
         side=f.side,
@@ -305,11 +302,11 @@ def decompose(sigma: GeneratorMap, fixed: Iterable[int] = ()) -> Decomposition:
     docstring for the construction and ordering)."""
     ctx = sigma.ctx
     c = ctx.nilclass
-    fixed = _check_common(sigma, fixed, min_free=max(4, 2 * (c + 1)))
+    fixed = _check_common(sigma, fixed, min_free=2 * (c + 1))
     if c == 1:
         return abelian_decompose(sigma, fixed)
     below = decompose(project(sigma, c - 1), fixed)
-    lifted = [lift_factor(f, c, fixed) for f in below.factors]
+    lifted = [lift_factor(f, fixed) for f in below.factors]
     # alpha = (lifted product)^-1 o sigma, with one inversion of the product
     alpha = compose(invert(ordered_product(ctx, [f.map for f in lifted])), sigma)
     factors = tuple(lifted) + tuple(central_decompose(alpha, fixed))

@@ -438,18 +438,13 @@ def project(phi: GeneratorMap, new_class: int) -> GeneratorMap:
     )
 
 
-def lift_words(phi: GeneratorMap, new_class: Optional[int] = None) -> GeneratorMap:
-    """Reinterpret the image words one class higher (the canonical section of
-    project).  Word letters are preserved, so occurrence-based certificates
-    survive lifting."""
+def lift_words(phi: GeneratorMap) -> GeneratorMap:
+    """Reinterpret the image words in class c + 1, where c is phi's class
+    (the canonical section of project).  Word letters are preserved, so
+    occurrence-based certificates survive lifting."""
     if not phi.is_automorphism():
         raise NotAutomorphism("only automorphisms are lifted")
-    target = phi.ctx.nilclass + 1 if new_class is None else new_class
-    if target <= phi.ctx.nilclass:
-        raise BadClass(
-            f"lift target {target} must exceed current class {phi.ctx.nilclass}"
-        )
-    ctx2 = GroupContext(phi.ctx.rank, target)
+    ctx2 = GroupContext(phi.ctx.rank, phi.ctx.nilclass + 1)
     # a word's exponent sums, hence the abelianization, survive the lift
     return GeneratorMap._sparse(
         ctx2,

@@ -44,14 +44,6 @@ def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    n, mid, m = len(a), len(b), len(b[0]) if b else 0
-    return tuple(
-        tuple(sum(a[r][t] * b[t][c] for t in range(mid)) for c in range(m))
-        for r in range(n)
-    )
-
-
 def det(m: Matrix) -> int:
     """Bareiss fraction-free determinant; every division below is exact, and
     rows with a zero lead are left untouched when the pivot repeats."""
@@ -89,12 +81,6 @@ def _apply_move(move: RowMove, rows: list[list[int]]) -> None:
         rows[move.i], rows[move.j] = rows[move.j], rows[move.i]
     else:
         rows[move.i] = [-x for x in rows[move.i]]
-
-
-def move_matrix(move: RowMove, n: int) -> Matrix:
-    rows = [list(r) for r in identity_matrix(n)]
-    _apply_move(move, rows)
-    return tuple(tuple(r) for r in rows)
 
 
 def reduce_to_identity(m: Matrix) -> list[RowMove]:

@@ -33,6 +33,7 @@ layers only, never the code that produces decompositions.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any
 
 from .context import GroupContext
@@ -43,16 +44,29 @@ from .records import TAGS, Decomposition, Factor, VerifyReport
 from .ring import GroupElement, Word, from_word
 
 
+# CPython 3.10.7 and later limit int <-> str conversion to 4300 digits by
+# default (earlier versions have no limit).  loads keeps it, as parsing a long
+# literal takes quadratic time; dumps lifts it for its encode, as output is exact.
+_get_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digits = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+
+
 def dumps(payload: Any, pretty: bool = False) -> str:
-    if pretty:
-        return json.dumps(payload, indent=2) + "\n"
-    return json.dumps(payload, separators=(",", ":")) + "\n"
+    limit = _get_digits()
+    _set_digits(0)
+    try:
+        if pretty:
+            return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(payload, separators=(",", ":")) + "\n"
+    finally:
+        _set_digits(limit)
 
 
 def loads(text: str) -> Any:
+    # a ValueError is a JSONDecodeError or an integer literal over the limit
     try:
         return json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:
         raise MalformedInput(f"invalid JSON: {err}") from None
     except RecursionError:
         raise MalformedInput("invalid JSON: nesting too deep") from None
@@ -220,7 +234,7 @@ def factor_payload(f: Factor) -> dict:
     return out
 
 
-def parse_factor(ctx: GroupContext, obj: Any, version: int = 1) -> Factor:
+def parse_factor(ctx: GroupContext, obj: Any, version: int) -> Factor:
     obj = _need_keys(
         obj,
         "factor",

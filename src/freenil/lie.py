@@ -85,12 +85,6 @@ def standard_bracketing(word: tuple[int, ...]) -> BracketTree:
     return (standard_bracketing(word[:split]), standard_bracketing(word[split:]))
 
 
-def bracket_leaves(tree: BracketTree) -> tuple[int, ...]:
-    if isinstance(tree, int):
-        return (tree,)
-    return bracket_leaves(tree[0]) + bracket_leaves(tree[1])
-
-
 def bracket_expansion(tree: BracketTree) -> Poly:
     """Expand a bracket tree in the word basis via [U, V] = UV - VU."""
     if isinstance(tree, int):

@@ -226,7 +226,7 @@ def test_criterion_6_lift_projection_coherence():
         n, c = rng.randrange(2, 7), rng.randrange(1, 4)
         ctx = GroupContext(n, c)
         phi = random_automorphism(ctx, rng.randrange(2**32), 8)
-        lifted = lift_words(phi, c + 1)
+        lifted = lift_words(phi)
         ok = lifted.is_automorphism() and project(lifted, c) == phi
         word_cases += 1
         bad += not ok
@@ -237,7 +237,7 @@ def test_criterion_6_lift_projection_coherence():
         fix = (1,) if rng.random() < 0.5 else ()
         sigma = random_automorphism(ctx, rng.randrange(2**32), 10, fix)
         for f in decompose(sigma, fix).factors:
-            lifted = lift_factor(f, c + 1, fix)
+            lifted = lift_factor(f, fix)
             ok = (
                 lifted.map.fixes_pointwise(fix)
                 and project(lifted.map, c) == f.map

@@ -5,6 +5,7 @@ file redirection; a few spawn real subprocesses to pin down byte-level
 determinism of the full pipeline and argparse's own exit behaviour.
 """
 
+import contextlib
 import json
 import subprocess
 import sys
@@ -31,12 +32,36 @@ CLI = (sys.executable, "-m", "freenil.cli")
 COMM_WORD = [[1, -1], [2, -1], [1, 1], [2, 1]]  # [x1, x2] as a word payload
 
 
+# CPython 3.10.7 and later limit int <-> str conversion; 0 lifts the limit
+HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
+
+
+@contextlib.contextmanager
+def int_digits(limit):
+    """Set the process's int <-> str digit limit for the block."""
+    if not HAS_DIGIT_LIMIT:
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 def run_cli(tmp_path, argv, payload=None, text=None):
-    """Run the CLI in process; return (exit code, raw output, parsed output)."""
-    infile = tmp_path / "in.json"
+    """Run the CLI in process; return (exit code, raw output, parsed output).
+
+    The payload goes to --in, which every command but random-aut reads."""
     outfile = tmp_path / "out.json"
-    infile.write_text(json.dumps(payload) if text is None else text, encoding="utf-8")
-    code = main([*argv, "--in", str(infile), "--out", str(outfile)])
+    read = []
+    if argv[0] != "random-aut":
+        infile = tmp_path / "in.json"
+        text = json.dumps(payload) if text is None else text
+        infile.write_text(text, encoding="utf-8")
+        read = ["--in", str(infile)]
+    code = main([*argv, *read, "--out", str(outfile)])
     raw = outfile.read_text(encoding="utf-8") if outfile.exists() else ""
     return code, raw, json.loads(raw) if raw else None
 
@@ -266,6 +291,38 @@ def test_deeply_nested_json_exits_2(tmp_path):
     assert out["message"] == "invalid JSON: nesting too deep"
 
 
+@pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="no int <-> str digit limit")
+def test_overlong_integer_literal_exits_2(tmp_path):
+    literal = "9" * 5000
+    for argv, text in (
+        (["weight", "--rank", "2", "--class", "2"], '{"word":[[1,%s]]}' % literal),
+        (["verify"], '{"input":%s}' % literal),
+    ):
+        with int_digits(4300):  # the default
+            code, _, out = run_cli(tmp_path, argv, text=text)
+        assert code == 2
+        assert out["error"] == "MalformedInput"
+        assert out["message"].startswith("invalid JSON: ")
+
+
+def test_output_integers_may_exceed_the_digit_limit(tmp_path):
+    # the input's 3000-digit exponents are under the default limit; the
+    # composite's class-2 coefficient, about e^2, is over it
+    e = 10**2999 + 7
+    images = [[[1, 1], [2, e]], [[2, 1]], [[3, 1], [1, e]]]
+    m = {"rank": 3, "class": 2, "images": images}
+    infile, outfile = tmp_path / "in.json", tmp_path / "out.json"
+    infile.write_text(json.dumps({"phi": m, "psi": m}), encoding="utf-8")
+    with int_digits(4300):  # the default
+        assert main(["compose", "--in", str(infile), "--out", str(outfile)]) == 0
+        # dumps lifts the limit for its own encode only
+        assert not HAS_DIGIT_LIMIT or sys.get_int_max_str_digits() == 4300
+    with int_digits(0):
+        out = json.loads(outfile.read_text(encoding="utf-8"))
+    phi = parse_map(m)
+    assert parse_map(out) == compose(phi, phi)
+
+
 def test_unreadable_input_file_exits_2(tmp_path):
     outfile = tmp_path / "out.json"
     undecodable = tmp_path / "latin1.json"
@@ -437,6 +494,17 @@ def test_map_commands_refuse_group_flags(tmp_path, capsys, command):
         main([*argv, "--out", str(outfile)])
     assert info.value.code == 2
     assert "unrecognized arguments: --rank 0 --class 99" in capsys.readouterr().err
+    assert not outfile.exists()
+
+
+def test_random_aut_refuses_in(tmp_path, capsys):
+    # random-aut builds its map from its flags and reads no input
+    outfile = tmp_path / "out.json"
+    argv = ["random-aut", "--rank", "4", "--class", "2", "--seed", "1"]
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--in", str(tmp_path / "missing.json"), "--out", str(outfile)])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --in" in capsys.readouterr().err
     assert not outfile.exists()
 
 

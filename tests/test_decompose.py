@@ -135,7 +135,7 @@ def test_lift_factor_round_trip_seeded():
         fix = (1,) if rng.random() < 0.5 else ()
         sigma = random_automorphism(ctx, rng.randrange(2**32), 10, fix)
         for f in decompose(sigma, fix).factors:
-            lifted = lift_factor(f, c + 1, fix)
+            lifted = lift_factor(f, fix)
             assert lifted.map.ctx.nilclass == c + 1
             assert lifted.map.fixes_pointwise(fix)
             assert project(lifted.map, c) == f.map
@@ -163,7 +163,7 @@ def test_lift_factor_corrects_dirty_words_on_pinned_set():
     cert = MoietyCertificate(frozenset({2, 5, 6}), frozenset({1, 3, 4}))
     assert check_certificate(base, cert)
     f = Factor(base, cert, "shear", 2)
-    lifted = lift_factor(f, 3, (1,))
+    lifted = lift_factor(f, (1,))
     assert lifted.map.fixes_pointwise((1,))  # exact, not just modulo center
     assert project(lifted.map, 2) == base
     assert check_certificate(lifted.map, lifted.certificate)
@@ -181,7 +181,7 @@ def test_lift_factor_reports_unliftable_certificate():
     cert = MoietyCertificate(frozenset({3, 4}), frozenset({1, 2}))
     assert check_certificate(base, cert)  # fine at class 1
     with pytest.raises(CertificateInvalid):
-        lift_factor(Factor(base, cert, "elementary_abelian", 1), 2, ())
+        lift_factor(Factor(base, cert, "elementary_abelian", 1), ())
 
 
 def test_lift_factor_refuses_a_factor_that_moves_the_pinned_set():
@@ -191,11 +191,11 @@ def test_lift_factor_refuses_a_factor_that_moves_the_pinned_set():
     cert = MoietyCertificate(frozenset({5, 6, 7, 8}), frozenset({1, 2, 3, 4}))
     slipping = Factor(transvection(low, 1, 2, 1), cert, "elementary_abelian", 1)
     with pytest.raises(CertificateInvalid):
-        lift_factor(slipping, 2, (1,))
+        lift_factor(slipping, (1,))
     mid = GroupContext(8, 2)
     shallow = ia_central(mid, {1: left_normed_element(mid, (2, 3), 1)})
     with pytest.raises(CertificateInvalid):
-        lift_factor(Factor(shallow, cert, "lifted", 2), 3, (1,))
+        lift_factor(Factor(shallow, cert, "lifted", 2), (1,))
 
 
 def test_central_ia_inverse_is_the_negated_offsets():
@@ -404,7 +404,7 @@ def test_lift_factor_multiplies_only_at_moved_pinned_generators(monkeypatch):
         for f in decompose(sigma, fix).factors:
             pinned = set(fix) & lift_words(f.map).moved
             calls.clear()
-            lifted = lift_factor(f, 3, fix)
+            lifted = lift_factor(f, fix)
             assert len(calls) == len(pinned)
             assert lifted.map.fixes_pointwise(fix)
             quiet += not pinned

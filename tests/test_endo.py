@@ -43,7 +43,8 @@ from freenil import (
     word_of,
 )
 from freenil import endo, lie, ring
-from freenil.intmat import det, inverse_unimodular, matmul
+from freenil.intmat import det, inverse_unimodular
+from matrix_oracle import matmul
 
 
 def rand_word(rng, n, max_len=6):

@@ -16,10 +16,9 @@ from freenil.intmat import (
     factor_unimodular,
     identity_matrix,
     inverse_unimodular,
-    matmul,
-    move_matrix,
     reduce_to_identity,
 )
+from matrix_oracle import matmul, move_matrix
 
 
 def _det_leibniz(m):

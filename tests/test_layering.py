@@ -2,13 +2,15 @@
 
 `verifier` rechecks decompositions from their wire form, so it must not rest
 on the engine that produced them.  These checks read the import statements
-of every module in the package with `ast`, without importing anything.  Two
+of every module in the package with `ast`, without importing anything.  Three
 more checks pin the public surface: `__all__` names exactly what the package
-imports, and the README's `from freenil import *` example runs.
+imports, every other public definition is used by the library, and the
+README's `from freenil import *` example runs.
 """
 
 import ast
 import types
+from collections import Counter
 from pathlib import Path
 
 import freenil
@@ -77,3 +79,31 @@ def test_readme_library_tour_runs():
     example = readme.split("```python\n", 1)[1].split("```", 1)[0]
     assert example.startswith("from freenil import *\n")
     exec(compile(example, "README.md", "exec"), {})
+
+
+def test_every_public_definition_is_called_or_exported():
+    # a public module-level function or class earns its place by being named
+    # in library code outside its own body, by being exported, or by being
+    # the console entry point; helpers that only tests call live in tests
+    def names(node):
+        return {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        }
+
+    # top-level statements of the package that name each identifier
+    naming = Counter(
+        name for tree in TREES.values() for node in tree.body for name in names(node)
+    )
+    unused = [
+        f"{module}.{node.name}"
+        for module, tree in sorted(TREES.items())
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in freenil.__all__
+        and (module, node.name) != ("cli", "main")
+        and naming[node.name] == (node.name in names(node))
+    ]
+    assert not unused, unused

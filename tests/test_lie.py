@@ -107,9 +107,13 @@ def test_lie_coordinates_single_bracket():
     assert lie_coordinates(ctx, log) == {(1, 2): 1}
 
 
-def test_lie_coordinates_reconstruction():
-    from freenil.lie import bracket_leaves
+def bracket_leaves(tree):
+    if isinstance(tree, int):
+        return (tree,)
+    return bracket_leaves(tree[0]) + bracket_leaves(tree[1])
 
+
+def test_lie_coordinates_reconstruction():
     rng = random.Random(8)
     ctx = GroupContext(3, 3)
     brackets = lyndon_brackets(ctx)
