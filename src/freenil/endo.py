@@ -120,21 +120,63 @@ class GeneratorMap:
         images: Mapping[int, GroupElement],
         unimodular: Optional[bool] = None,
     ) -> None:
-        # the one place that decides which images are literal (class docstring)
-        kept: dict[int, GroupElement] = {}
-        moved = []
-        for i, img in images.items():
-            poly = img.poly
-            if len(poly) != 2 or poly.get((i,)) != 1:
-                moved.append(i)
-                kept[i] = img
-            elif img.word is not None and img.word.letters != ((i, 1),):
-                kept[i] = img
         self.ctx = ctx
-        self.stored = kept
-        self.moved = frozenset(moved)
+        self.stored: dict[int, GroupElement] = {}
+        self.moved = set()
+        for i, img in images.items():
+            self._put(i, img)
+        self.moved = frozenset(self.moved)
         self._table: dict[tuple[int, ...], Poly] = {}
         self._unimodular = unimodular
+
+    def _put(self, i: int, img: GroupElement) -> None:
+        """Make img the image of x_i, on a map still being built (while
+        `moved` is a mutable set); the one place that decides which images
+        are literal (class docstring)."""
+        poly = img.poly
+        if len(poly) != 2 or poly.get((i,)) != 1:
+            self.moved.add(i)
+            self.stored[i] = img
+            return
+        self.moved.discard(i)
+        if img.word is not None and img.word.letters != ((i, 1),):
+            self.stored[i] = img
+        else:
+            self.stored.pop(i, None)
+
+    @classmethod
+    def _product(cls, maps: Sequence["GeneratorMap"]) -> "GeneratorMap":
+        """maps[0] o maps[1] o ... for two or more maps in one context: the
+        map the chain of composes builds, down to its stored words.
+
+        A private running product is updated in place: each step substitutes
+        it into the few images the next (typically sparse) factor stores and
+        classifies only those, while its other images carry over untouched.
+        A carried image may keep its word, or stay stored though no longer
+        moved; apply reads neither, so compose's cleanup of both is done
+        once, at the end, on every image the last factor did not store.
+        """
+        first = maps[0]
+        acc = cls.__new__(cls)
+        acc.ctx = first.ctx
+        acc.stored = dict(first.stored)
+        acc.moved = set(first.moved)
+        acc._table = {}
+        acc._unimodular = first._unimodular
+        for psi in maps[1:]:
+            images = {i: acc.apply(img) for i, img in psi.stored.items()}
+            for i, img in images.items():
+                acc._put(i, img)
+            acc._table = {}
+            acc._unimodular = True if acc._unimodular and psi._unimodular else None
+        for i in acc.stored.keys() - maps[-1].stored.keys():
+            img = acc.stored[i]
+            if i not in acc.moved:
+                del acc.stored[i]
+            elif img.word is not None:
+                acc.stored[i] = GroupElement(acc.ctx, img.poly)
+        acc.moved = frozenset(acc.moved)
+        return acc
 
     def __call__(self, i: int) -> GroupElement:
         self.ctx.check_generators((i,))
@@ -263,20 +305,12 @@ def compose(phi: GeneratorMap, psi: GeneratorMap) -> GeneratorMap:
 
 
 def ordered_product(ctx: GroupContext, maps: Sequence[GeneratorMap]) -> GeneratorMap:
-    """Left-to-right product under (phi o psi)(x) = phi(psi(x)).
-
-    Accumulated left to right: each step substitutes the running product
-    into the few images the next (typically sparse) factor stores, and the
-    running product's other images carry over without any substitution.
-    """
+    """Left-to-right product under (phi o psi)(x) = phi(psi(x))."""
     for phi in maps:
         check_same_context(ctx, phi.ctx)
-    if not maps:
-        return identity_map(ctx)
-    acc = maps[0]
-    for psi in maps[1:]:
-        acc = compose(acc, psi)
-    return acc
+    if len(maps) < 2:
+        return maps[0] if maps else identity_map(ctx)
+    return GeneratorMap._product(maps)
 
 
 def transvection(ctx: GroupContext, i: int, j: int, k: int) -> GeneratorMap:

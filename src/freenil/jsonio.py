@@ -8,19 +8,27 @@ Every format has a fixed key order and integer-only numerics:
   certificate     {"fixed", "preserved"}           sorted generator indices
   term            {"comm", "exp"}                  left-normed commutator
   offsets         [[g, [TERM, ...]], ...]          x_g -> x_g * prod of terms
-  factor          {"map" | "offsets", "certificate", "tag", "level"}
+  stored          [[g, WORD], ...]                 x_g -> WORD, g increasing
+  factor          {"stored" | "offsets", "certificate", "tag", "level"}
                   (+ provenance keys)
-  decomposition   {"version"?, "input", "fixed", "factors"}
+  decomposition   {"version", "input", "fixed", "factors"}
   report          {"ok", "factors", "min_fixed_block", "max_coefficient",
                    "failures"}
 
-A decomposition whose central_beta factors keep their terms (as `decompose`
-makes them) is written as version 2, where those factors carry "offsets" in
-place of "map": images x_g times weight-c commutator terms, rebuilt in
-closed form by `lie.central_offset`.  Any integer combination of such terms
-is a central group element, so a parsed factor is a genuine map whatever
-its terms say.  Any other decomposition is written as version 1, which has
-no "version" key and a "map" in every factor; both versions are read.
+Decompositions are written as version 3.  A factor lists only the images
+its map stores ("stored"): every generator it leaves out maps to itself, so
+a factor that moves two of n generators costs two images on the wire, not
+n.  A central_beta factor that keeps its terms (as `decompose` makes them)
+carries "offsets" instead: images x_g times weight-c commutator terms,
+rebuilt in closed form by `lie.central_offset`.  Any integer combination of
+such terms is a central group element, so a parsed factor is a genuine map
+whatever its terms say.  The input map stays dense, one image per
+generator.
+
+The older versions are still read.  Version 1 has no "version" key and a
+dense "map" in every factor; version 2 allows "offsets" in central_beta
+factors and a "map" in every other one.  A factor map in version 3, or a
+"stored" list before it, is refused.
 
 Structural violations raise MalformedInput; out-of-range generator indices
 and mismatched contexts surface as their own domain errors so callers can
@@ -52,12 +60,16 @@ _set_digits = getattr(sys, "set_int_max_str_digits", lambda limit: None)
 
 
 def dumps(payload: Any, pretty: bool = False) -> str:
+    # payloads are trees built here or by json.loads, never cyclic, so the
+    # encoder's cycle check would only cost time
     limit = _get_digits()
     _set_digits(0)
     try:
         if pretty:
-            return json.dumps(payload, indent=2) + "\n"
-        return json.dumps(payload, separators=(",", ":")) + "\n"
+            return json.dumps(payload, indent=2, check_circular=False) + "\n"
+        return (
+            json.dumps(payload, separators=(",", ":"), check_circular=False) + "\n"
+        )
     finally:
         _set_digits(limit)
 
@@ -161,6 +173,28 @@ def parse_map(obj: Any) -> GeneratorMap:
     return GeneratorMap._sparse(ctx, stored)
 
 
+def stored_payload(phi: GeneratorMap) -> list:
+    stored = phi.stored
+    return [[g, word_payload(word_of(stored[g]))] for g in sorted(stored)]
+
+
+def parse_stored(ctx: GroupContext, obj: Any) -> GeneratorMap:
+    """The map x_g -> WORD for each listed g, fixing every other generator:
+    the map parse_map builds from the dense images it stands for."""
+    stored, last = {}, 0
+    for item in _need_list(obj, "stored"):
+        item = _need_list(item, "stored image")
+        if len(item) != 2:
+            raise MalformedInput("stored images must be [generator, word] pairs")
+        g = _need_int(item[0], "stored generator")
+        ctx.check_generators((g,))
+        if g <= last:
+            raise MalformedInput("stored generators must strictly increase")
+        last = g
+        stored[g] = from_word(ctx, parse_word(item[1]))
+    return GeneratorMap._sparse(ctx, stored)
+
+
 # ---------------------------------------------------------------------------
 # certificates, terms
 
@@ -221,7 +255,7 @@ def factor_payload(f: Factor) -> dict:
     if f.offsets is not None:
         out = {"offsets": offsets_payload(f.offsets)}
     else:
-        out = {"map": map_payload(f.map)}
+        out = {"stored": stored_payload(f.map)}
     out["certificate"] = certificate_payload(f.certificate)
     out["tag"] = f.tag
     out["level"] = f.level
@@ -239,21 +273,29 @@ def parse_factor(ctx: GroupContext, obj: Any, version: int) -> Factor:
         obj,
         "factor",
         ("certificate", "tag", "level"),
-        optional=("map", "offsets", "origin", "part", "side"),
+        optional=("map", "stored", "offsets", "origin", "part", "side"),
     )
     tag = obj["tag"]
     if tag not in TAGS:
         raise MalformedInput(f"unknown factor tag {tag!r}")
-    if ("map" in obj) == ("offsets" in obj):
-        raise MalformedInput("factor needs exactly one of the keys map and offsets")
+    if sum(key in obj for key in ("map", "stored", "offsets")) != 1:
+        raise MalformedInput(
+            "factor needs exactly one of the keys map, stored and offsets"
+        )
     offsets = None
     if "map" in obj:
+        if version >= 3:
+            raise MalformedInput("version 3 factors carry stored, not map")
         phi = parse_map(obj["map"])
         if phi.ctx != ctx:
             raise ContextMismatch(
                 f"factor map lives in {phi.ctx.rank}/{phi.ctx.nilclass}, "
                 f"decomposition in {ctx.rank}/{ctx.nilclass}"
             )
+    elif "stored" in obj:
+        if version < 3:
+            raise MalformedInput("stored needs a version 3 decomposition")
+        phi = parse_stored(ctx, obj["stored"])
     elif version < 2:
         raise MalformedInput("offsets need a version 2 decomposition")
     elif tag != "central_beta":
@@ -278,19 +320,15 @@ def parse_factor(ctx: GroupContext, obj: Any, version: int) -> Factor:
     )
 
 
-VERSIONS = (1, 2)  # decomposition versions parse_decomposition reads
+VERSIONS = (1, 2, 3)  # decomposition versions parse_decomposition reads
 
 
 def decomposition_payload(dec: Decomposition) -> dict:
-    """Version 2 when some factor is written as offsets, else version 1,
-    which has no "version" key, so class-1 payloads keep their v1 bytes."""
-    factors = [factor_payload(f) for f in dec.factors]
-    head = {"version": 2} if any("offsets" in f for f in factors) else {}
     return {
-        **head,
+        "version": 3,
         "input": map_payload(dec.input),
         "fixed": sorted(dec.fixed),
-        "factors": factors,
+        "factors": [factor_payload(f) for f in dec.factors],
     }
 
 
@@ -344,18 +382,23 @@ SCHEMAS: dict[str, Any] = {
     },
     "offsets": "[[g:int, [<term>, ...]], ...]  x_g -> x_g * product of its terms, "
     "every term of length exactly class; each g at most once, in 1..rank",
+    "stored": "[[g:int, <word>], ...]  x_g -> word, g strictly increasing in 1..rank; "
+    "every generator not listed maps to itself",
     "factor": {
-        "map": "<map>  (or offsets, in version 2 central_beta factors)",
-        "offsets?": "<offsets>  version 2 central_beta factors, in place of map",
+        "stored": "<stored>  (or offsets, in central_beta factors)",
+        "offsets?": "<offsets>  central_beta factors, in place of stored",
         "certificate": "<certificate>",
         "tag": "one of %s" % (list(TAGS),),
         "level": "int>=1  class at which the factor was emitted",
         "origin?": "pre-lift tag (lifted factors only)",
-        "part?": "int>=1  avoided cell index (central_beta only)",
-        "side?": "'F' | 'G'  (central_beta only)",
+        "part?": "int>=1  avoided cell index (central_beta factors, "
+        "and lifted factors of central_beta origin)",
+        "side?": "'F' | 'G'  (central_beta factors, and lifted factors of "
+        "central_beta origin)",
     },
     "decomposition": {
-        "version?": "2 when some factor carries offsets; absent means 1, where every factor has a map",
+        "version": "3; read also: 2, where factors carry <map> in place of "
+        "stored, and 1 (no version key), where every factor carries a <map>",
         "input": "<map>",
         "fixed": "[int, ...]  the pinned generator set D",
         "factors": "[<factor>, ...]  left-to-right composition order",

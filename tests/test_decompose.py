@@ -454,6 +454,13 @@ def _good_payload():
     return decomposition_payload(decompose(sigma, (1,)))
 
 
+def _set_stored(factor, g, word):
+    """Give x_g the image `word` in a factor's stored list: its entry is
+    replaced, or a new one goes in at its place in index order."""
+    entries = [e for e in factor["stored"] if e[0] != g] + [[g, word]]
+    factor["stored"] = sorted(entries, key=lambda e: e[0])
+
+
 def test_verify_accepts_the_genuine_payload():
     from freenil import verify_payload
 
@@ -467,7 +474,7 @@ def test_verify_flags_tampered_factor_word():
     from freenil import verify_payload
 
     payload = _good_payload()
-    payload["factors"][0]["map"]["images"][7] = [[8, 1], [2, 1]]
+    _set_stored(payload["factors"][0], 8, [[8, 1], [2, 1]])
     rep = verify_payload(payload)
     assert not rep.ok
     assert any("product" in msg or "certificate" in msg for msg in rep.failures)
@@ -487,11 +494,8 @@ def test_verify_flags_broken_certificate():
 
     payload = _good_payload()
     f = payload["factors"][0]
-    moved = f["map"]["images"]
     # find a generator the factor genuinely moves and claim it as fixed
-    moving = next(
-        i + 1 for i, img in enumerate(moved) if img != [[i + 1, 1]]
-    )
+    moving = f["stored"][0][0]
     cert = f["certificate"]
     if moving not in cert["fixed"]:
         cert["preserved"].remove(moving)
@@ -539,7 +543,7 @@ def test_verify_reports_domain_errors_and_raises_checker_bugs(monkeypatch):
     from freenil import verify_payload
 
     payload = _good_payload()
-    payload["factors"][0]["map"]["images"][7] = [[8, 2]]  # not an automorphism
+    _set_stored(payload["factors"][0], 8, [[8, 2]])  # not an automorphism
     rep = verify_payload(payload)
     assert not rep.ok
     assert any(msg.startswith("factor 0: ") for msg in rep.failures)

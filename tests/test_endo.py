@@ -21,6 +21,7 @@ from freenil import (
     check_certificate,
     comm,
     compose,
+    decompose,
     from_word,
     generator,
     ia_central,
@@ -849,6 +850,65 @@ def test_compose_classifies_images_like_a_fresh_map():
             }
             checked += 1
     assert checked > 300
+
+
+def _compose_chain(maps):
+    acc = maps[0]
+    for psi in maps[1:]:
+        acc = compose(acc, psi)
+    return acc
+
+
+def _state(phi):
+    return (
+        {i: (a.poly, a.word) for i, a in phi.stored.items()},
+        phi.moved,
+        phi._unimodular,
+    )
+
+
+@pytest.mark.parametrize("cell", [(32, 2, 1), (12, 4, 2), (13, 5, 1), (10, 1, 2)])
+def test_ordered_product_in_place_matches_the_compose_chain(cell):
+    # ordered_product updates its running product in place; the result must
+    # be the map the compose chain builds, down to stored keys, words and
+    # the unimodularity it knows, and no input may change
+    rank, nilclass, pinned = cell
+    ctx = GroupContext(rank, nilclass)
+    fixed = range(1, pinned + 1)
+    factors = [
+        f.map
+        for f in decompose(random_automorphism(ctx, 640 + rank, 8, fix=fixed), fixed).factors
+    ]
+    x = [generator(ctx, g) for g in ctx.generators()]
+    # x_4 -> x_4^2 is not unimodular
+    square = GeneratorMap(ctx, [*x[:3], from_word(ctx, Word(((4, 2),))), *x[4:]])
+    assert not square.is_automorphism()
+    # x_5 times a commutator of weight class + 1 is x_5 with a longer word:
+    # stored, not moved, and a map that moves nothing hands it on with its word
+    z = x[1]
+    for g in range(3, nilclass + 4):
+        z = comm(z, x[g - 1])
+    long_literal = GeneratorMap(ctx, [*x[:4], mul(x[4], z), *x[5:]])
+    assert list(long_literal.stored) == [5] and not long_literal.moved
+    k = len(factors) // 2
+    rng = random.Random(rank)
+    cases = [
+        factors,
+        [long_literal] + factors,
+        [long_literal, long_literal] + factors + [long_literal],
+        factors[:k] + [square, long_literal] + factors[k:] + [long_literal],
+        [identity_map(ctx), long_literal, square] + factors,
+        [identity_map(ctx), long_literal, square],
+        [rng.choice(factors + [square, long_literal]) for _ in range(30)],
+        factors[:2],
+    ]
+    for maps in cases:
+        before = [(_state(phi), dict(phi.stored)) for phi in maps]
+        got = ordered_product(ctx, maps)
+        assert _state(got) == _state(_compose_chain(maps))
+        assert type(got.moved) is frozenset
+        assert [(_state(phi), dict(phi.stored)) for phi in maps] == before
+    assert ordered_product(ctx, factors[:1]) is factors[0]
 
 
 def test_preserves_takes_no_determinant(monkeypatch):
