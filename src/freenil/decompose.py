@@ -6,8 +6,9 @@ factor carries a MoietyCertificate it satisfies.  The shape follows the
 nilpotency class:
 
   class 1   integer row reduction of the block acting on E = complement of D
-            (transvections, swaps, at most one sign flip), then two "shear"
-            maps adding the D-translation parts over each half of E.
+            (transvections, permutations moving at most half of E, at most
+            one sign flip), then two "shear" maps adding the D-translation
+            parts over each half of E.
 
   class c   project one class down, decompose recursively, lift each factor
             back up (word reinterpretation plus a central correction pinning
@@ -25,7 +26,8 @@ module.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from itertools import groupby
+from typing import Iterable, Iterator, Sequence
 
 from . import intmat
 from .context import GroupContext
@@ -89,10 +91,46 @@ def _move_to_map(
             "elementary_abelian",
             frozenset((target, source)),
         )
-    if move.kind == "swap":
-        a, b = basis[move.i], basis[move.j]
-        return permutational(ctx, {a: b, b: a}), "permutation", frozenset((a, b))
     return inversion(ctx, basis[move.i]), "sign", frozenset((basis[move.i],))
+
+
+def _permutation_piece(
+    ctx: GroupContext, swaps: Sequence[tuple[int, int]]
+) -> tuple[GeneratorMap, str, frozenset[int]]:
+    # the swaps' maps composed left to right: p = s_1 o ... o s_k
+    touched = frozenset(g for pair in swaps for g in pair)
+    perm = {}
+    for start in sorted(touched):
+        g = start
+        for a, b in reversed(swaps):
+            g = b if g == a else a if g == b else g
+        perm[start] = g
+    return permutational(ctx, perm), "permutation", touched
+
+
+def _block_maps(
+    ctx: GroupContext, basis: Sequence[int], moves: Sequence[intmat.RowMove]
+) -> Iterator[tuple[GeneratorMap, str, frozenset[int]]]:
+    """One map per add or negate move; each run of consecutive swaps cut
+    greedily into permutations touching at most max(2, len(basis) // 2)
+    generators.  A run is a cycle walk, whose swaps within one cycle share an
+    index, so no piece is the identity."""
+    limit = max(2, len(basis) // 2)
+    for is_swap, run in groupby(moves, key=lambda move: move.kind == "swap"):
+        if not is_swap:
+            for move in run:
+                yield _move_to_map(ctx, basis, move)
+            continue
+        piece: list[tuple[int, int]] = []
+        touched: set[int] = set()
+        for move in run:
+            pair = (basis[move.i], basis[move.j])
+            if piece and len(touched.union(pair)) > limit:
+                yield _permutation_piece(ctx, piece)
+                piece, touched = [], set()
+            piece.append(pair)
+            touched.update(pair)
+        yield _permutation_piece(ctx, piece)
 
 
 def _half_cert(
@@ -107,8 +145,9 @@ def _half_cert(
 def abelian_decompose(sigma: GeneratorMap, fixed: Iterable[int]) -> Decomposition:
     """Base case: class 1, where the map is its abelianization matrix.
 
-    Needs three free generators: a move touches at most two of them, so
-    every factor leaves one untouched for its certificate to fix.
+    Needs three free generators: a factor touches at most
+    max(2, |E| // 2) of them, so every factor leaves one untouched for its
+    certificate to fix.
     """
     ctx = sigma.ctx
     if ctx.nilclass != 1:
@@ -116,8 +155,8 @@ def abelian_decompose(sigma: GeneratorMap, fixed: Iterable[int]) -> Decompositio
     fixed = _check_common(sigma, fixed, min_free=3)
     free = sorted(frozenset(ctx.generators()) - fixed)
     factors: list[Factor] = []
-    for move in intmat.factor_unimodular(sigma._block(free)):
-        phi, tag, touched = _move_to_map(ctx, free, move)
+    moves = intmat.factor_unimodular(sigma._block(free))
+    for phi, tag, touched in _block_maps(ctx, free, moves):
         cert = _half_cert(ctx, free, touched)
         factors.append(_certified(fixed, phi, cert, tag, 1))
     # the D-translation parts: sigma(x_i) = x_i' * u_i with u_i over D; after

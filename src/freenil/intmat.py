@@ -15,7 +15,10 @@ A RowMove records left multiplication by an elementary matrix:
 M(m_1) * ... * M(m_t) equals A exactly, with at most one negate move.
 Pairs of -1 pivots are absorbed into six add-moves (the rotation-squared
 identity on two rows), so swap and negate moves together always have the
-parity of det(A).
+parity of det(A).  The swaps come as one consecutive run, a cycle walk that
+undoes the signed permutation the reduction leaves, so a caller can merge
+them into a few permutations (decompose: permutations moving at most half
+of E) instead of one factor per swap.
 """
 
 from __future__ import annotations
@@ -86,15 +89,19 @@ def _apply_move(move: RowMove, rows: list[list[int]]) -> None:
 def reduce_to_identity(m: Matrix) -> list[RowMove]:
     """Row moves L_1..L_t with L_t * ... * L_1 * m = I.  Requires det = +-1.
 
-    Column by column: euclidean gcd runs among the rows at and below the
-    diagonal (the gcd is forced to 1 because every trailing minor of a
-    unimodular matrix is unimodular), then the +-1 pivot clears its column.
-    The reduction itself decides unimodularity: a column with no live entry
-    or with gcd above 1 raises NotUnimodular.
+    Column by column, without swapping rows: euclidean gcd runs among the
+    rows not yet used as pivots (the gcd is forced to 1, because those rows
+    restricted to the remaining columns form a unimodular block), then the
+    +-1 pivot clears its column in every other row.  The rows end as a signed
+    permutation, undone by one cycle walk of swaps and then the signs.  The
+    reduction itself decides unimodularity: a column with no live entry or
+    with gcd above 1 raises NotUnimodular.
     """
     n = len(m)
     rows = [list(r) for r in m]
     moves: list[RowMove] = []
+    unused = list(range(n))  # rows not yet used as pivots, in order
+    column_of = [0] * n  # pivot row -> its column
 
     def do(move: RowMove) -> None:
         _apply_move(move, rows)
@@ -102,7 +109,7 @@ def reduce_to_identity(m: Matrix) -> list[RowMove]:
 
     for col in range(n):
         while True:
-            live = [r for r in range(col, n) if rows[r][col]]
+            live = [r for r in unused if rows[r][col]]
             if not live:
                 raise NotUnimodular("matrix is singular")
             best = min(live, key=lambda r: abs(rows[r][col]))
@@ -120,13 +127,18 @@ def reduce_to_identity(m: Matrix) -> list[RowMove]:
             # clears them; otherwise remainders shrank and we loop again
             if not progressed and abs(rows[best][col]) != 1:
                 raise NotUnimodular("column gcd exceeds 1")
-        pivot_row = next(r for r in range(col, n) if rows[r][col])
-        if pivot_row != col:
-            do(RowMove("swap", col, pivot_row))
-        sign = rows[col][col]
+        unused.remove(best)
+        column_of[best] = col
+        sign = rows[best][col]
         for r in range(n):
-            if r != col and rows[r][col]:
-                do(RowMove("add", r, col, -rows[r][col] * sign))
+            if r != best and rows[r][col]:
+                do(RowMove("add", r, best, -rows[r][col] * sign))
+    # row r is now +-e_{column_of[r]}: each swap puts one row in place
+    for i in range(n):
+        while column_of[i] != i:
+            c = column_of[i]
+            do(RowMove("swap", i, c))
+            column_of[i], column_of[c] = column_of[c], c
     negs = [i for i in range(n) if rows[i][i] == -1]
     for a, b in zip(negs[0::2], negs[1::2]):
         # diag(-1,-1) on rows a,b equals ((r_a,r_b) -> (r_b,-r_a)) twice

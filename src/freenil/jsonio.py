@@ -128,6 +128,8 @@ def parse_word(obj: Any) -> Word:
         e = _need_int(item[1], "exponent")
         if g < 1:
             raise MalformedInput(f"generator index {g} must be positive")
+        if e == 0:
+            raise MalformedInput("exponent must be nonzero")
         pairs.append((g, e))
     return Word(tuple(pairs))
 

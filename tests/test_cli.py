@@ -430,6 +430,23 @@ def test_literal_image_lookalikes_are_refused(tmp_path, letter, message):
     ) + "\n"
 
 
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["weight", "--rank", "2", "--class", "2"], {"word": [[1, 0], [2, 1]]}),
+        (["is-aut"], {"rank": 2, "class": 2, "images": [[[1, 0], [2, 1]], [[2, 1]]]}),
+    ],
+)
+def test_zero_exponent_is_refused(tmp_path, argv, payload):
+    # the word schema says exponent:int!=0; a zero letter is not dropped
+    code, raw, _ = run_cli(tmp_path, argv, payload)
+    assert code == 2
+    assert raw == json.dumps(
+        {"error": "MalformedInput", "message": "exponent must be nonzero"},
+        separators=(",", ":"),
+    ) + "\n"
+
+
 # x1 [[x2, x3], x4]: equal to x1 at class 2, spelled with 11 letters
 LONG_LITERAL = [
     [1, 1], [3, -1], [2, -1], [3, 1], [2, 1], [4, -1],

@@ -118,6 +118,39 @@ def test_abelian_decompose_accepts_small_free_sets():
     assert rep.ok and rep.min_fixed_block == 1
 
 
+def _check_permutation_factors(dec, n):
+    """Every permutation factor, lifted or not, moves between 2 and
+    max(2, |E| // 2) free generators, and its certificate fixes at least
+    half of the rest."""
+    free = n - len(dec.fixed)
+    limit = max(2, free // 2)
+    pieces = [f for f in dec.factors if (f.origin or f.tag) == "permutation"]
+    for f in pieces:
+        assert 2 <= len(f.map.moved) <= limit
+        assert not f.map.moved & dec.fixed
+        assert len(f.certificate.fixed - dec.fixed) >= -(-(free - limit) // 2)
+    return pieces
+
+
+def test_abelian_decompose_merges_a_derangement_into_few_permutations():
+    # 31 free generators: each permutation factor touches at most 15
+    ctx = GroupContext(32, 1)
+    rng = random.Random(2024)
+    cycle = list(range(2, 33))
+    shuffled = cycle[:]
+    while any(a == b for a, b in zip(cycle, shuffled)):
+        rng.shuffle(shuffled)
+    for images in (cycle[1:] + cycle[:1], shuffled):
+        sigma = permutational(ctx, dict(zip(cycle, images)))
+        dec = abelian_decompose(sigma, (1,))
+        assert product_of(ctx, dec) == sigma
+        assert verify(dec).ok
+        pieces = _check_permutation_factors(dec, 32)
+        assert pieces == list(dec.factors)
+        assert len(pieces) <= 3
+        assert all(len(f.certificate.fixed - {1}) >= 8 for f in pieces)
+
+
 def test_abelian_decompose_wrong_class_rejected():
     ctx = GroupContext(4, 2)
     with pytest.raises(BadClass):
@@ -324,6 +357,21 @@ def test_decompose_round_trip_various_cells():
 
 def test_decompose_round_trip_above_class_3():
     _check_round_trips(4517, [(11, 4, 1, 3, 6), (13, 5, 1, 3, 5)])
+
+
+@pytest.mark.parametrize("cell", [(9, 2, 1), (10, 3, 2), (11, 4, 1), (13, 5, 1)])
+def test_decompose_round_trip_bounds_permutation_factors(cell):
+    n, c, dsize = cell
+    ctx = GroupContext(n, c)
+    fix = tuple(range(1, dsize + 1))
+    rng = random.Random(1400 + c)
+    for _ in range(2):
+        sigma = random_automorphism(ctx, rng.randrange(2**32), 5, fix)
+        dec = decompose(sigma, fix)
+        rep = verify(dec)
+        assert rep.ok, rep.failures
+        assert product_of(ctx, dec) == sigma
+        _check_permutation_factors(dec, n)
 
 
 def test_decompose_inverts_once_per_class_above_one(monkeypatch):

@@ -177,6 +177,69 @@ def test_inverse_unimodular():
     assert inverse_unimodular(((-1,),)) == ((-1,),)
 
 
+def _signed_permutation_heavy(rng, n):
+    # a random signed permutation with a few row adds on top
+    perm = list(range(n))
+    rng.shuffle(perm)
+    m = tuple(
+        tuple(rng.choice((-1, 1)) if c == perm[r] else 0 for c in range(n))
+        for r in range(n)
+    )
+    for _ in range(rng.randrange(0, n // 2 + 1)):
+        i, j = rng.sample(range(n), 2)
+        m = matmul(move_matrix(RowMove("add", i, j, rng.choice((-2, -1, 1, 2))), n), m)
+    return m
+
+
+def _is_signed_permutation(m):
+    return all(sum(map(abs, row)) == 1 for row in m) and all(
+        sum(map(abs, col)) == 1 for col in zip(*m)
+    )
+
+
+def test_reduce_swaps_are_one_cycle_walk_between_adds_and_signs():
+    rng = random.Random(14)
+    walks = 0
+    for _ in range(150):
+        n = rng.randrange(2, 13)
+        m = _signed_permutation_heavy(rng, n) if rng.random() < 0.5 else _random_unimodular(rng, n)
+        moves = reduce_to_identity(m)
+        # the Euclid and clearing adds run until the rows are a signed
+        # permutation ...
+        acc, first = m, 0
+        while not _is_signed_permutation(acc):
+            assert moves[first].kind == "add"
+            acc = matmul(move_matrix(moves[first], n), acc)
+            first += 1
+        # ... which one cycle walk of swaps undoes
+        column = [next(c for c in range(n) if acc[r][c]) for r in range(n)]
+        walk = []
+        for i in range(n):
+            while column[i] != i:
+                c = column[i]
+                walk.append(RowMove("swap", i, c))
+                column[i], column[c] = column[c], c
+        last = first + len(walk)
+        assert moves[first:last] == walk
+        walks += bool(walk)
+        # then only the sign moves: six adds per pair of -1s, one negate
+        for mv in walk:
+            acc = matmul(move_matrix(mv, n), acc)
+        negatives = sum(1 for r in range(n) if acc[r][r] == -1)
+        tail = ["add"] * (6 * (negatives // 2)) + ["negate"] * (negatives % 2)
+        assert [mv.kind for mv in moves[last:]] == tail
+    assert walks > 50
+
+
+def test_inverse_unimodular_of_permutation_heavy_matrices():
+    rng = random.Random(15)
+    for n in (2, 3, 5, 8, 13, 21, 32):
+        for _ in range(3):
+            m = _signed_permutation_heavy(rng, n)
+            assert matmul(inverse_unimodular(m), m) == identity_matrix(n)
+            assert matmul(m, inverse_unimodular(m)) == identity_matrix(n)
+
+
 def test_not_unimodular_rejected():
     with pytest.raises(NotUnimodular):
         factor_unimodular(((2, 0), (0, 1)))

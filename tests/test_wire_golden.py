@@ -28,6 +28,7 @@ from freenil import (
     random_automorphism,
     verify,
 )
+from freenil.cli import main
 from freenil.jsonio import (
     decomposition_payload,
     dumps,
@@ -42,38 +43,63 @@ MOVES = 12
 GOLDEN = {
     (10, 1, 2): {
         "map": "1a824b713bb95a364a1e0c06c07c7eb0d0b0dda10cb008c11279e54b90cf4f14",
-        "decomposition": "60c5055ebc10abe25846c0594469673c254177ecaa57fbe68aa53cb06f27f438",
-        "report": "d89169ca93740736dc539d9be61c1363ce574c1374897d1035953558423675e1",
+        "decomposition": "a4499a44624bd5ff8625c137f581bff1b5b7b6fb05cfa91ad54d148fd231297e",
+        "report": "395e1880dd6ad539f209803b868cb663b5ddb8871ce6b9a1e7266c8a18443b7a",
         "square": "c19977fa022bbc182c286e984543cd84fef70bc90e6b37171be05e5dd53e6da2",
-        "inverses": "31449a417e54c6d2e51d5d4e589606b4d2779117fd7fbbff8f33087715cd88f5",
+        "inverses": "3992dc99cba6f2ff77df793301c7ee4bb31a038b5fa2a6f137efa5d65cbe2a8d",
     },
     (10, 2, 1): {
         "map": "38ed3ee2b4b234cf9d1811ef9ff202fe34f9a7f2ef60192ac9d67bbca7c8aa3f",
-        "decomposition": "4985bae2d25f3328e81ab2ac7ef9ccfb9aa527719bf4c943ee09d959e0e72c4a",
-        "report": "166d4cc4b3742959ee70ec644bc73131df751e0853ad833ff74aefb57c66b972",
+        "decomposition": "1e8ea325b15252443228404e8ddbd4536dcef2ff6c85c1735dbe6096ddb53bef",
+        "report": "c49190424e2017995f046dc36b1698221808370da24db7111117b734eaef3b68",
         "square": "094d79bf9b709bb28ca00e35043f9b496c2f1040e94cd64331e7900640d24dd8",
-        "inverses": "a7ba16b21a92e2259c07d09e591de167c833bd4a7cf1a00d33fcb020b6d09970",
+        "inverses": "8426e67501865bccf6cfc65017359f446a26af157d1b540973bc8e3e281b4a35",
     },
     (9, 3, 0): {
         "map": "d6c894c078bd05d41078b592eaeead52deaf5468934c7ef8eee51bc78fe86a95",
-        "decomposition": "54dac5a67c01afe795ef90eb5c599d49f8c3635041445503fc59fbef12a14ad7",
-        "report": "93b5c2add135e5adb4282285a0b38875f76adfd9e7268946bab676a73fdefd4f",
+        "decomposition": "6b67243a971107ae8fc3864b212e3a66e7a1c7e315f29b96f8dcaf84c9030c35",
+        "report": "39be457e0f6d9d1dd5d9d4969f2e64d24ce6ac6ffb599909aa29b03f93b96fae",
         "square": "77ce1d1dc083050f89da431929ce19e525997634c15f02fdf69e11c6bc9039c4",
-        "inverses": "b8b961cc46448c49b1e26dc22e343730a91dff4df913f6f5d8f28aa33a81479c",
+        "inverses": "6698102e80303077061370f99240c77c25e37ed199ffc7926761759644885b7b",
     },
     (12, 3, 2): {
         "map": "bdac19340610b220fc72b30ce35683adc595319244bd18c59924eaca020e0e24",
-        "decomposition": "1c57641f5a6546a4c3672384e5bfdbd272604113338b5d4e6b5c870d56117559",
-        "report": "94797118b9980323a56c891985dde2a717ade96c085ad848381529625dadf1d4",
+        "decomposition": "52dd0da617edab27536a22e340eb380a11d0e936cf56555da4e22aa856d4fccd",
+        "report": "77e4553b65fb707b23b5ff46a01c11fb78011c83c1a28cfe6a66207a88b68264",
         "square": "6ae5ad60f8c73410bd9d9112996dee2c60b5d05f500914d4da957ec1dd5ce01c",
-        "inverses": "e9143a3bcc985be65f17a052c67acd7c784314894ca3d1b5eca3273790267982",
+        "inverses": "592085e9d98627b9d13a3bde8cad2b0970851f896937942406a628ecb5cb3ebc",
     },
     (12, 4, 2): {
         "map": "aec85539f58fe0a9d2ae797712e15717aa4f6d1fef61b4dfa2ff0e3774eca377",
-        "decomposition": "cbf8a6e1392153c099da48c851e34a701c60fb675da8430d206f73ffcf4199e7",
-        "report": "374439d563f73bda76b73116759caafe9be4cb59844e157da79fc66af0bc4f32",
+        "decomposition": "3fce62014f90b4aeffe0c551b12a2dde3cde4b329c4e27171d90940e372c5728",
+        "report": "8eecea040cacda9283525567b8dfab3e789026141c3d1d22c0547f12b502f4d3",
         "square": "26edf35a8cfeac1faed8285d53959043f26edfcff919ac1392489446ee47b87f",
-        "inverses": "c445460c700513f65f4b7b95bb45e5ae5b0a0dee099cb1d72646683711257feb",
+        "inverses": "b942b3f9b6a1501b61c941e5d2ae37339cb51e4f7aedf481725040ee73db09e8",
+    },
+}
+
+# the inverse of each cell's map, which no change to decompose may move: the
+# output of invert-aut, and the sigma entry of "inverses"
+INVERSION = {
+    (10, 1, 2): {
+        "invert-aut": "6a0b311fb87177f2118aabaa3be0002f14258e9e78e75ff4fc991a712ad3eee1",
+        "sigma": "9618b6ab768e990c81b1de49c36331b4a991e79e2f7777c11fb2a32f156c4021",
+    },
+    (10, 2, 1): {
+        "invert-aut": "1c13dce9c7b4ee98724210fefad96d24b3e0bc75dec96d014f87abe3f3a301e0",
+        "sigma": "b349150ca2a455c6976b6e3e039a9e5bec7392fc9b9c2684380aea9f44d9c69b",
+    },
+    (9, 3, 0): {
+        "invert-aut": "f5bbad3ea0f00fd67f1e8de40235236bdc85750ec126c61bb130a20834aba113",
+        "sigma": "b61f3b0c594d7486d6a679d9a4059e3024b8909da1f73ab5b6212d1d5139d42c",
+    },
+    (12, 3, 2): {
+        "invert-aut": "157ea0ef013d75cb4454895dce0e1b2e39722b246c671e4fb60316c3dbd03594",
+        "sigma": "696e4d716940aab58567a0d8f35d0fc6943b367ec4f5c0b521a1a1fce733387b",
+    },
+    (12, 4, 2): {
+        "invert-aut": "736bcda946d1505e54dca43213917bda9870fcfb3f562b9a601dd3cadde1fd88",
+        "sigma": "5d6bb11ff1bb7302960b676a25bd8be08c2f4657bf0a09f43852540c1ee1dc11",
     },
 }
 
@@ -104,3 +130,17 @@ def _digest(payload) -> str:
 def test_wire_bytes_match_golden_digests(cell):
     got = {name: _digest(payload) for name, payload in _artifacts(*cell).items()}
     assert got == GOLDEN[cell]
+
+
+@pytest.mark.parametrize("cell", sorted(INVERSION))
+def test_inverse_of_the_map_keeps_its_bytes(cell, tmp_path):
+    rank, nilclass, pinned = cell
+    ctx = GroupContext(rank, nilclass)
+    sigma = random_automorphism(ctx, SEED + rank, MOVES, fix=range(1, pinned + 1))
+    infile, outfile = tmp_path / "map.json", tmp_path / "inverse.json"
+    infile.write_text(dumps(map_payload(sigma)), encoding="utf-8")
+    assert main(["invert-aut", "--in", str(infile), "--out", str(outfile)]) == 0
+    text = outfile.read_text(encoding="utf-8")
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == INVERSION[cell]["invert-aut"]
+    psi, rounds = invert_with_rounds(sigma)
+    assert _digest({"map": map_payload(psi), "rounds": rounds}) == INVERSION[cell]["sigma"]

@@ -33,6 +33,7 @@ from freenil.cli import main
 from freenil.jsonio import dumps, loads, parse_map, report_payload
 from freenil.lie import LeftNormedTerm, central_offset
 
+from test_wire_fixtures import REPORTS
 from test_wire_golden import GOLDEN
 
 DATA = Path(__file__).parent / "data"
@@ -93,10 +94,10 @@ def test_v1_fixture_verifies_to_the_pinned_report(cell, tmp_path):
     assert "version" not in loads(text)
     report = verify_payload(loads(text))
     assert report.ok
-    assert _digest(dumps(report_payload(report))) == GOLDEN[cell]["report"]
+    assert _digest(dumps(report_payload(report))) == REPORTS[cell]
     out = tmp_path / "report.json"
     assert main(["verify", "--in", str(_fixture(cell)), "--out", str(out)]) == 0
-    assert _digest(out.read_text(encoding="utf-8")) == GOLDEN[cell]["report"]
+    assert _digest(out.read_text(encoding="utf-8")) == REPORTS[cell]
 
 
 @pytest.mark.parametrize("cell", CELLS)

@@ -5,8 +5,10 @@ stores, as [g, WORD] pairs in increasing g; every generator it leaves out
 maps to itself.  These tests pin that the payloads the writer made before
 version 3 (committed under tests/data/v1/ for class 1 and tests/data/v2/
 otherwise) still hold the bytes the golden digests pinned then and verify to
-the pinned reports, that version 3 differs from them only in map -> stored,
-and that malformed stored lists are refused with a named error.
+the pinned reports, that the writer turns the decompositions they hold into
+the committed version 3 payloads (tests/data/v3/), which differ from them
+only in map -> stored, and that malformed stored lists are refused with a
+named error.
 """
 
 import hashlib
@@ -18,8 +20,6 @@ from freenil import (
     GroupContext,
     IndexOutOfRange,
     MalformedInput,
-    decompose,
-    random_automorphism,
     verify_payload,
 )
 from freenil.cli import main
@@ -27,6 +27,7 @@ from freenil.jsonio import (
     decomposition_payload,
     dumps,
     loads,
+    parse_decomposition,
     parse_map,
     parse_offsets,
     parse_stored,
@@ -34,7 +35,8 @@ from freenil.jsonio import (
     stored_payload,
 )
 
-from test_wire_golden import GOLDEN, MOVES, SEED
+from test_wire_fixtures import REPORTS, fixture_path
+from test_wire_golden import GOLDEN
 
 DATA = Path(__file__).parent / "data"
 
@@ -57,13 +59,6 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _decompose_cell(cell) -> dict:
-    rank, nilclass, pinned = cell
-    fixed = range(1, pinned + 1)
-    sigma = random_automorphism(GroupContext(rank, nilclass), SEED + rank, MOVES, fix=fixed)
-    return decomposition_payload(decompose(sigma, fixed))
-
-
 # ---------------------------------------------------------------------------
 # the earlier payloads keep their bytes and their reports
 
@@ -73,16 +68,18 @@ def test_earlier_fixture_keeps_its_bytes_and_report(cell, tmp_path):
     assert _digest(text) == EARLIER[cell]
     report = verify_payload(loads(text))
     assert report.ok
-    assert _digest(dumps(report_payload(report))) == GOLDEN[cell]["report"]
+    assert _digest(dumps(report_payload(report))) == REPORTS[cell]
     out = tmp_path / "report.json"
     assert main(["verify", "--in", str(_fixture(cell)), "--out", str(out)]) == 0
-    assert _digest(out.read_text(encoding="utf-8")) == GOLDEN[cell]["report"]
+    assert _digest(out.read_text(encoding="utf-8")) == REPORTS[cell]
 
 
 @pytest.mark.parametrize("cell", sorted(GOLDEN))
 def test_v3_payload_matches_the_earlier_one_but_for_stored(cell):
     old = loads(_fixture(cell).read_text(encoding="utf-8"))
-    new = _decompose_cell(cell)
+    # the writer on the decomposition the earlier payload holds
+    new = decomposition_payload(parse_decomposition(old))
+    assert dumps(new) == fixture_path("v3", cell).read_text(encoding="utf-8")
     assert list(new) == ["version", "input", "fixed", "factors"]
     assert new.pop("version") == 3
     assert old.pop("version", 1) == (1 if cell[1] == 1 else 2)
@@ -124,7 +121,7 @@ def test_v3_payload_matches_the_earlier_one_but_for_stored(cell):
 
 @pytest.fixture(scope="module")
 def v3_text():
-    return dumps(_decompose_cell((12, 3, 2)))
+    return fixture_path("v3", (12, 3, 2)).read_text(encoding="utf-8")
 
 
 def _lifted(payload) -> dict:
