@@ -6,9 +6,9 @@ factor carries a MoietyCertificate it satisfies.  The shape follows the
 nilpotency class:
 
   class 1   integer row reduction of the block acting on E = complement of D
-            (transvections, permutations moving at most half of E, at most
-            one sign flip), then two "shear" maps adding the D-translation
-            parts over each half of E.
+            (transvections, permutations moving at most half of E, one sign
+            flip per -1 pivot), then two "shear" maps adding the
+            D-translation parts over each half of E.
 
   class c   project one class down, decompose recursively, lift each factor
             back up (word reinterpretation plus a central correction pinning
@@ -111,10 +111,11 @@ def _permutation_piece(
 def _block_maps(
     ctx: GroupContext, basis: Sequence[int], moves: Sequence[intmat.RowMove]
 ) -> Iterator[tuple[GeneratorMap, str, frozenset[int]]]:
-    """One map per add or negate move; each run of consecutive swaps cut
-    greedily into permutations touching at most max(2, len(basis) // 2)
-    generators.  A run is a cycle walk, whose swaps within one cycle share an
-    index, so no piece is the identity."""
+    """One transvection per add move and one sign map per negate move (one
+    for each -1 pivot); each run of consecutive swaps cut greedily into
+    permutations touching at most max(2, len(basis) // 2) generators.  A run
+    is a cycle walk, whose swaps within one cycle share an index, so no
+    piece is the identity."""
     limit = max(2, len(basis) // 2)
     for is_swap, run in groupby(moves, key=lambda move: move.kind == "swap"):
         if not is_swap:

@@ -146,15 +146,17 @@ class GeneratorMap:
 
     @classmethod
     def _product(cls, maps: Sequence["GeneratorMap"]) -> "GeneratorMap":
-        """maps[0] o maps[1] o ... for two or more maps in one context: the
-        map the chain of composes builds, down to its stored words.
+        """maps[0] o maps[1] o ... for two or more maps in one context (the
+        body of compose and of ordered_product).
 
         A private running product is updated in place: each step substitutes
         it into the few images the next (typically sparse) factor stores and
         classifies only those, while its other images carry over untouched.
         A carried image may keep its word, or stay stored though no longer
-        moved; apply reads neither, so compose's cleanup of both is done
-        once, at the end, on every image the last factor did not store.
+        moved; apply reads neither, so the cleanup of both is done once, at
+        the end, on every image the last factor did not store: a moved one
+        loses its word, as phi.apply(x_i) would, and an unmoved one is
+        dropped.
         """
         first = maps[0]
         acc = cls.__new__(cls)
@@ -296,12 +298,7 @@ def compose(phi: GeneratorMap, psi: GeneratorMap) -> GeneratorMap:
     to be unimodular compose to one.
     """
     check_same_context(phi.ctx, psi.ctx)
-    images = {i: phi.apply(img) for i, img in psi.stored.items()}
-    for i in phi.moved - images.keys():
-        img = phi.stored[i]
-        images[i] = img if img.word is None else GroupElement(phi.ctx, img.poly)
-    known = True if phi._unimodular and psi._unimodular else None
-    return GeneratorMap._sparse(phi.ctx, images, known)
+    return GeneratorMap._product((phi, psi))
 
 
 def ordered_product(ctx: GroupContext, maps: Sequence[GeneratorMap]) -> GeneratorMap:

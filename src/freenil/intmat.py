@@ -12,13 +12,11 @@ A RowMove records left multiplication by an elementary matrix:
     negate(i):     row_i *= -1
 
 `factor_unimodular(A)` returns moves m_1..m_t whose matrix product
-M(m_1) * ... * M(m_t) equals A exactly, with at most one negate move.
-Pairs of -1 pivots are absorbed into six add-moves (the rotation-squared
-identity on two rows), so swap and negate moves together always have the
-parity of det(A).  The swaps come as one consecutive run, a cycle walk that
-undoes the signed permutation the reduction leaves, so a caller can merge
-them into a few permutations (decompose: permutations moving at most half
-of E) instead of one factor per swap.
+M(m_1) * ... * M(m_t) equals A exactly.  The swaps come as one consecutive
+run, a cycle walk that undoes the signed permutation the reduction leaves,
+so a caller can merge them into a few permutations (decompose: permutations
+moving at most half of E) instead of one factor per swap.  The negates
+follow them, one per row that the walk leaves at -1.
 """
 
 from __future__ import annotations
@@ -93,9 +91,9 @@ def reduce_to_identity(m: Matrix) -> list[RowMove]:
     rows not yet used as pivots (the gcd is forced to 1, because those rows
     restricted to the remaining columns form a unimodular block), then the
     +-1 pivot clears its column in every other row.  The rows end as a signed
-    permutation, undone by one cycle walk of swaps and then the signs.  The
-    reduction itself decides unimodularity: a column with no live entry or
-    with gcd above 1 raises NotUnimodular.
+    permutation, undone by one cycle walk of swaps and then one negate per
+    row left at -1.  The reduction itself decides unimodularity: a column
+    with no live entry or with gcd above 1 raises NotUnimodular.
     """
     n = len(m)
     rows = [list(r) for r in m]
@@ -139,15 +137,9 @@ def reduce_to_identity(m: Matrix) -> list[RowMove]:
             c = column_of[i]
             do(RowMove("swap", i, c))
             column_of[i], column_of[c] = column_of[c], c
-    negs = [i for i in range(n) if rows[i][i] == -1]
-    for a, b in zip(negs[0::2], negs[1::2]):
-        # diag(-1,-1) on rows a,b equals ((r_a,r_b) -> (r_b,-r_a)) twice
-        for _ in range(2):
-            do(RowMove("add", a, b, 1))
-            do(RowMove("add", b, a, -1))
-            do(RowMove("add", a, b, 1))
-    if len(negs) % 2:
-        do(RowMove("negate", negs[-1]))
+    for i in range(n):
+        if rows[i][i] == -1:
+            do(RowMove("negate", i))
     if rows != [list(r) for r in identity_matrix(n)]:
         raise NotUnimodular("reduction did not reach the identity")
     return moves

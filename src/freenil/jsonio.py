@@ -54,7 +54,8 @@ from .ring import GroupElement, Word, from_word
 
 # CPython 3.10.7 and later limit int <-> str conversion to 4300 digits by
 # default (earlier versions have no limit).  loads keeps it, as parsing a long
-# literal takes quadratic time; dumps lifts it for its encode, as output is exact.
+# literal takes quadratic time, and names PYTHONINTMAXSTRDIGITS, which sets it
+# for a whole process; dumps lifts it for its encode, as output is exact.
 _get_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 _set_digits = getattr(sys, "set_int_max_str_digits", lambda limit: None)
 
@@ -75,11 +76,16 @@ def dumps(payload: Any, pretty: bool = False) -> str:
 
 
 def loads(text: str) -> Any:
-    # a ValueError is a JSONDecodeError or an integer literal over the limit
     try:
         return json.loads(text)
-    except ValueError as err:
+    except json.JSONDecodeError as err:
         raise MalformedInput(f"invalid JSON: {err}") from None
+    except ValueError:  # an integer literal over the digit limit
+        raise MalformedInput(
+            f"invalid JSON: an integer literal has more than {_get_digits()} "
+            "digits; the environment variable PYTHONINTMAXSTRDIGITS raises "
+            "the limit (0 lifts it)"
+        ) from None
     except RecursionError:
         raise MalformedInput("invalid JSON: nesting too deep") from None
 

@@ -33,17 +33,16 @@ def verify_payload(payload: dict) -> VerifyReport:
     for idx, f in enumerate(dec.factors):
         for img in f.map.stored.values():
             coeffs.extend(abs(v) for v in img.poly.values())
+        where = f"factor {idx} ({f.tag})"
         try:
             if not check_certificate(f.map, f.certificate):
-                failures.append(f"factor {idx}: certificate does not hold")
+                failures.append(f"{where}: certificate does not hold")
         except DomainError as err:  # a refused certificate is a failed check
-            failures.append(f"factor {idx}: {err}")
+            failures.append(f"{where}: {err}")
         if not f.map.fixes_pointwise(dec.fixed):
-            failures.append(f"factor {idx}: moves the pinned set")
+            failures.append(f"{where}: moves the pinned set")
         if f.certificate.fixed <= dec.fixed:
-            failures.append(
-                f"factor {idx} ({f.tag}): certificate fixes no generator outside D"
-            )
+            failures.append(f"{where}: certificate fixes no generator outside D")
     product = ordered_product(ctx, [f.map for f in dec.factors])
     for img in product.stored.values():
         coeffs.extend(abs(v) for v in img.poly.values())

@@ -7,6 +7,7 @@ determinism of the full pipeline and argparse's own exit behaviour.
 
 import contextlib
 import json
+import os
 import subprocess
 import sys
 
@@ -66,8 +67,14 @@ def run_cli(tmp_path, argv, payload=None, text=None):
     return code, raw, json.loads(raw) if raw else None
 
 
-def run_proc(args, stdin=b""):
-    return subprocess.run([*CLI, *args], input=stdin, capture_output=True)
+def run_proc(args, stdin=b"", env=None):
+    """Run the CLI as a subprocess; `env` adds to the inherited environment."""
+    return subprocess.run(
+        [*CLI, *args],
+        input=stdin,
+        capture_output=True,
+        env=None if env is None else {**os.environ, **env},
+    )
 
 
 def element_of(ctx, payload):
@@ -321,6 +328,28 @@ def test_output_integers_may_exceed_the_digit_limit(tmp_path):
         out = json.loads(outfile.read_text(encoding="utf-8"))
     phi = parse_map(m)
     assert parse_map(out) == compose(phi, phi)
+
+
+@pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="no int <-> str digit limit")
+def test_overlong_output_names_the_digit_limit_variable():
+    # compose writes a 6000-digit coefficient that is-aut cannot read under
+    # the default limit; the message names the variable that raises it
+    e = 10**2999 + 7
+    m = {"rank": 3, "class": 2, "images": [[[1, 1], [2, e]], [[2, 1]], [[3, 1], [1, e]]]}
+    blob = json.dumps({"phi": m, "psi": m}).encode()
+    default = {"PYTHONINTMAXSTRDIGITS": "4300"}
+    square = run_proc(["compose"], stdin=blob, env=default)
+    assert square.returncode == 0, square.stderr.decode()
+    proc = run_proc(["is-aut"], stdin=square.stdout, env=default)
+    assert proc.returncode == 2
+    out = json.loads(proc.stdout)
+    assert out["error"] == "MalformedInput"
+    assert out["message"].startswith("invalid JSON: ")
+    assert "PYTHONINTMAXSTRDIGITS" in out["message"]
+    assert "set_int_max_str_digits" not in out["message"]
+    lifted = run_proc(["is-aut"], stdin=square.stdout, env={"PYTHONINTMAXSTRDIGITS": "0"})
+    assert lifted.returncode == 0, lifted.stderr.decode()
+    assert lifted.stdout == b'{"automorphism":true}\n'
 
 
 def test_unreadable_input_file_exits_2(tmp_path):

@@ -151,6 +151,29 @@ def test_abelian_decompose_merges_a_derangement_into_few_permutations():
         assert all(len(f.certificate.fixed - {1}) >= 8 for f in pieces)
 
 
+def test_abelian_decompose_negates_each_minus_one_pivot():
+    # two -1 pivots are two sign factors, not six transvections
+    ctx = GroupContext(6, 1)
+    sigma = compose(inversion(ctx, 2), inversion(ctx, 3))
+    dec = abelian_decompose(sigma, (1,))
+    assert [f.tag for f in dec.factors] == ["sign", "sign"]
+    assert sorted(g for f in dec.factors for g in f.map.moved) == [2, 3]
+    assert product_of(ctx, dec) == sigma
+    assert verify(dec).ok
+
+
+def test_decompose_class_5_map_with_sign_pivots_stays_short():
+    # this map's class-1 block has two -1 pivots; written as six adds they
+    # gave 17 factors
+    ctx = GroupContext(13, 5)
+    sigma = random_automorphism(ctx, 1, 12, (1,))
+    dec = decompose(sigma, (1,))
+    rep = verify(dec)
+    assert rep.ok, rep.failures
+    assert rep.factors < 17
+    assert sum(f.origin == "sign" for f in dec.factors) == 2
+
+
 def test_abelian_decompose_wrong_class_rejected():
     ctx = GroupContext(4, 2)
     with pytest.raises(BadClass):
@@ -542,16 +565,27 @@ def test_verify_flags_broken_certificate():
 
     payload = _good_payload()
     f = payload["factors"][0]
-    # find a generator the factor genuinely moves and claim it as fixed
+    # a generator the factor genuinely moves, claimed as fixed
     moving = f["stored"][0][0]
     cert = f["certificate"]
-    if moving not in cert["fixed"]:
-        cert["preserved"].remove(moving)
-        cert["fixed"].append(moving)
-        cert["fixed"].sort()
+    assert moving in cert["preserved"]
+    cert["preserved"].remove(moving)
+    cert["fixed"] = sorted(cert["fixed"] + [moving])
     rep = verify_payload(payload)
-    assert not rep.ok
-    assert any("certificate" in msg for msg in rep.failures)
+    assert rep.failures == (f"factor 0 ({f['tag']}): certificate does not hold",)
+
+
+def test_verify_names_the_factor_that_moves_d():
+    from freenil import verify_payload
+
+    payload = _good_payload()
+    assert payload["fixed"] == [1]
+    _set_stored(payload["factors"][0], 1, [[1, 1], [2, 1]])
+    rep = verify_payload(payload)
+    assert rep.failures == (
+        "factor 0 (lifted): moves the pinned set",
+        "ordered product of factors differs from the input map",
+    )
 
 
 def test_verify_flags_tampered_input_map():
@@ -594,7 +628,7 @@ def test_verify_reports_domain_errors_and_raises_checker_bugs(monkeypatch):
     _set_stored(payload["factors"][0], 8, [[8, 2]])  # not an automorphism
     rep = verify_payload(payload)
     assert not rep.ok
-    assert any(msg.startswith("factor 0: ") for msg in rep.failures)
+    assert "factor 0 (lifted): certificates only apply to automorphisms" in rep.failures
 
     def broken_check(phi, cert):
         raise RuntimeError("checker bug")

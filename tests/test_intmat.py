@@ -135,7 +135,13 @@ def test_factor_unimodular_reconstructs_product():
         for mv in moves:
             acc = matmul(acc, move_matrix(mv, n))
         assert acc == m
-        assert sum(1 for mv in moves if mv.kind == "negate") <= 1
+        # the negates come last, one per row the other moves leave at -1
+        rest = [mv for mv in moves if mv.kind != "negate"]
+        left = m
+        for mv in rest:
+            left = matmul(move_matrix(mv.inverse(), n), left)
+        negated = [RowMove("negate", r) for r in range(n) if left[r][r] == -1]
+        assert moves[len(rest):] == negated
 
 
 def test_factor_examples():
@@ -222,12 +228,11 @@ def test_reduce_swaps_are_one_cycle_walk_between_adds_and_signs():
         last = first + len(walk)
         assert moves[first:last] == walk
         walks += bool(walk)
-        # then only the sign moves: six adds per pair of -1s, one negate
+        # then only the signs: one negate per row left at -1, and no add
         for mv in walk:
             acc = matmul(move_matrix(mv, n), acc)
-        negatives = sum(1 for r in range(n) if acc[r][r] == -1)
-        tail = ["add"] * (6 * (negatives // 2)) + ["negate"] * (negatives % 2)
-        assert [mv.kind for mv in moves[last:]] == tail
+        tail = [RowMove("negate", r) for r in range(n) if acc[r][r] == -1]
+        assert moves[last:] == tail
     assert walks > 50
 
 

@@ -50,31 +50,31 @@ GOLDEN = {
     },
     (10, 2, 1): {
         "map": "38ed3ee2b4b234cf9d1811ef9ff202fe34f9a7f2ef60192ac9d67bbca7c8aa3f",
-        "decomposition": "1e8ea325b15252443228404e8ddbd4536dcef2ff6c85c1735dbe6096ddb53bef",
-        "report": "c49190424e2017995f046dc36b1698221808370da24db7111117b734eaef3b68",
+        "decomposition": "213891dba4c0a8d0252b4a3921348d0ba842e5dc5ffd27f2f1517b3f71860107",
+        "report": "53ffde0b37dc629012c15688c3afbc95633b16372b55e50e7f3d8f2ecc81004c",
         "square": "094d79bf9b709bb28ca00e35043f9b496c2f1040e94cd64331e7900640d24dd8",
-        "inverses": "8426e67501865bccf6cfc65017359f446a26af157d1b540973bc8e3e281b4a35",
+        "inverses": "e7f6f6b4ab93f0bb797c8063e1a56163c5a361580fe9e006f77a3280fe704f23",
     },
     (9, 3, 0): {
         "map": "d6c894c078bd05d41078b592eaeead52deaf5468934c7ef8eee51bc78fe86a95",
-        "decomposition": "6b67243a971107ae8fc3864b212e3a66e7a1c7e315f29b96f8dcaf84c9030c35",
-        "report": "39be457e0f6d9d1dd5d9d4969f2e64d24ce6ac6ffb599909aa29b03f93b96fae",
+        "decomposition": "46e9393cf99b955e0f624006cfe5b5cf5f66e7d42822b6a4878cec48dc4c66b0",
+        "report": "bdbf0a6b01a4986b789b32699c17f8e3a90b1c11520001aa1c3ce7fa69a50335",
         "square": "77ce1d1dc083050f89da431929ce19e525997634c15f02fdf69e11c6bc9039c4",
-        "inverses": "6698102e80303077061370f99240c77c25e37ed199ffc7926761759644885b7b",
+        "inverses": "e6bf6ca7218e1347b4e395df9f218abbbec80221f7b5bb5e2c7d967d5d51d8f7",
     },
     (12, 3, 2): {
         "map": "bdac19340610b220fc72b30ce35683adc595319244bd18c59924eaca020e0e24",
-        "decomposition": "52dd0da617edab27536a22e340eb380a11d0e936cf56555da4e22aa856d4fccd",
-        "report": "77e4553b65fb707b23b5ff46a01c11fb78011c83c1a28cfe6a66207a88b68264",
+        "decomposition": "767997dda37c7e3444d06cebc0c07d72b6a32af8f54d459d6bbfdda12b64df85",
+        "report": "962ae7c90ad338264a9118bebe8f30fa5ca61ef9b600f19a4a4ae9aca23e93fa",
         "square": "6ae5ad60f8c73410bd9d9112996dee2c60b5d05f500914d4da957ec1dd5ce01c",
-        "inverses": "592085e9d98627b9d13a3bde8cad2b0970851f896937942406a628ecb5cb3ebc",
+        "inverses": "a70c8afe8ee02109f4b6500b1b1ce9dade17526304e8014796b9bc834a9204e6",
     },
     (12, 4, 2): {
         "map": "aec85539f58fe0a9d2ae797712e15717aa4f6d1fef61b4dfa2ff0e3774eca377",
-        "decomposition": "3fce62014f90b4aeffe0c551b12a2dde3cde4b329c4e27171d90940e372c5728",
-        "report": "8eecea040cacda9283525567b8dfab3e789026141c3d1d22c0547f12b502f4d3",
+        "decomposition": "5cc37a818376e9f990b7612f0a8d1968759a6f67000694bae941311ccaf61d26",
+        "report": "962ae7c90ad338264a9118bebe8f30fa5ca61ef9b600f19a4a4ae9aca23e93fa",
         "square": "26edf35a8cfeac1faed8285d53959043f26edfcff919ac1392489446ee47b87f",
-        "inverses": "b942b3f9b6a1501b61c941e5d2ae37339cb51e4f7aedf481725040ee73db09e8",
+        "inverses": "74e42b6896a2a428996c65dd3f7873d8356d7eb136048398515e3429df56f84a",
     },
 }
 
