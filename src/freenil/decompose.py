@@ -12,9 +12,9 @@ nilpotency class:
 
   class c   project one class down, decompose recursively, lift each factor
             back up (word reinterpretation plus a central correction pinning
-            D exactly), divide their product out of sigma with a single
-            inversion, and split the remaining central piece into 2(c+1)
-            commuting maps beta_k, each avoiding one cell of a
+            D exactly), divide their product out of sigma in closed form
+            (no map is inverted), and split the remaining central piece
+            into 2(c+1) commuting maps beta_k, each avoiding one cell of a
             partition of half of E — the avoided cell is the certificate's
             fixed block.  A weight-c commutator mentions at most c distinct
             generators, so with c+1 cells one is always clean: that
@@ -34,11 +34,11 @@ from .context import GroupContext
 from .endo import (
     GeneratorMap,
     MoietyCertificate,
+    _inverse_block,
     check_certificate,
     compose,
     ia_central,
     inversion,
-    invert,
     lift_words,
     ordered_product,
     permutational,
@@ -55,7 +55,17 @@ from .errors import (
 )
 from .lie import LeftNormedTerm, central_factorize, central_offset
 from .records import Decomposition, Factor
-from .ring import Word, from_word, generator, inv, lcs_weight, mul, occurs
+from .ring import (
+    GroupElement,
+    Word,
+    _poly_add_into,
+    from_word,
+    generator,
+    inv,
+    lcs_weight,
+    mul,
+    occurs,
+)
 
 # perfbench/ reads TAGS and verify_payload off this module
 from .records import TAGS  # noqa: F401
@@ -228,6 +238,52 @@ def lift_factor(f: Factor, fixed: Iterable[int]) -> Factor:
 # ---------------------------------------------------------------------------
 # the central stage
 
+def _central_quotient(p: GeneratorMap, sigma: GeneratorMap) -> GeneratorMap:
+    """P^-1 o sigma for an automorphism P that agrees with sigma modulo the
+    center, in closed form, without inverting or multiplying maps.
+
+    sigma(x_i) = P(x_i) * w_i with w_i central, and in the truncated ring
+    P(x_i) * (1 + h) = P(x_i) + h, so h_i is the difference of the two image
+    polynomials; a term of degree below c in it means P does not agree with
+    sigma, which is refused.  P^-1 acts on the center through its inverse
+    abelianization alone, so P^-1(w_i) = 1 + L(h_i), where L substitutes
+    X_j -> sum_r minv[r][j] X_r letter by letter, and the quotient sends
+    x_i to x_i * (1 + L(h_i)).  Only the generators P or sigma moves can
+    have an offset.
+    """
+    ctx = sigma.ctx
+    c = ctx.nilclass
+    rows, minv = _inverse_block(p)
+    # the linear part of P^-1(x_j), for every j whose column is not x_j
+    subst = {}
+    for b, j in enumerate(rows):
+        lin = [(r, minv[a][b]) for a, r in enumerate(rows) if minv[a][b]]
+        if lin != [(j, 1)]:
+            subst[j] = lin
+    offsets = {}
+    for i in sorted(p.moved | sigma.moved):
+        h = dict(sigma(i).poly)
+        _poly_add_into(h, p(i).poly, -1)
+        if any(len(m) < c for m in h):
+            raise NotCentralIA(
+                f"image of generator {i} is not central modulo the lifted product"
+            )
+        if not h:
+            continue
+        z = {(): 1}
+        for m, k in h.items():
+            terms = {(): k}
+            for j in m:
+                lin = subst.get(j)
+                if lin is None:
+                    terms = {t + (j,): v for t, v in terms.items()}
+                else:
+                    terms = {t + (r,): v * e for t, v in terms.items() for r, e in lin}
+            _poly_add_into(z, terms)
+        offsets[i] = GroupElement(ctx, z)
+    return ia_central(ctx, offsets)
+
+
 def _chunks(items: Sequence[int], count: int) -> list[list[int]]:
     base, extra = divmod(len(items), count)
     out, start = [], 0
@@ -347,7 +403,7 @@ def decompose(sigma: GeneratorMap, fixed: Iterable[int] = ()) -> Decomposition:
         return abelian_decompose(sigma, fixed)
     below = decompose(project(sigma, c - 1), fixed)
     lifted = [lift_factor(f, fixed) for f in below.factors]
-    # alpha = (lifted product)^-1 o sigma, with one inversion of the product
-    alpha = compose(invert(ordered_product(ctx, [f.map for f in lifted])), sigma)
+    # alpha = (lifted product)^-1 o sigma, central IA, in closed form
+    alpha = _central_quotient(ordered_product(ctx, [f.map for f in lifted]), sigma)
     factors = tuple(lifted) + tuple(central_decompose(alpha, fixed))
     return Decomposition(sigma, fixed, factors)

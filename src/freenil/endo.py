@@ -24,7 +24,11 @@ the inverse of that block, then repeatedly cancel the lowest-weight defect.
 Each round multiplies both the candidate inverse and the running composite by
 chi: x_i -> x_i * d_i^-1, using the homomorphism property so no dense map ever
 gets rebuilt from scratch.  Unmoved generators map to themselves throughout,
-so defects and corrections run over the moved generators only.
+so defects and corrections run over the moved generators only.  On the
+center an inverse acts through its abelianization alone, which is that
+inverse block (`_inverse_block`).  So the decomposition engine divides a map
+out of another that agrees with it modulo the center from the block only,
+with no inversion.
 
 Whether a map is an automorphism (det = +-1) is decided once and stored on
 the map, and preserves needs no determinant beyond that one: an
@@ -487,6 +491,23 @@ def lift_words(phi: GeneratorMap) -> GeneratorMap:
 # ---------------------------------------------------------------------------
 # inversion
 
+def _inverse_block(phi: GeneratorMap) -> tuple[list[int], intmat.Matrix]:
+    """The inverse abelianization of an automorphism on its moved block.
+
+    Returns `rows`, the moved generators plus every row their columns hit,
+    in increasing order, and the inverse of phi's block on them: entry
+    (a, b) is the X_{rows[a]} coefficient in the inverse's image of
+    x_{rows[b]}.  Off `rows` the inverse abelianization is the identity
+    (module docstring).
+    """
+    rows = sorted(
+        phi.moved.union(
+            m[0] for i in phi.moved for m in phi.stored[i].poly if len(m) == 1
+        )
+    )
+    return rows, intmat.inverse_unimodular(phi._block(rows))
+
+
 def invert_with_rounds(phi: GeneratorMap) -> tuple[GeneratorMap, int]:
     """Two-sided inverse plus the number of central correction rounds used.
 
@@ -499,10 +520,7 @@ def invert_with_rounds(phi: GeneratorMap) -> tuple[GeneratorMap, int]:
         raise NotAutomorphism("map has no inverse: determinant is not +-1")
     ctx = phi.ctx
     moved = sorted(phi.moved)
-    rows = sorted(
-        phi.moved.union(m[0] for i in moved for m in phi.stored[i].poly if len(m) == 1)
-    )
-    minv = intmat.inverse_unimodular(phi._block(rows))
+    rows, minv = _inverse_block(phi)
     # every candidate inverse has the unimodular abelianization minv
     psi = GeneratorMap._sparse(
         ctx,

@@ -2,8 +2,10 @@
 
 import importlib
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freenil import (
     BadClass,
@@ -342,6 +344,55 @@ def test_central_decompose_rejects_shallow_maps():
         central_decompose(alpha, ())
 
 
+def test_central_quotient_is_the_inverse_composed_with_sigma(monkeypatch):
+    # decompose divides the lifted product P out of sigma in closed form; at
+    # every level the result is the map invert(P) o sigma
+    engine = importlib.import_module("freenil.decompose")
+    original = engine._central_quotient
+    seen = []
+
+    def checking(p, sigma):
+        alpha = original(p, sigma)
+        assert alpha == compose(invert(p), sigma)
+        seen.append((sigma.ctx.nilclass, len(alpha.moved)))
+        return alpha
+
+    monkeypatch.setattr(engine, "_central_quotient", checking)
+    for n, c, dsize, seed in ((32, 2, 1, 1), (12, 4, 2, 1), (13, 5, 1, 1), (13, 5, 1, 2)):
+        ctx = GroupContext(n, c)
+        fix = tuple(range(1, dsize + 1))
+        sigma = random_automorphism(ctx, seed, 12, fix)
+        seen.clear()
+        assert product_of(ctx, decompose(sigma, fix)) == sigma
+        assert [level for level, _ in seen] == list(range(2, c + 1))
+        assert any(moved for _, moved in seen)
+
+
+def test_central_quotient_refuses_a_product_that_differs_below_the_center():
+    engine = importlib.import_module("freenil.decompose")
+    ctx = GroupContext(8, 3)
+    # a weight-2 offset agrees with the identity modulo gamma_2 but not
+    # modulo the center gamma_3, on either side; a transvection differs in
+    # degree 1
+    shallow = ia_central(ctx, {3: left_normed_element(ctx, (1, 2), 1)})
+    for p, sigma in (
+        (identity_map(ctx), shallow),
+        (shallow, identity_map(ctx)),
+        (transvection(ctx, 3, 4, 1), identity_map(ctx)),
+    ):
+        with pytest.raises(NotCentralIA):
+            engine._central_quotient(p, sigma)
+    # a central difference is divided out: P^-1 o (P o beta) = beta
+    beta = ia_central(ctx, {5: left_normed_element(ctx, (1, 2, 6), -1)})
+    p = ordered_product(
+        ctx,
+        [transvection(ctx, 1, 2, 1), inversion(ctx, 6), permutational(ctx, {2: 6, 6: 2})],
+    )
+    assert engine._central_quotient(p, compose(p, beta)) == beta
+    # an offset can sit where sigma moves nothing
+    assert engine._central_quotient(beta, identity_map(ctx)) == invert(beta)
+
+
 def test_central_decompose_class_and_rank_guards():
     with pytest.raises(BadClass):
         central_decompose(identity_map(GroupContext(8, 1)), ())
@@ -382,6 +433,42 @@ def test_decompose_round_trip_above_class_3():
     _check_round_trips(4517, [(11, 4, 1, 3, 6), (13, 5, 1, 3, 5)])
 
 
+ROUND_TRIP_BUDGET_S = 2.5
+
+
+@pytest.mark.parametrize("c", [4, 5, 6])
+def test_decompose_round_trips_through_the_wire_above_class_3(c):
+    # decompose -> payload text -> verify_payload on small random maps at
+    # the least rank the class allows (plus a spare); capped in time, so
+    # once the budget is spent the remaining examples do no work
+    from freenil import verify_payload
+    from freenil.jsonio import decomposition_payload, dumps, loads
+
+    start = time.perf_counter()
+    checked = []
+
+    @settings(max_examples=25)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dsize=st.integers(1, 2),
+        spare=st.integers(0, 1),
+        moves=st.integers(1, 3),
+    )
+    def round_trip(seed, dsize, spare, moves):
+        if time.perf_counter() - start > ROUND_TRIP_BUDGET_S:
+            return
+        ctx = GroupContext(2 * (c + 1) + dsize + spare, c)
+        fix = tuple(range(1, dsize + 1))
+        sigma = random_automorphism(ctx, seed, moves, fix)
+        text = dumps(decomposition_payload(decompose(sigma, fix)))
+        rep = verify_payload(loads(text))
+        assert rep.ok, (ctx.rank, fix, seed, moves, rep.failures)
+        checked.append(seed)
+
+    round_trip()
+    assert checked
+
+
 @pytest.mark.parametrize("cell", [(9, 2, 1), (10, 3, 2), (11, 4, 1), (13, 5, 1)])
 def test_decompose_round_trip_bounds_permutation_factors(cell):
     n, c, dsize = cell
@@ -397,26 +484,23 @@ def test_decompose_round_trip_bounds_permutation_factors(cell):
         _check_permutation_factors(dec, n)
 
 
-def test_decompose_inverts_once_per_class_above_one(monkeypatch):
-    # the lifted factors' product is inverted once per level c >= 2, and
-    # nothing else in the pipeline inverts a map
-    from freenil import endo
+def test_decompose_never_inverts_a_map(monkeypatch):
+    # the lifted factors' product is divided out of sigma in closed form at
+    # each level c >= 2, from one inverse of its abelianization block, so
+    # nothing in the pipeline inverts a map
+    from freenil import endo, intmat
 
-    calls = []
-    original = endo.invert_with_rounds
-
-    def counting(phi):
-        calls.append(phi.ctx.nilclass)
-        return original(phi)
-
-    monkeypatch.setattr(endo, "invert_with_rounds", counting)
+    calls, blocks = [], []
+    _counting(monkeypatch, endo, "invert_with_rounds", calls)
+    _counting(monkeypatch, intmat, "inverse_unimodular", blocks)
     ctx = GroupContext(12, 4)
     for seed in (41, 42, 43):
-        calls.clear()
+        blocks.clear()
         sigma = random_automorphism(ctx, seed, 10, (1, 2))
         dec = decompose(sigma, (1, 2))
-        assert sorted(calls) == [2, 3, 4]
         assert product_of(ctx, dec) == sigma
+        assert len(blocks) == 3
+    assert calls == []
 
 
 def _counting(monkeypatch, module, name, calls):
@@ -430,9 +514,10 @@ def _counting(monkeypatch, module, name, calls):
 
 
 def test_central_decompose_works_on_moved_generators_only(monkeypatch):
-    # within decompose, alpha = invert(P) o sigma is known to be unimodular,
-    # so the central stage takes no determinant, and it multiplies and
-    # factorizes at the generators alpha moves, never at the ones it fixes
+    # within decompose, alpha = P^-1 o sigma is built by ia_central and known
+    # to be unimodular, so the central stage takes no determinant, and it
+    # multiplies and factorizes at the generators alpha moves, never at the
+    # ones it fixes
     from freenil import intmat
 
     engine = importlib.import_module("freenil.decompose")
