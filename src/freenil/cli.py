@@ -17,11 +17,12 @@ import argparse
 import sys
 from typing import Any, Callable
 
-from . import jsonio
+from . import jsonio, reader
 from .context import GroupContext
 from .decompose import decompose
-from .endo import compose, invert, random_automorphism
+from .endo import invert, random_automorphism
 from .errors import DomainError, MalformedInput
+from .kernel import compose
 from .lie import central_factorize
 from .ring import comm, inv, lcs_weight, mul
 from .verifier import verify_payload
@@ -84,9 +85,9 @@ def _elements(op: Callable, *keys: str, emit: Callable = jsonio.element_payload)
         ctx = _ctx(args)
         obj = _read(args)
         if not keys:
-            return emit(op(jsonio.parse_element(ctx, obj)))
-        obj = jsonio._need_keys(obj, "input", keys)
-        return emit(op(*(jsonio.parse_element(ctx, obj[k]) for k in keys)))
+            return emit(op(reader.parse_element(ctx, obj)))
+        obj = reader._need_keys(obj, "input", keys)
+        return emit(op(*(reader.parse_element(ctx, obj[k]) for k in keys)))
 
     return handler
 
@@ -100,23 +101,23 @@ def _terms_payload(terms) -> list:
 
 
 def _cmd_apply(args) -> Any:
-    obj = jsonio._need_keys(_read(args), "input", ("map", "a"))
-    phi = jsonio.parse_map(obj["map"])
-    return jsonio.element_payload(phi.apply(jsonio.parse_element(phi.ctx, obj["a"])))
+    obj = reader._need_keys(_read(args), "input", ("map", "a"))
+    phi = reader.parse_map(obj["map"])
+    return jsonio.element_payload(phi.apply(reader.parse_element(phi.ctx, obj["a"])))
 
 
 def _cmd_compose(args) -> Any:
-    obj = jsonio._need_keys(_read(args), "input", ("phi", "psi"))
-    phi, psi = (jsonio.parse_map(obj[k]) for k in ("phi", "psi"))
+    obj = reader._need_keys(_read(args), "input", ("phi", "psi"))
+    phi, psi = (reader.parse_map(obj[k]) for k in ("phi", "psi"))
     return jsonio.map_payload(compose(phi, psi))
 
 
 def _cmd_is_aut(args) -> Any:
-    return {"automorphism": jsonio.parse_map(_read(args)).is_automorphism()}
+    return {"automorphism": reader.parse_map(_read(args)).is_automorphism()}
 
 
 def _cmd_invert_aut(args) -> Any:
-    return jsonio.map_payload(invert(jsonio.parse_map(_read(args))))
+    return jsonio.map_payload(invert(reader.parse_map(_read(args))))
 
 
 def _cmd_random_aut(args) -> Any:
@@ -128,7 +129,7 @@ def _cmd_random_aut(args) -> Any:
 
 
 def _cmd_decompose(args) -> Any:
-    sigma = jsonio.parse_map(_read(args))
+    sigma = reader.parse_map(_read(args))
     return jsonio.decomposition_payload(decompose(sigma, _fix(args)))
 
 

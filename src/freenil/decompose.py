@@ -32,15 +32,9 @@ from typing import Iterable, Iterator, Sequence
 from . import intmat
 from .context import GroupContext
 from .endo import (
-    GeneratorMap,
-    MoietyCertificate,
     _inverse_block,
-    check_certificate,
-    compose,
-    ia_central,
     inversion,
     lift_words,
-    ordered_product,
     permutational,
     project,
     transvection,
@@ -53,12 +47,22 @@ from .errors import (
     NotCentralIA,
     RankTooSmall,
 )
-from .lie import LeftNormedTerm, central_factorize, central_offset
+from .kernel import (
+    GeneratorMap,
+    MoietyCertificate,
+    check_certificate,
+    compose,
+    ia_central,
+    ordered_product,
+)
+from .lie import central_factorize
 from .records import Decomposition, Factor
 from .ring import (
     GroupElement,
+    LeftNormedTerm,
     Word,
     _poly_add_into,
+    central_offset,
     from_word,
     generator,
     inv,

@@ -1,4 +1,4 @@
-"""JSON wire formats.
+"""JSON wire formats: the writers, `SCHEMAS`, and `loads`/`dumps`.
 
 Every format has a fixed key order and integer-only numerics:
 
@@ -19,23 +19,12 @@ Decompositions are written as version 3.  A factor lists only the images
 its map stores ("stored"): every generator it leaves out maps to itself, so
 a factor that moves two of n generators costs two images on the wire, not
 n.  A central_beta factor that keeps its terms (as `decompose` makes them)
-carries "offsets" instead: images x_g times weight-c commutator terms,
-rebuilt in closed form by `lie.central_offset`.  Any integer combination of
-such terms is a central group element, so a parsed factor is a genuine map
-whatever its terms say.  The input map stays dense, one image per
-generator.
+carries "offsets" instead.  The input map stays dense, one image per
+generator.  An element without a provenance word is written as its
+collected word (`lie.word_of`).
 
-The older versions are still read.  Version 1 has no "version" key and a
-dense "map" in every factor; version 2 allows "offsets" in central_beta
-factors and a "map" in every other one.  A factor map in version 3, or a
-"stored" list before it, is refused.
-
-Structural violations raise MalformedInput; out-of-range generator indices
-and mismatched contexts surface as their own domain errors so callers can
-tell "not even the right shape" from "well-formed but invalid here".
-
-The record types come from `records`, so parsing needs the group and map
-layers only, never the code that produces decompositions.
+Reading lives in `reader`, which the verifier uses without this module.
+`verify` is here because it writes a decomposition before it checks it.
 """
 
 from __future__ import annotations
@@ -44,12 +33,15 @@ import json
 import sys
 from typing import Any
 
-from .context import GroupContext
-from .endo import GeneratorMap, MoietyCertificate, ia_central
-from .errors import ContextMismatch, MalformedInput
-from .lie import LeftNormedTerm, central_offset, word_of
+from .errors import MalformedInput
+from .kernel import GeneratorMap, MoietyCertificate
+from .lie import word_of
 from .records import TAGS, Decomposition, Factor, VerifyReport
-from .ring import GroupElement, Word, from_word
+from .ring import GroupElement, LeftNormedTerm, Word
+from .verifier import verify_payload
+
+# perfbench/ reads parse_map and parse_decomposition off this module
+from .reader import parse_decomposition, parse_map  # noqa: F401
 
 
 # CPython 3.10.7 and later limit int <-> str conversion to 4300 digits by
@@ -91,62 +83,14 @@ def loads(text: str) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# small validators
-
-def _need_int(x: Any, what: str) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise MalformedInput(f"{what} must be an integer")
-    return x
-
-
-def _need_list(x: Any, what: str) -> list:
-    if not isinstance(x, list):
-        raise MalformedInput(f"{what} must be a list")
-    return x
-
-
-def _need_keys(obj: Any, what: str, required: tuple, optional: tuple = ()) -> dict:
-    if not isinstance(obj, dict):
-        raise MalformedInput(f"{what} must be an object")
-    missing = [k for k in required if k not in obj]
-    if missing:
-        raise MalformedInput(f"{what} is missing keys {missing}")
-    unknown = [k for k in obj if k not in required and k not in optional]
-    if unknown:
-        raise MalformedInput(f"{what} has unknown keys {unknown}")
-    return obj
-
-
-# ---------------------------------------------------------------------------
 # words and elements
 
 def word_payload(w: Word) -> list:
     return [[g, e] for g, e in w.letters]
 
 
-def parse_word(obj: Any) -> Word:
-    pairs = []
-    for item in _need_list(obj, "word"):
-        item = _need_list(item, "word letter")
-        if len(item) != 2:
-            raise MalformedInput("word letters must be [generator, exponent] pairs")
-        g = _need_int(item[0], "generator index")
-        e = _need_int(item[1], "exponent")
-        if g < 1:
-            raise MalformedInput(f"generator index {g} must be positive")
-        if e == 0:
-            raise MalformedInput("exponent must be nonzero")
-        pairs.append((g, e))
-    return Word(tuple(pairs))
-
-
 def element_payload(a: GroupElement) -> dict:
     return {"word": word_payload(word_of(a))}
-
-
-def parse_element(ctx: GroupContext, obj: Any) -> GroupElement:
-    obj = _need_keys(obj, "element", ("word",))
-    return from_word(ctx, parse_word(obj["word"]))
 
 
 # ---------------------------------------------------------------------------
@@ -164,43 +108,9 @@ def map_payload(phi: GeneratorMap) -> dict:
     }
 
 
-def parse_map(obj: Any) -> GeneratorMap:
-    obj = _need_keys(obj, "map", ("rank", "class", "images"))
-    rank = _need_int(obj["rank"], "rank")
-    ctx = GroupContext(rank, _need_int(obj["class"], "class"))
-    images = _need_list(obj["images"], "images")
-    if len(images) != rank:
-        raise MalformedInput(f"expected {rank} images, got {len(images)}")
-    stored = {}
-    for i, w in enumerate(images, 1):
-        # the literal image [[i, 1]] needs no ring work; `==` alone would
-        # also match [[True, 1]] or [[1.0, 1]], which parse_word refuses
-        if w == [[i, 1]] and type(w[0][0]) is int and type(w[0][1]) is int:
-            continue
-        stored[i] = from_word(ctx, parse_word(w))
-    return GeneratorMap._sparse(ctx, stored)
-
-
 def stored_payload(phi: GeneratorMap) -> list:
     stored = phi.stored
     return [[g, word_payload(word_of(stored[g]))] for g in sorted(stored)]
-
-
-def parse_stored(ctx: GroupContext, obj: Any) -> GeneratorMap:
-    """The map x_g -> WORD for each listed g, fixing every other generator:
-    the map parse_map builds from the dense images it stands for."""
-    stored, last = {}, 0
-    for item in _need_list(obj, "stored"):
-        item = _need_list(item, "stored image")
-        if len(item) != 2:
-            raise MalformedInput("stored images must be [generator, word] pairs")
-        g = _need_int(item[0], "stored generator")
-        ctx.check_generators((g,))
-        if g <= last:
-            raise MalformedInput("stored generators must strictly increase")
-        last = g
-        stored[g] = from_word(ctx, parse_word(item[1]))
-    return GeneratorMap._sparse(ctx, stored)
 
 
 # ---------------------------------------------------------------------------
@@ -210,50 +120,12 @@ def certificate_payload(cert: MoietyCertificate) -> dict:
     return {"fixed": sorted(cert.fixed), "preserved": sorted(cert.preserved)}
 
 
-def parse_certificate(obj: Any) -> MoietyCertificate:
-    obj = _need_keys(obj, "certificate", ("fixed", "preserved"))
-    sides = []
-    for key in ("fixed", "preserved"):
-        idx = [_need_int(i, f"{key} index") for i in _need_list(obj[key], key)]
-        if any(i < 1 for i in idx):
-            raise MalformedInput(f"{key} indices must be positive")
-        sides.append(frozenset(idx))
-    return MoietyCertificate(sides[0], sides[1])
-
-
 def term_payload(t: LeftNormedTerm) -> dict:
     return {"comm": list(t.generators), "exp": t.exponent}
 
 
-def parse_term(obj: Any) -> LeftNormedTerm:
-    obj = _need_keys(obj, "term", ("comm", "exp"))
-    gens = [_need_int(g, "commutator entry") for g in _need_list(obj["comm"], "comm")]
-    if len(gens) < 2 or any(g < 1 for g in gens):
-        raise MalformedInput("comm must list at least two positive generator indices")
-    exp = _need_int(obj["exp"], "exp")
-    if exp == 0:
-        raise MalformedInput("exp must be nonzero")
-    return LeftNormedTerm(tuple(gens), exp)
-
-
 def offsets_payload(offsets) -> list:
     return [[g, [term_payload(t) for t in terms]] for g, terms in offsets]
-
-
-def parse_offsets(ctx: GroupContext, obj: Any) -> tuple[GeneratorMap, tuple]:
-    """The central IA map x_g -> x_g * prod of terms, and the offsets read."""
-    assignment, offsets = {}, []
-    for item in _need_list(obj, "offsets"):
-        item = _need_list(item, "offset")
-        if len(item) != 2:
-            raise MalformedInput("offsets must be [generator, [term, ...]] pairs")
-        g = _need_int(item[0], "offset generator")
-        if g in assignment:
-            raise MalformedInput(f"offsets name generator {g} twice")
-        terms = tuple(parse_term(t) for t in _need_list(item[1], "offset terms"))
-        assignment[g] = central_offset(ctx, terms)
-        offsets.append((g, terms))
-    return ia_central(ctx, assignment), tuple(offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -276,61 +148,6 @@ def factor_payload(f: Factor) -> dict:
     return out
 
 
-def parse_factor(ctx: GroupContext, obj: Any, version: int) -> Factor:
-    obj = _need_keys(
-        obj,
-        "factor",
-        ("certificate", "tag", "level"),
-        optional=("map", "stored", "offsets", "origin", "part", "side"),
-    )
-    tag = obj["tag"]
-    if tag not in TAGS:
-        raise MalformedInput(f"unknown factor tag {tag!r}")
-    if sum(key in obj for key in ("map", "stored", "offsets")) != 1:
-        raise MalformedInput(
-            "factor needs exactly one of the keys map, stored and offsets"
-        )
-    offsets = None
-    if "map" in obj:
-        if version >= 3:
-            raise MalformedInput("version 3 factors carry stored, not map")
-        phi = parse_map(obj["map"])
-        if phi.ctx != ctx:
-            raise ContextMismatch(
-                f"factor map lives in {phi.ctx.rank}/{phi.ctx.nilclass}, "
-                f"decomposition in {ctx.rank}/{ctx.nilclass}"
-            )
-    elif "stored" in obj:
-        if version < 3:
-            raise MalformedInput("stored needs a version 3 decomposition")
-        phi = parse_stored(ctx, obj["stored"])
-    elif version < 2:
-        raise MalformedInput("offsets need a version 2 decomposition")
-    elif tag != "central_beta":
-        raise MalformedInput(f"only central_beta factors carry offsets, not {tag!r}")
-    else:
-        phi, offsets = parse_offsets(ctx, obj["offsets"])
-    origin = obj.get("origin")
-    if origin is not None and origin not in TAGS:
-        raise MalformedInput(f"unknown origin tag {origin!r}")
-    part = obj.get("part")
-    side = obj.get("side")
-    if side is not None and side not in ("F", "G"):
-        raise MalformedInput("side must be 'F' or 'G'")
-    cert = parse_certificate(obj["certificate"])
-    level = _need_int(obj["level"], "level")
-    if part is not None:
-        part = _need_int(part, "part")
-    if level < 1 or (part is not None and part < 1):
-        raise MalformedInput("level and part must be at least 1")
-    return Factor(
-        phi, cert, tag, level, origin=origin, part=part, side=side, offsets=offsets
-    )
-
-
-VERSIONS = (1, 2, 3)  # decomposition versions parse_decomposition reads
-
-
 def decomposition_payload(dec: Decomposition) -> dict:
     return {
         "version": 3,
@@ -340,24 +157,9 @@ def decomposition_payload(dec: Decomposition) -> dict:
     }
 
 
-def parse_decomposition(obj: Any) -> Decomposition:
-    obj = _need_keys(
-        obj, "decomposition", ("input", "fixed", "factors"), optional=("version",)
-    )
-    # a payload without the key is version 1, which predates it
-    version = obj.get("version", 1)
-    if type(version) is not int or version not in VERSIONS:
-        raise MalformedInput(f"unknown decomposition version {version!r}")
-    sigma = parse_map(obj["input"])
-    fixed = [_need_int(d, "fixed index") for d in _need_list(obj["fixed"], "fixed")]
-    if any(d < 1 for d in fixed):
-        raise MalformedInput("fixed indices must be positive")
-    sigma.ctx.check_generators(fixed)
-    factors = [
-        parse_factor(sigma.ctx, f, version)
-        for f in _need_list(obj["factors"], "factors")
-    ]
-    return Decomposition(sigma, frozenset(fixed), tuple(factors))
+def verify(dec: Decomposition) -> VerifyReport:
+    """Re-check a decomposition from its serialized form alone."""
+    return verify_payload(decomposition_payload(dec))
 
 
 def report_payload(rep: VerifyReport) -> dict:

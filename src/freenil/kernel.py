@@ -1,0 +1,333 @@
+"""The map kernel: generator maps, their products, and certificates.
+
+This is the part of the map layer that the verifier runs; the constructors,
+inversion, lifts and random maps built on it live in `endo`.
+
+A GeneratorMap stores only the images that are not the literal generator
+x_i; every other generator maps to itself.  Every map operation below reads
+the stored images only, so its cost follows the number of generators a map
+moves, not the rank.
+
+Applying a map to an element substitutes X_i -> (image of x_i) - 1 into every
+monomial, which is exactly the ring extension of the group homomorphism.  The
+substitution is organized around two facts that keep the common cases cheap:
+a monomial none of whose letters is moved passes through unchanged, and the
+substituted slots and their partial products are shared through one per-map
+memo keyed by monomial suffixes (only below the top degree, where entries
+stay small).
+
+Determinants work on the moved block.  The abelianization column of an
+unmoved generator is a unit vector, so det(M) is the determinant of the
+block on the moved generators.  Nothing here builds the dense n x n matrix.
+
+Whether a map is an automorphism (det = +-1) is decided once and stored on
+the map, and preserves needs no determinant beyond that one: an
+automorphism that maps a subgroup <S> into itself has a block triangular
+abelianization whose S block divides its determinant.  Constructors that
+know the answer set it and skip the determinant: the identity is
+unimodular, ia_central has the identity abelianization, and a product
+multiplies determinants, so unimodular maps give a unimodular one (`endo`'s
+constructors do the same).  A map parsed from the wire knows nothing and
+takes its own determinant.
+
+A MoietyCertificate names a partition (fixed P, preserved Q) of the
+generators, and check_certificate decides whether a map fixes P pointwise
+and restricts to an automorphism of the subgroup generated by Q.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Optional, Sequence
+
+from . import intmat
+from .context import GroupContext, check_same_context
+from .errors import IndexOutOfRange, NotAutomorphism, NotInGamma2, PartitionInvalid
+from .ring import (
+    GroupElement,
+    Poly,
+    _poly_add_into,
+    _poly_mul,
+    generator,
+    lcs_weight,
+    mul,
+    occurs,
+)
+
+
+class GeneratorMap:
+    """Endomorphism of N_{n,c} determined by generator images.
+
+    Only the images that are not the literal generator are kept: `stored`
+    maps i to its image whenever that image is not x_i spelled as the word
+    x_i (or spelled by no word).  An image equal to x_i under a longer word
+    is kept, because its word is serialized and survives lifting.  `moved`
+    is the set of i whose image is not x_i as an element, so it is a subset
+    of the stored keys.  Both are read-only.
+    """
+
+    def __init__(self, ctx: GroupContext, images: Sequence[GroupElement]):
+        if len(images) != ctx.rank:
+            raise IndexOutOfRange(
+                f"need exactly {ctx.rank} images, got {len(images)}"
+            )
+        for img in images:
+            check_same_context(ctx, img.ctx)
+        self._setup(ctx, dict(enumerate(images, 1)))
+
+    @classmethod
+    def _sparse(
+        cls,
+        ctx: GroupContext,
+        images: Mapping[int, GroupElement],
+        unimodular: Optional[bool] = None,
+    ) -> "GeneratorMap":
+        """The map sending x_i to images[i] and fixing every other generator;
+        keys must lie in 1..rank and images in `ctx`.  `unimodular` is the
+        answer of is_automorphism when the caller knows it without a
+        determinant."""
+        phi = cls.__new__(cls)
+        phi._setup(ctx, images, unimodular)
+        return phi
+
+    def _setup(
+        self,
+        ctx: GroupContext,
+        images: Mapping[int, GroupElement],
+        unimodular: Optional[bool] = None,
+    ) -> None:
+        self.ctx = ctx
+        self.stored: dict[int, GroupElement] = {}
+        self.moved = set()
+        for i, img in images.items():
+            self._put(i, img)
+        self.moved = frozenset(self.moved)
+        self._table: dict[tuple[int, ...], Poly] = {}
+        self._unimodular = unimodular
+
+    def _put(self, i: int, img: GroupElement) -> None:
+        """Make img the image of x_i, on a map still being built (while
+        `moved` is a mutable set); the one place that decides which images
+        are literal (class docstring)."""
+        poly = img.poly
+        if len(poly) != 2 or poly.get((i,)) != 1:
+            self.moved.add(i)
+            self.stored[i] = img
+            return
+        self.moved.discard(i)
+        if img.word is not None and img.word.letters != ((i, 1),):
+            self.stored[i] = img
+        else:
+            self.stored.pop(i, None)
+
+    @classmethod
+    def _product(cls, maps: Sequence["GeneratorMap"]) -> "GeneratorMap":
+        """maps[0] o maps[1] o ... for two or more maps in one context (the
+        body of compose and of ordered_product).
+
+        A private running product is updated in place: each step substitutes
+        it into the few images the next (typically sparse) factor stores and
+        classifies only those, while its other images carry over untouched.
+        A carried image may keep its word, or stay stored though no longer
+        moved; apply reads neither, so the cleanup of both is done once, at
+        the end, on every image the last factor did not store: a moved one
+        loses its word, as phi.apply(x_i) would, and an unmoved one is
+        dropped.
+        """
+        first = maps[0]
+        acc = cls.__new__(cls)
+        acc.ctx = first.ctx
+        acc.stored = dict(first.stored)
+        acc.moved = set(first.moved)
+        acc._table = {}
+        acc._unimodular = first._unimodular
+        for psi in maps[1:]:
+            images = {i: acc.apply(img) for i, img in psi.stored.items()}
+            for i, img in images.items():
+                acc._put(i, img)
+            acc._table = {}
+            acc._unimodular = True if acc._unimodular and psi._unimodular else None
+        for i in acc.stored.keys() - maps[-1].stored.keys():
+            img = acc.stored[i]
+            if i not in acc.moved:
+                del acc.stored[i]
+            elif img.word is not None:
+                acc.stored[i] = GroupElement(acc.ctx, img.poly)
+        acc.moved = frozenset(acc.moved)
+        return acc
+
+    def __call__(self, i: int) -> GroupElement:
+        self.ctx.check_generators((i,))
+        img = self.stored.get(i)
+        return generator(self.ctx, i) if img is None else img
+
+    @property
+    def images(self) -> tuple[GroupElement, ...]:
+        """All n images in index order, unstored ones as fresh generators."""
+        return tuple(self(i) for i in self.ctx.generators())
+
+    def __eq__(self, other) -> bool:
+        # extensional: maps agree iff their generator images agree as elements
+        if not isinstance(other, GeneratorMap):
+            return NotImplemented
+        return (
+            self.ctx == other.ctx
+            and self.moved == other.moved
+            and all(self.stored[i].poly == other.stored[i].poly for i in self.moved)
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        moved = sorted(self.moved)
+        return (
+            f"<GeneratorMap n={self.ctx.rank} c={self.ctx.nilclass} "
+            f"moves {moved if moved else 'nothing'}>"
+        )
+
+    @property
+    def matrix(self) -> intmat.Matrix:
+        """Abelianization: entry (j, i) is the X_{j+1} coefficient in image i+1."""
+        return self._block(self.ctx.generators())
+
+    def _block(self, sub: Sequence[int]) -> intmat.Matrix:
+        """The abelianization restricted to rows and columns `sub`, in that
+        order, read off the images."""
+        cols = [self.stored[c].poly if c in self.moved else {(c,): 1} for c in sub]
+        return tuple(tuple(col.get((r,), 0) for col in cols) for r in sub)
+
+    def is_identity(self) -> bool:
+        return not self.moved
+
+    def is_automorphism(self) -> bool:
+        # decided once per map, unless its constructor already knew
+        if self._unimodular is None:
+            self._unimodular = intmat.det(self._block(sorted(self.moved))) in (1, -1)
+        return self._unimodular
+
+    def fixes_pointwise(self, subset: Iterable[int]) -> bool:
+        return self.moved.isdisjoint(subset)
+
+    def preserves(self, subset: Iterable[int]) -> bool:
+        """True iff the map restricts to an automorphism of <subset>."""
+        if not self.is_automorphism():
+            raise NotAutomorphism("preserves() is only defined for automorphisms")
+        sub = frozenset(subset)
+        self.ctx.check_generators(sorted(sub))
+        # an unmoved generator's image is itself, inside <sub>.  Once every
+        # moved one maps into <sub>, the abelianization is block triangular
+        # with the sub block A on the diagonal, so det(A) divides det = +-1
+        # and the restriction is an automorphism: no determinant is needed
+        return all(occurs(self.stored[j]) <= sub for j in sub & self.moved)
+
+    # -- substitution engine ------------------------------------------------
+
+    def _word_image(self, w: tuple[int, ...]) -> Poly:
+        got = self._table.get(w)
+        if got is not None:
+            return got
+        if self.moved.isdisjoint(w):
+            out: Poly = {w: 1}
+        elif len(w) == 1:
+            # the slot X_i -> (image of x_i) - 1, possibly empty (an
+            # endomorphism sending x_i to 1)
+            out = {m: c for m, c in self.stored[w[0]].poly.items() if m}
+        else:
+            head = self._word_image(w[:1])
+            out = _poly_mul(head, self._word_image(w[1:]), self.ctx.nilclass)
+        if len(w) < self.ctx.nilclass:
+            # top-degree products are recomputed rather than cached: they are
+            # the numerous ones, and each costs a single short multiplication
+            self._table[w] = out
+        return out
+
+    def apply(self, a: GroupElement) -> GroupElement:
+        check_same_context(self.ctx, a.ctx)
+        moved = self.moved
+        if not moved:
+            return a
+        # unmoved monomials pass through (distinct keys, nonzero values);
+        # collecting the moved ones in the same pass tests each key once
+        out: Poly = {}
+        hits = []
+        for w, coeff in a.poly.items():
+            if moved.isdisjoint(w):
+                out[w] = coeff
+            else:
+                hits.append((w, coeff))
+        for w, coeff in hits:
+            _poly_add_into(out, self._word_image(w), coeff)
+        return GroupElement(self.ctx, out)
+
+
+def identity_map(ctx: GroupContext) -> GeneratorMap:
+    return GeneratorMap._sparse(ctx, {}, unimodular=True)
+
+
+def compose(phi: GeneratorMap, psi: GeneratorMap) -> GeneratorMap:
+    """(phi o psi)(x) = phi(psi(x)); matrices multiply in the same order.
+
+    Only generators stored by psi or moved by phi can have a non-literal
+    image; every other one is x_i on both sides.  Where psi leaves x_i alone
+    and phi moves it, the image is phi's without its word, which is exactly
+    what phi.apply(x_i) returns.  Determinants multiply, so two maps known
+    to be unimodular compose to one.
+    """
+    check_same_context(phi.ctx, psi.ctx)
+    return GeneratorMap._product((phi, psi))
+
+
+def ordered_product(ctx: GroupContext, maps: Sequence[GeneratorMap]) -> GeneratorMap:
+    """Left-to-right product under (phi o psi)(x) = phi(psi(x))."""
+    for phi in maps:
+        check_same_context(ctx, phi.ctx)
+    if len(maps) < 2:
+        return maps[0] if maps else identity_map(ctx)
+    return GeneratorMap._product(maps)
+
+
+def ia_central(ctx: GroupContext, assignment: Mapping[int, GroupElement]) -> GeneratorMap:
+    """x_b -> x_b * z_b for each assigned b; z_b must lie in the commutator
+    subgroup (weight >= 2), which makes the result an automorphism with
+    identity abelianization."""
+    stored = {}
+    for b, z in assignment.items():
+        ctx.check_generators((b,))
+        check_same_context(ctx, z.ctx)
+        if lcs_weight(z) < 2:
+            raise NotInGamma2(f"offset for generator {b} has weight 1")
+        stored[b] = mul(generator(ctx, b), z)
+    # the abelianization is the identity
+    return GeneratorMap._sparse(ctx, stored, unimodular=True)
+
+
+# ---------------------------------------------------------------------------
+# certificates
+
+@dataclass(frozen=True)
+class MoietyCertificate:
+    """Partition witness: the map fixes `fixed` pointwise and restricts to an
+    automorphism of the subgroup generated by `preserved`."""
+
+    fixed: frozenset[int]
+    preserved: frozenset[int]
+
+    def __init__(self, fixed: Iterable[int], preserved: Iterable[int]):
+        object.__setattr__(self, "fixed", frozenset(fixed))
+        object.__setattr__(self, "preserved", frozenset(preserved))
+
+
+def check_certificate(phi: GeneratorMap, cert: MoietyCertificate) -> bool:
+    everything = frozenset(phi.ctx.generators())
+    if (
+        cert.fixed | cert.preserved != everything
+        or cert.fixed & cert.preserved
+        or not cert.preserved
+    ):
+        raise PartitionInvalid(
+            "certificate needs fixed and preserved to partition 1..rank "
+            "with preserved nonempty"
+        )
+    if not phi.is_automorphism():
+        raise NotAutomorphism("certificates only apply to automorphisms")
+    return phi.fixes_pointwise(cert.fixed) and phi.preserves(cert.preserved)

@@ -17,22 +17,28 @@ integer-exact in both directions.
 
 Bracket trees are nested pairs with int leaves: 3 is a leaf, (1, (2, 3)) is
 [x1, [x2, x3]].  The Lie bracket matching the group commutator convention
-a^-1 b^-1 a b is [U, V] = UV - VU.
+a^-1 b^-1 a b is [U, V] = UV - VU.  Expanding a tree in the word basis
+(`bracket_expansion`), the left-normed term record `LeftNormedTerm` and the
+closed-form product of central terms (`central_offset`) live in `ring`,
+since the wire reader needs them and nothing else here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Union
 
 from .context import GroupContext
-from .errors import IndexOutOfRange, NotCentral, NotLieElement
+from .errors import NotCentral, NotLieElement
 from .ring import (
+    BracketTree,
     GroupElement,
+    LeftNormedTerm,
     Poly,
     Word,
+    _left_normed_letters,
     _poly_add_into,
+    bracket_expansion,
     comm,
     from_word,
     generator,
@@ -41,8 +47,6 @@ from .ring import (
     mul,
     power,
 )
-
-BracketTree = Union[int, tuple]
 
 
 # ---------------------------------------------------------------------------
@@ -85,27 +89,6 @@ def standard_bracketing(word: tuple[int, ...]) -> BracketTree:
     return (standard_bracketing(word[:split]), standard_bracketing(word[split:]))
 
 
-def bracket_expansion(tree: BracketTree) -> Poly:
-    """Expand a bracket tree in the word basis via [U, V] = UV - VU."""
-    if isinstance(tree, int):
-        return {(tree,): 1}
-    a = bracket_expansion(tree[0])
-    b = bracket_expansion(tree[1])
-    # UV and VU in one pass over the pairs: as _poly_mul(a, b) plus
-    # _poly_add_into of _poly_mul(b, a) a Lyndon row took twice as long
-    out: Poly = {}
-    get = out.get
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            for key, sign in ((m1 + m2, 1), (m2 + m1, -1)):
-                v = get(key, 0) + sign * c1 * c2
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
-    return out
-
-
 @lru_cache(maxsize=None)
 def _lyndon_row(word: tuple[int, ...]) -> tuple[BracketTree, Poly]:
     """Standard bracketing of a Lyndon word and its expansion in the word basis."""
@@ -142,14 +125,6 @@ class LieHomogeneous:
 
     def is_zero(self) -> bool:
         return not self.coefficients
-
-
-@dataclass(frozen=True)
-class LeftNormedTerm:
-    """Power of a left-normed commutator [x_{b1}, x_{b2}, ..., x_{bk}]."""
-
-    generators: tuple[int, ...]
-    exponent: int
 
 
 def central_log(w: GroupElement) -> LieHomogeneous:
@@ -208,18 +183,6 @@ def _combo_bracket(combo: dict, tree: BracketTree) -> dict:
 # ---------------------------------------------------------------------------
 # central factorization and collected words
 
-def _left_normed_letters(seq: Sequence[int], exponent: int) -> list[tuple[int, int]]:
-    # the letters of [x_{b1}, x_{b2}^e, x_{b3}, .., x_{bk}], each bracket
-    # [a, b] spelled a^-1 b^-1 a b as ring.comm multiplies it, left unreduced
-    if len(seq) == 1:
-        return [(seq[0], exponent)]
-    acc = [(seq[0], 1)]
-    for k, b in enumerate(seq[1:]):
-        e = exponent if k == 0 else 1
-        acc = [(g, -x) for g, x in reversed(acc)] + [(b, -e)] + acc + [(b, e)]
-    return acc
-
-
 def left_normed_element(ctx: GroupContext, seq: tuple[int, ...], exponent: int) -> GroupElement:
     """Group element [x_{b1}, .., x_{bk}]^exponent with a compact word.
 
@@ -237,41 +200,6 @@ def left_normed_element(ctx: GroupContext, seq: tuple[int, ...], exponent: int) 
         for b in x[2:]:
             acc = comm(acc, b)
     return GroupElement(ctx, acc.poly, Word(_left_normed_letters(seq, exponent)))
-
-
-@lru_cache(maxsize=None)
-def _left_normed_expansion(seq: tuple[int, ...]) -> Poly:
-    # cached per sequence like _lyndon_row; callers only read the dict
-    tree: BracketTree = seq[0]
-    for b in seq[1:]:
-        tree = (tree, b)
-    return bracket_expansion(tree)
-
-
-def central_offset(ctx: GroupContext, terms: Sequence[LeftNormedTerm]) -> GroupElement:
-    """Product of the weight-c commutator powers `terms`, in closed form.
-
-    In class c such a product is central with polynomial
-    1 + sum of e * bracket(b1, .., bc), so it is read off the left-normed
-    bracket expansions; no group product is formed.  The element also
-    carries the word left_normed_element spells for each term, concatenated
-    and freely reduced once, so it equals the product of left_normed_element
-    pieces in polynomial and in word letters.
-    """
-    c = ctx.nilclass
-    poly: Poly = {(): 1}
-    letters: list[tuple[int, int]] = []
-    for t in terms:
-        seq = t.generators
-        if len(seq) != c or c < 2:
-            raise NotCentral(
-                f"term {list(seq)} has weight {len(seq)}; central terms need weight {c} >= 2"
-            )
-        if not all(1 <= b <= ctx.rank for b in seq):
-            raise IndexOutOfRange(f"term {list(seq)} leaves generators 1..{ctx.rank}")
-        _poly_add_into(poly, _left_normed_expansion(seq), t.exponent)
-        letters.extend(_left_normed_letters(seq, t.exponent))
-    return GroupElement(ctx, poly, Word(letters))
 
 
 def central_factorize(w: GroupElement) -> list[LeftNormedTerm]:

@@ -1,0 +1,251 @@
+"""Reading the JSON wire formats into checked records.
+
+The formats are listed in `jsonio`, which writes them, and `freenil
+--schema` prints them.  This module parses them: the verifier needs it and
+the map kernel, never the writer or the engine.
+
+Decompositions of versions 1, 2 and 3 are read.  Version 1 has no "version"
+key and a dense "map" in every factor; version 2 allows "offsets" in
+central_beta factors and a "map" in every other one; version 3 has a
+"stored" list of the images a factor's map stores, or "offsets".  A factor
+map in version 3, or a "stored" list before it, is refused.  Offsets are
+rebuilt in closed form by `ring.central_offset`.  Any integer combination of
+weight-c terms is a central group element, so a parsed factor is a genuine
+map whatever its terms say.
+
+The provenance keys are read as the schema documents them: "origin" only on
+lifted factors, "part" and "side" only on central_beta factors and on lifted
+factors of central_beta origin, and "level" at most the decomposition's
+class.
+
+Structural violations raise MalformedInput; out-of-range generator indices
+and mismatched contexts surface as their own domain errors so callers can
+tell "not even the right shape" from "well-formed but invalid here".
+"""
+
+from __future__ import annotations
+
+from typing import Any
+
+from .context import GroupContext
+from .errors import ContextMismatch, MalformedInput
+from .kernel import GeneratorMap, MoietyCertificate, ia_central
+from .records import TAGS, Decomposition, Factor
+from .ring import GroupElement, LeftNormedTerm, Word, central_offset, from_word
+
+
+# ---------------------------------------------------------------------------
+# small validators
+
+def _need_int(x: Any, what: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise MalformedInput(f"{what} must be an integer")
+    return x
+
+
+def _need_list(x: Any, what: str) -> list:
+    if not isinstance(x, list):
+        raise MalformedInput(f"{what} must be a list")
+    return x
+
+
+def _need_keys(obj: Any, what: str, required: tuple, optional: tuple = ()) -> dict:
+    if not isinstance(obj, dict):
+        raise MalformedInput(f"{what} must be an object")
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise MalformedInput(f"{what} is missing keys {missing}")
+    unknown = [k for k in obj if k not in required and k not in optional]
+    if unknown:
+        raise MalformedInput(f"{what} has unknown keys {unknown}")
+    return obj
+
+
+# ---------------------------------------------------------------------------
+# words and elements
+
+def parse_word(obj: Any) -> Word:
+    pairs = []
+    for item in _need_list(obj, "word"):
+        item = _need_list(item, "word letter")
+        if len(item) != 2:
+            raise MalformedInput("word letters must be [generator, exponent] pairs")
+        g = _need_int(item[0], "generator index")
+        e = _need_int(item[1], "exponent")
+        if g < 1:
+            raise MalformedInput(f"generator index {g} must be positive")
+        if e == 0:
+            raise MalformedInput("exponent must be nonzero")
+        pairs.append((g, e))
+    return Word(tuple(pairs))
+
+
+def parse_element(ctx: GroupContext, obj: Any) -> GroupElement:
+    obj = _need_keys(obj, "element", ("word",))
+    return from_word(ctx, parse_word(obj["word"]))
+
+
+# ---------------------------------------------------------------------------
+# maps
+
+def parse_map(obj: Any) -> GeneratorMap:
+    obj = _need_keys(obj, "map", ("rank", "class", "images"))
+    rank = _need_int(obj["rank"], "rank")
+    ctx = GroupContext(rank, _need_int(obj["class"], "class"))
+    images = _need_list(obj["images"], "images")
+    if len(images) != rank:
+        raise MalformedInput(f"expected {rank} images, got {len(images)}")
+    stored = {}
+    for i, w in enumerate(images, 1):
+        # the literal image [[i, 1]] needs no ring work; `==` alone would
+        # also match [[True, 1]] or [[1.0, 1]], which parse_word refuses
+        if w == [[i, 1]] and type(w[0][0]) is int and type(w[0][1]) is int:
+            continue
+        stored[i] = from_word(ctx, parse_word(w))
+    return GeneratorMap._sparse(ctx, stored)
+
+
+def parse_stored(ctx: GroupContext, obj: Any) -> GeneratorMap:
+    """The map x_g -> WORD for each listed g, fixing every other generator:
+    the map parse_map builds from the dense images it stands for."""
+    stored, last = {}, 0
+    for item in _need_list(obj, "stored"):
+        item = _need_list(item, "stored image")
+        if len(item) != 2:
+            raise MalformedInput("stored images must be [generator, word] pairs")
+        g = _need_int(item[0], "stored generator")
+        ctx.check_generators((g,))
+        if g <= last:
+            raise MalformedInput("stored generators must strictly increase")
+        last = g
+        stored[g] = from_word(ctx, parse_word(item[1]))
+    return GeneratorMap._sparse(ctx, stored)
+
+
+# ---------------------------------------------------------------------------
+# certificates, terms
+
+def parse_certificate(obj: Any) -> MoietyCertificate:
+    obj = _need_keys(obj, "certificate", ("fixed", "preserved"))
+    sides = []
+    for key in ("fixed", "preserved"):
+        idx = [_need_int(i, f"{key} index") for i in _need_list(obj[key], key)]
+        if any(i < 1 for i in idx):
+            raise MalformedInput(f"{key} indices must be positive")
+        sides.append(frozenset(idx))
+    return MoietyCertificate(sides[0], sides[1])
+
+
+def parse_term(obj: Any) -> LeftNormedTerm:
+    obj = _need_keys(obj, "term", ("comm", "exp"))
+    gens = [_need_int(g, "commutator entry") for g in _need_list(obj["comm"], "comm")]
+    if len(gens) < 2 or any(g < 1 for g in gens):
+        raise MalformedInput("comm must list at least two positive generator indices")
+    exp = _need_int(obj["exp"], "exp")
+    if exp == 0:
+        raise MalformedInput("exp must be nonzero")
+    return LeftNormedTerm(tuple(gens), exp)
+
+
+def parse_offsets(ctx: GroupContext, obj: Any) -> tuple[GeneratorMap, tuple]:
+    """The central IA map x_g -> x_g * prod of terms, and the offsets read."""
+    assignment, offsets = {}, []
+    for item in _need_list(obj, "offsets"):
+        item = _need_list(item, "offset")
+        if len(item) != 2:
+            raise MalformedInput("offsets must be [generator, [term, ...]] pairs")
+        g = _need_int(item[0], "offset generator")
+        if g in assignment:
+            raise MalformedInput(f"offsets name generator {g} twice")
+        terms = tuple(parse_term(t) for t in _need_list(item[1], "offset terms"))
+        assignment[g] = central_offset(ctx, terms)
+        offsets.append((g, terms))
+    return ia_central(ctx, assignment), tuple(offsets)
+
+
+# ---------------------------------------------------------------------------
+# factors and decompositions
+
+def parse_factor(ctx: GroupContext, obj: Any, version: int) -> Factor:
+    obj = _need_keys(
+        obj,
+        "factor",
+        ("certificate", "tag", "level"),
+        optional=("map", "stored", "offsets", "origin", "part", "side"),
+    )
+    tag = obj["tag"]
+    if tag not in TAGS:
+        raise MalformedInput(f"unknown factor tag {tag!r}")
+    if sum(key in obj for key in ("map", "stored", "offsets")) != 1:
+        raise MalformedInput(
+            "factor needs exactly one of the keys map, stored and offsets"
+        )
+    offsets = None
+    if "map" in obj:
+        if version >= 3:
+            raise MalformedInput("version 3 factors carry stored, not map")
+        phi = parse_map(obj["map"])
+        if phi.ctx != ctx:
+            raise ContextMismatch(
+                f"factor map lives in {phi.ctx.rank}/{phi.ctx.nilclass}, "
+                f"decomposition in {ctx.rank}/{ctx.nilclass}"
+            )
+    elif "stored" in obj:
+        if version < 3:
+            raise MalformedInput("stored needs a version 3 decomposition")
+        phi = parse_stored(ctx, obj["stored"])
+    elif version < 2:
+        raise MalformedInput("offsets need a version 2 decomposition")
+    elif tag != "central_beta":
+        raise MalformedInput(f"only central_beta factors carry offsets, not {tag!r}")
+    else:
+        phi, offsets = parse_offsets(ctx, obj["offsets"])
+    origin = obj.get("origin")
+    if origin is not None and origin not in TAGS:
+        raise MalformedInput(f"unknown origin tag {origin!r}")
+    part = obj.get("part")
+    side = obj.get("side")
+    if side is not None and side not in ("F", "G"):
+        raise MalformedInput("side must be 'F' or 'G'")
+    cert = parse_certificate(obj["certificate"])
+    level = _need_int(obj["level"], "level")
+    if part is not None:
+        part = _need_int(part, "part")
+    if level < 1 or (part is not None and part < 1):
+        raise MalformedInput("level and part must be at least 1")
+    if level > ctx.nilclass:
+        raise MalformedInput(
+            f"level {level} exceeds the decomposition's class {ctx.nilclass}"
+        )
+    if origin is not None and tag != "lifted":
+        raise MalformedInput(f"only lifted factors carry origin, not {tag!r}")
+    if (part is not None or side is not None) and "central_beta" not in (tag, origin):
+        raise MalformedInput(
+            "only central_beta factors and their lifts carry part and side"
+        )
+    return Factor(
+        phi, cert, tag, level, origin=origin, part=part, side=side, offsets=offsets
+    )
+
+
+VERSIONS = (1, 2, 3)  # decomposition versions parse_decomposition reads
+
+
+def parse_decomposition(obj: Any) -> Decomposition:
+    obj = _need_keys(
+        obj, "decomposition", ("input", "fixed", "factors"), optional=("version",)
+    )
+    # a payload without the key is version 1, which predates it
+    version = obj.get("version", 1)
+    if type(version) is not int or version not in VERSIONS:
+        raise MalformedInput(f"unknown decomposition version {version!r}")
+    sigma = parse_map(obj["input"])
+    fixed = [_need_int(d, "fixed index") for d in _need_list(obj["fixed"], "fixed")]
+    if any(d < 1 for d in fixed):
+        raise MalformedInput("fixed indices must be positive")
+    sigma.ctx.check_generators(fixed)
+    factors = [
+        parse_factor(sigma.ctx, f, version)
+        for f in _need_list(obj["factors"], "factors")
+    ]
+    return Decomposition(sigma, frozenset(fixed), tuple(factors))

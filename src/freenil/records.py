@@ -1,6 +1,8 @@
 """Plain records shared by the decomposition engine, the wire formats and the
 verifier: the factor tags, one certified factor, a decomposition and a
-verification report.  Nothing here computes anything.
+verification report.  Nothing here computes anything.  The names imported
+below appear in annotations only; they come from the map kernel and the
+ring, so the records stay inside the verifier's trusted core.
 """
 
 from __future__ import annotations
@@ -8,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .endo import GeneratorMap, MoietyCertificate
-from .lie import LeftNormedTerm
+from .kernel import GeneratorMap, MoietyCertificate
+from .ring import LeftNormedTerm
 
 TAGS = ("elementary_abelian", "shear", "permutation", "sign", "lifted", "central_beta")
 

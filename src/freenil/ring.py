@@ -16,19 +16,28 @@ identity(), generator(), from_word(), or the group operations, so every
 element is the image of an actual group word.  Elements optionally remember a
 defining word; the polynomial is the element's identity, the word is
 provenance that serializers prefer when present.
+
+Left-normed commutators of generators also live here, in closed form:
+`central_offset` builds a product of weight-c commutator powers from their
+bracket expansions alone, with no group product formed.  That is all the
+wire reader needs of commutators, so reading a decomposition never touches
+the Lyndon code in `lie`, which builds on these expansions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from functools import lru_cache
+from typing import Iterable, Optional, Sequence, Union
 
 from .context import GroupContext, check_same_context
-from .errors import BadClass, IndexOutOfRange
+from .errors import BadClass, IndexOutOfRange, NotCentral
 
 Monomial = tuple[int, ...]
 Poly = dict  # Monomial -> int, zero coefficients absent
+# nested pairs with int leaves: 3 is x_3, (1, (2, 3)) is [x_1, [x_2, x_3]]
+BracketTree = Union[int, tuple]
 
 
 # ---------------------------------------------------------------------------
@@ -308,3 +317,82 @@ def occurs(a: GroupElement) -> frozenset[int]:
     for m in a.poly:
         seen.update(m)
     return frozenset(seen)
+
+
+# ---------------------------------------------------------------------------
+# left-normed commutators in closed form
+
+def bracket_expansion(tree: BracketTree) -> Poly:
+    """Expand a bracket tree in the word basis via [U, V] = UV - VU."""
+    if isinstance(tree, int):
+        return {(tree,): 1}
+    a = bracket_expansion(tree[0])
+    b = bracket_expansion(tree[1])
+    # UV and VU in one pass over the pairs: as _poly_mul(a, b) plus
+    # _poly_add_into of _poly_mul(b, a) a Lyndon row took twice as long
+    out: Poly = {}
+    get = out.get
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            for key, sign in ((m1 + m2, 1), (m2 + m1, -1)):
+                v = get(key, 0) + sign * c1 * c2
+                if v:
+                    out[key] = v
+                elif key in out:
+                    del out[key]
+    return out
+
+
+@dataclass(frozen=True)
+class LeftNormedTerm:
+    """Power of a left-normed commutator [x_{b1}, x_{b2}, ..., x_{bk}]."""
+
+    generators: tuple[int, ...]
+    exponent: int
+
+
+def _left_normed_letters(seq: Sequence[int], exponent: int) -> list[tuple[int, int]]:
+    # the letters of [x_{b1}, x_{b2}^e, x_{b3}, .., x_{bk}], each bracket
+    # [a, b] spelled a^-1 b^-1 a b as comm multiplies it, left unreduced
+    if len(seq) == 1:
+        return [(seq[0], exponent)]
+    acc = [(seq[0], 1)]
+    for k, b in enumerate(seq[1:]):
+        e = exponent if k == 0 else 1
+        acc = [(g, -x) for g, x in reversed(acc)] + [(b, -e)] + acc + [(b, e)]
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _left_normed_expansion(seq: tuple[int, ...]) -> Poly:
+    # cached per sequence like lie._lyndon_row; callers only read the dict
+    tree: BracketTree = seq[0]
+    for b in seq[1:]:
+        tree = (tree, b)
+    return bracket_expansion(tree)
+
+
+def central_offset(ctx: GroupContext, terms: Sequence[LeftNormedTerm]) -> GroupElement:
+    """Product of the weight-c commutator powers `terms`, in closed form.
+
+    In class c such a product is central with polynomial
+    1 + sum of e * bracket(b1, .., bc), so it is read off the left-normed
+    bracket expansions; no group product is formed.  The element also
+    carries the word lie.left_normed_element spells for each term,
+    concatenated and freely reduced once, so it equals the product of
+    left_normed_element pieces in polynomial and in word letters.
+    """
+    c = ctx.nilclass
+    poly: Poly = {(): 1}
+    letters: list[tuple[int, int]] = []
+    for t in terms:
+        seq = t.generators
+        if len(seq) != c or c < 2:
+            raise NotCentral(
+                f"term {list(seq)} has weight {len(seq)}; central terms need weight {c} >= 2"
+            )
+        if not all(1 <= b <= ctx.rank for b in seq):
+            raise IndexOutOfRange(f"term {list(seq)} leaves generators 1..{ctx.rank}")
+        _poly_add_into(poly, _left_normed_expansion(seq), t.exponent)
+        letters.extend(_left_normed_letters(seq, t.exponent))
+    return GroupElement(ctx, poly, Word(letters))

@@ -1,26 +1,24 @@
 """The trusted checker for decompositions.
 
-`verify` re-reads a decomposition from its serialized form only and rechecks
+`verify_payload` reads a decomposition from its wire form and rechecks
 everything: the product, every certificate, and D-fixing per factor.  It
-rests on the ring, the map layer (`endo`, which brings `intmat`) and the
-wire parser, and never on the decomposition engine whose output it checks.
+rests on the ring, `intmat`, the map kernel (`kernel`) and the wire reader
+(`reader`), and never on the decomposition engine whose output it checks,
+on the Lyndon code in `lie`, or on the writer in `jsonio`.
+`tests/test_layering.py` pins that module set.  `verify`, which takes a
+decomposition in memory, writes it first and so lives with the writer.
 """
 
 from __future__ import annotations
 
-from .endo import check_certificate, ordered_product
 from .errors import DomainError
-from .jsonio import decomposition_payload, parse_decomposition
-from .records import Decomposition, VerifyReport
-
-
-def verify(dec: Decomposition) -> VerifyReport:
-    """Re-check a decomposition from its serialized form alone."""
-    return verify_payload(decomposition_payload(dec))
+from .kernel import check_certificate, ordered_product
+from .reader import parse_decomposition
+from .records import VerifyReport
 
 
 def verify_payload(payload: dict) -> VerifyReport:
-    """The checker behind `verify`: consumes the wire format, recomputes the
+    """The checker: consumes the wire format, recomputes the
     ordered product, and rechecks every certificate and D-fixing claim.
     Check failures are reported, never raised."""
     dec = parse_decomposition(payload)

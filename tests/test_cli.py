@@ -26,7 +26,8 @@ from freenil import (
     transvection,
 )
 from freenil.cli import _build_parser, main
-from freenil.jsonio import dumps, map_payload, parse_element, parse_map
+from freenil.jsonio import dumps, map_payload
+from freenil.reader import parse_element, parse_map
 
 CLI = (sys.executable, "-m", "freenil.cli")
 
@@ -404,6 +405,8 @@ def test_decompose_domain_errors_exit_1(tmp_path):
         ({"fixed": [1, 99]}, 1, "IndexOutOfRange"),
         ({"level": -5}, 2, "MalformedInput"),
         ({"part": 0}, 2, "MalformedInput"),
+        ({"side": "F"}, 2, "MalformedInput"),
+        ({"level": 3}, 2, "MalformedInput"),
     ],
 )
 def test_verify_refuses_out_of_contract_decompositions(tmp_path, edit, code, error):
@@ -417,6 +420,17 @@ def test_verify_refuses_out_of_contract_decompositions(tmp_path, edit, code, err
         dec["factors"][0].update(edit)
     status, _, out = run_cli(tmp_path, ["verify"], dec)
     assert status == code and out["error"] == error
+
+
+def test_verify_refuses_origin_on_a_central_factor(tmp_path):
+    # origin belongs to lifted factors only; this used to verify as ok: true
+    phi = map_payload(random_automorphism(GroupContext(8, 2), 4041, 10, (1,)))
+    status, _, dec = run_cli(tmp_path, ["decompose", "--fix", "1"], phi)
+    assert status == 0 and dec["factors"][-1]["tag"] == "central_beta"
+    dec["factors"][-1]["origin"] = "sign"
+    status, _, out = run_cli(tmp_path, ["verify"], dec)
+    assert status == 2 and out["error"] == "MalformedInput"
+    assert out["message"] == "only lifted factors carry origin, not 'central_beta'"
 
 
 @pytest.mark.parametrize("fixed", [[], [1]])

@@ -761,6 +761,37 @@ def test_verify_refuses_nonpositive_level_or_part(key, value):
         verify_payload(payload)
 
 
+_NOT_HERE = "only central_beta factors and their lifts carry part and side"
+
+
+@pytest.mark.parametrize(
+    "tag, edit, message",
+    [
+        ("lifted", {"side": "F"}, _NOT_HERE),
+        ("lifted", {"part": 1}, _NOT_HERE),
+        ("lifted", {"level": 3}, "level 3 exceeds the decomposition's class 2"),
+        ("central_beta", {"origin": "sign"}, "only lifted factors carry origin"),
+        ("central_beta", {"level": 3}, "level 3 exceeds the decomposition's class 2"),
+    ],
+    ids=["lifted-side", "lifted-part", "lifted-level", "central-origin", "central-level"],
+)
+def test_verify_refuses_provenance_keys_outside_their_factors(tag, edit, message):
+    # the edit goes into every factor of the tag; the lifted factors here
+    # are all of class-1 origin.  Each edit used to verify as ok: true
+    from freenil import MalformedInput, verify_payload
+    from freenil.jsonio import decomposition_payload
+
+    sigma = random_automorphism(GroupContext(8, 2), 3, 8, (1,))
+    payload = decomposition_payload(decompose(sigma, (1,)))
+    assert verify_payload(payload).ok
+    edited = [f for f in payload["factors"] if f["tag"] == tag]
+    assert edited and all(f.get("origin") != "central_beta" for f in edited)
+    for f in edited:
+        f.update(edit)
+    with pytest.raises(MalformedInput, match=message):
+        verify_payload(payload)
+
+
 def test_ordered_product_empty_is_identity():
     ctx = GroupContext(3, 2)
     assert ordered_product(ctx, []).is_identity()

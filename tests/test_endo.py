@@ -43,7 +43,7 @@ from freenil import (
     truncate_class,
     word_of,
 )
-from freenil import endo, lie, ring
+from freenil import endo, kernel, lie, ring
 from freenil.intmat import det, inverse_unimodular
 from matrix_oracle import matmul
 
@@ -699,7 +699,7 @@ def test_map_operation_calls_do_not_grow_with_rank(monkeypatch):
 
     monkeypatch.setattr(GeneratorMap, "apply", counting("apply", GeneratorMap.apply))
     make = counting("generator", ring.generator)
-    for module in (ring, endo, lie):
+    for module in (ring, kernel, endo, lie):
         monkeypatch.setattr(module, "generator", make)
 
     def profile(rank):

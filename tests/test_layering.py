@@ -1,19 +1,29 @@
 """The package's import structure: the verifier stays a small trusted core.
 
 `verifier` rechecks decompositions from their wire form, so it must not rest
-on the engine that produced them.  These checks read the import statements
-of every module in the package with `ast`, without importing anything.  Three
-more checks pin the public surface: `__all__` names exactly what the package
-imports, every other public definition is used by the library, and the
-README's `from freenil import *` example runs.
+on the engine that produced them, the Lyndon code or the writer.  The
+structural checks read the import statements of every module in the package
+with `ast`, without importing anything; one more runs the verifier in a
+process where only its modules can load.  Three checks pin the public
+surface: `__all__` names exactly what the package imports, every other
+public definition is used by the library, and the README's
+`from freenil import *` example runs.
 """
 
 import ast
+import hashlib
+import json
+import subprocess
+import sys
 import types
 from collections import Counter
 from pathlib import Path
 
 import freenil
+from freenil.jsonio import dumps, report_payload
+from freenil.records import VerifyReport
+
+from test_wire_fixtures import DATA, FIXTURES, REPORTS, fixture_path
 
 PACKAGE = Path(freenil.__file__).parent
 TREES = {
@@ -47,19 +57,60 @@ def test_no_imports_inside_functions():
     assert not found, found
 
 
-def test_verifier_does_not_reach_the_engine():
-    seen, todo = set(), ["verifier"]
+def _closure(start: str) -> set[str]:
+    seen, todo = set(), [start]
     while todo:
         name = todo.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        todo.extend(_sibling_imports(TREES[name]))
-    assert "decompose" not in seen, sorted(seen)
+        if name not in seen:
+            seen.add(name)
+            todo.extend(_sibling_imports(TREES[name]))
+    return seen
 
 
-def test_jsonio_does_not_import_the_engine():
-    assert "decompose" not in _sibling_imports(TREES["jsonio"])
+# the verifier's trusted core: every module it reaches by import
+CORE = {"verifier", "records", "kernel", "reader", "ring", "intmat", "context", "errors"}
+
+
+def test_verifier_closure_is_the_trusted_core():
+    # exact sets, so neither reaches decompose, and the core reaches none of
+    # lie, rng, endo, jsonio or cli; the writer adds only itself and lie
+    assert _closure("verifier") == CORE
+    assert _closure("jsonio") == CORE | {"jsonio", "lie"}
+
+
+def test_verifier_runs_on_the_core_alone():
+    # a stub package stands in for freenil, so __init__ (which imports
+    # everything) never runs; verifying every committed payload must load
+    # exactly the core and give each fixture its pinned report
+    code = (
+        "import json, sys, types\n"
+        "from dataclasses import asdict\n"
+        "from pathlib import Path\n"
+        "pkg = types.ModuleType('freenil')\n"
+        f"pkg.__path__ = [{str(PACKAGE)!r}]\n"
+        "sys.modules['freenil'] = pkg\n"
+        "from freenil.verifier import verify_payload\n"
+        "reports = {}\n"
+        f"for path in Path({str(DATA)!r}).glob('v*/*.json'):\n"
+        "    rep = verify_payload(json.loads(path.read_text(encoding='utf-8')))\n"
+        "    reports[f'{path.parent.name}/{path.name}'] = asdict(rep)\n"
+        "loaded = [k[len('freenil.'):] for k in sys.modules if k.startswith('freenil.')]\n"
+        "print(json.dumps({'loaded': loaded, 'reports': reports}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert set(out["loaded"]) == CORE
+    assert len(out["reports"]) == len(FIXTURES) == 14
+    for version, cell in FIXTURES:
+        path = fixture_path(version, cell)
+        fields = out["reports"][f"{version}/{path.name}"]
+        report = VerifyReport(**{**fields, "failures": tuple(fields["failures"])})
+        assert report.ok
+        text = dumps(report_payload(report))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORTS[cell]
 
 
 def test_all_lists_the_imported_names_and_no_modules():

@@ -37,7 +37,8 @@ from freenil import (
     word_of,
 )
 from freenil import lie
-from freenil.lie import bracket_expansion, left_normalize, standard_bracketing
+from freenil.lie import left_normalize, standard_bracketing
+from freenil.ring import bracket_expansion
 
 
 def _mobius(d):

@@ -2,7 +2,7 @@
 
 A central_beta factor x_g -> x_g * prod [x_b1, .., x_bc]^e is written as its
 left-normed terms ("offsets") and rebuilt in closed form by
-`lie.central_offset`.  These tests pin that the closed form equals the
+`ring.central_offset`.  These tests pin that the closed form equals the
 product of commutator words it replaces, that the format before it
 (version 1, committed under tests/data/v1/) still verifies to the pinned
 report bytes, that version 2 (committed under tests/data/v2/) differs from
@@ -30,8 +30,9 @@ from freenil import (
     verify_payload,
 )
 from freenil.cli import main
-from freenil.jsonio import dumps, loads, parse_map, report_payload
-from freenil.lie import LeftNormedTerm, central_offset
+from freenil.jsonio import dumps, loads, report_payload
+from freenil.reader import parse_map
+from freenil.ring import LeftNormedTerm, central_offset
 
 from test_wire_fixtures import REPORTS
 from test_wire_golden import GOLDEN

@@ -27,12 +27,14 @@ from freenil.jsonio import (
     decomposition_payload,
     dumps,
     loads,
+    report_payload,
+    stored_payload,
+)
+from freenil.reader import (
     parse_decomposition,
     parse_map,
     parse_offsets,
     parse_stored,
-    report_payload,
-    stored_payload,
 )
 
 from test_wire_fixtures import REPORTS, fixture_path
