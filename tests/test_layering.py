@@ -71,10 +71,15 @@ def _closure(start: str) -> set[str]:
 CORE = {"verifier", "records", "kernel", "reader", "ring", "intmat", "context", "errors"}
 
 
-def test_verifier_closure_is_the_trusted_core():
-    # exact sets, so neither reaches decompose, and the core reaches none of
-    # lie, rng, endo, jsonio or cli; the writer adds only itself and lie
+def test_verifier_does_not_reach_the_engine():
+    # an exact set, so the core reaches none of decompose, lie, rng, endo,
+    # jsonio or cli
     assert _closure("verifier") == CORE
+    assert "decompose" not in CORE
+
+
+def test_jsonio_does_not_import_the_engine():
+    # the writer adds only itself and lie to the core
     assert _closure("jsonio") == CORE | {"jsonio", "lie"}
 
 
