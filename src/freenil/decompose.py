@@ -20,19 +20,26 @@ nilpotency class:
             generators, so with c+1 cells one is always clean: that
             pigeonhole is checked at every assignment.
 
+Every level shares sigma's abelianization, so one row reduction of its
+block on E serves the whole call: it proves sigma unimodular (a map fixing D
+has that block's determinant), its moves are the class-1 factors, and the
+same moves replayed give the inverse abelianization that divides the lifted
+product out at every class c >= 2.  No determinant is taken and no matrix
+is reduced twice.
+
 The checker for the output lives in `verifier`, which does not import this
 module.
 """
 
 from __future__ import annotations
 
+import operator
 from itertools import groupby
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import intmat
 from .context import GroupContext
 from .endo import (
-    _inverse_block,
     inversion,
     lift_words,
     permutational,
@@ -45,6 +52,7 @@ from .errors import (
     DoesNotFixD,
     NotAutomorphism,
     NotCentralIA,
+    NotUnimodular,
     RankTooSmall,
 )
 from .kernel import (
@@ -157,20 +165,27 @@ def _half_cert(
     return MoietyCertificate(fixed, frozenset(ctx.generators()) - fixed)
 
 
-def abelian_decompose(sigma: GeneratorMap, fixed: Iterable[int]) -> Decomposition:
+def abelian_decompose(
+    sigma: GeneratorMap,
+    fixed: Iterable[int],
+    moves: Optional[Sequence[intmat.RowMove]] = None,
+) -> Decomposition:
     """Base case: class 1, where the map is its abelianization matrix.
 
     Needs three free generators: a factor touches at most
     max(2, |E| // 2) of them, so every factor leaves one untouched for its
-    certificate to fix.
+    certificate to fix.  `moves` is the factorization of sigma's free block
+    by a caller that has checked sigma and reduced that block already
+    (`decompose`); without it, both happen here.
     """
     ctx = sigma.ctx
     if ctx.nilclass != 1:
         raise BadClass(f"abelian decomposition needs class 1, got {ctx.nilclass}")
-    fixed = _check_common(sigma, fixed, min_free=3)
+    if moves is None:
+        fixed, moves = _reduce_free_block(sigma, fixed, min_free=3)
+    fixed = frozenset(fixed)
     free = sorted(frozenset(ctx.generators()) - fixed)
     factors: list[Factor] = []
-    moves = intmat.factor_unimodular(sigma._block(free))
     for phi, tag, touched in _block_maps(ctx, free, moves):
         cert = _half_cert(ctx, free, touched)
         factors.append(_certified(fixed, phi, cert, tag, 1))
@@ -242,7 +257,42 @@ def lift_factor(f: Factor, fixed: Iterable[int]) -> Factor:
 # ---------------------------------------------------------------------------
 # the central stage
 
-def _central_quotient(p: GeneratorMap, sigma: GeneratorMap) -> GeneratorMap:
+# X_j -> sum_r m[r][j] X_r, for each j whose column in m is not e_j: the
+# letter substitution of an inverse abelianization m (`_inverse_substitution`)
+Substitution = dict[int, list[tuple[int, int]]]
+
+
+def _inverse_substitution(
+    sigma: GeneratorMap, fixed: frozenset[int], moves: Sequence[intmat.RowMove]
+) -> Substitution:
+    """The substitution of sigma's inverse abelianization, read off the
+    factorization `moves` of its free block B.
+
+    With the free generators E first and D after them, sigma's
+    abelianization is [[B, 0], [S, I]], where S holds the D rows of sigma's
+    columns on E, so its inverse is [[B^-1, 0], [-S B^-1, I]].  B^-1 is the
+    inverted moves replayed on the identity, and every D column is a unit
+    vector, so only free generators are substituted.
+    """
+    free = sorted(frozenset(sigma.ctx.generators()) - fixed)
+    binv = intmat.replay(len(free), [move.inverse() for move in moves])
+    images = [sigma(e).poly for e in free]
+    s_rows = [(d, [img.get((d,), 0) for img in images]) for d in sorted(fixed)]
+    subst: Substitution = {}
+    for j, column in zip(free, zip(*binv)):
+        lin = [(r, v) for r, v in zip(free, column) if v]
+        for d, s_row in s_rows:
+            v = -sum(map(operator.mul, s_row, column))
+            if v:
+                lin.append((d, v))
+        if lin != [(j, 1)]:
+            subst[j] = sorted(lin)
+    return subst
+
+
+def _central_quotient(
+    p: GeneratorMap, sigma: GeneratorMap, subst: Substitution
+) -> GeneratorMap:
     """P^-1 o sigma for an automorphism P that agrees with sigma modulo the
     center, in closed form, without inverting or multiplying maps.
 
@@ -250,20 +300,13 @@ def _central_quotient(p: GeneratorMap, sigma: GeneratorMap) -> GeneratorMap:
     P(x_i) * (1 + h) = P(x_i) + h, so h_i is the difference of the two image
     polynomials; a term of degree below c in it means P does not agree with
     sigma, which is refused.  P^-1 acts on the center through its inverse
-    abelianization alone, so P^-1(w_i) = 1 + L(h_i), where L substitutes
-    X_j -> sum_r minv[r][j] X_r letter by letter, and the quotient sends
+    abelianization alone, which is sigma's, so P^-1(w_i) = 1 + L(h_i) for
+    the substitution L = `subst` of that inverse, and the quotient sends
     x_i to x_i * (1 + L(h_i)).  Only the generators P or sigma moves can
     have an offset.
     """
     ctx = sigma.ctx
     c = ctx.nilclass
-    rows, minv = _inverse_block(p)
-    # the linear part of P^-1(x_j), for every j whose column is not x_j
-    subst = {}
-    for b, j in enumerate(rows):
-        lin = [(r, minv[a][b]) for a, r in enumerate(rows) if minv[a][b]]
-        if lin != [(j, 1)]:
-            subst[j] = lin
     offsets = {}
     for i in sorted(p.moved | sigma.moved):
         h = dict(sigma(i).poly)
@@ -397,17 +440,56 @@ def _check_common(
     return fixed
 
 
+def _reduce_free_block(
+    sigma: GeneratorMap, fixed: Iterable[int], min_free: int
+) -> tuple[frozenset[int], list[intmat.RowMove]]:
+    """Check sigma against D and factor its free block B, the one row
+    reduction that `decompose` makes.
+
+    A map fixing D has a block triangular abelianization with the identity
+    on D, so its determinant is det(B): the reduction of B succeeds exactly
+    when sigma is an automorphism, and no determinant is taken.  A map that
+    moves D, or leaves too few generators free, goes to _check_common, whose
+    determinant keeps the order of the errors.
+    """
+    fixed = frozenset(fixed)
+    ctx = sigma.ctx
+    ctx.check_generators(fixed)
+    free = sorted(frozenset(ctx.generators()) - fixed)
+    if not sigma.fixes_pointwise(fixed) or len(free) < min_free:
+        _check_common(sigma, fixed, min_free)  # raises
+    try:
+        moves = intmat.factor_unimodular(sigma._block(free))
+    except NotUnimodular:
+        raise NotAutomorphism("determinant of the abelianization is not +-1") from None
+    sigma._unimodular = True
+    return fixed, moves
+
+
 def decompose(sigma: GeneratorMap, fixed: Iterable[int] = ()) -> Decomposition:
     """Factor an automorphism fixing D into certified factors (see module
-    docstring for the construction and ordering)."""
+    docstring for the construction and ordering).  sigma's free block is
+    reduced once, here, and every level reuses that reduction."""
+    c = sigma.ctx.nilclass
+    fixed, moves = _reduce_free_block(sigma, fixed, min_free=2 * (c + 1))
+    subst = _inverse_substitution(sigma, fixed, moves) if c > 1 else {}
+    return _decompose_level(sigma, fixed, moves, subst)
+
+
+def _decompose_level(
+    sigma: GeneratorMap,
+    fixed: frozenset[int],
+    moves: Sequence[intmat.RowMove],
+    subst: Substitution,
+) -> Decomposition:
     ctx = sigma.ctx
     c = ctx.nilclass
-    fixed = _check_common(sigma, fixed, min_free=2 * (c + 1))
     if c == 1:
-        return abelian_decompose(sigma, fixed)
-    below = decompose(project(sigma, c - 1), fixed)
+        return abelian_decompose(sigma, fixed, moves)
+    below = _decompose_level(project(sigma, c - 1), fixed, moves, subst)
     lifted = [lift_factor(f, fixed) for f in below.factors]
     # alpha = (lifted product)^-1 o sigma, central IA, in closed form
-    alpha = _central_quotient(ordered_product(ctx, [f.map for f in lifted]), sigma)
+    product = ordered_product(ctx, [f.map for f in lifted])
+    alpha = _central_quotient(product, sigma, subst)
     factors = tuple(lifted) + tuple(central_decompose(alpha, fixed))
     return Decomposition(sigma, fixed, factors)

@@ -14,11 +14,7 @@ repeatedly cancels the lowest-weight defect.  Each round multiplies both the
 candidate inverse and the running composite by chi: x_i -> x_i * d_i^-1,
 using the homomorphism property so no dense map ever gets rebuilt from
 scratch.  Unmoved generators map to themselves throughout, so defects and
-corrections run over the moved generators only.  On the center an inverse
-acts through its abelianization alone, which is that inverse block
-(`_inverse_block`).  So the decomposition engine divides a map out of
-another that agrees with it modulo the center from the block only, with no
-inversion.
+corrections run over the moved generators only.
 
 Every constructor here knows whether its map is unimodular and skips the
 determinant: the elementary moves (transvection, inversion, permutational)

@@ -17,11 +17,16 @@ run, a cycle walk that undoes the signed permutation the reduction leaves,
 so a caller can merge them into a few permutations (decompose: permutations
 moving at most half of E) instead of one factor per swap.  The negates
 follow them, one per row that the walk leaves at -1.
+
+`replay(n, moves)` applies moves to the identity.  Replaying a reduction's
+moves gives the inverse, so a caller holding a factorization inverts A with
+the inverted moves, and reduces nothing twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import NotUnimodular
 
@@ -39,10 +44,6 @@ class RowMove:
         if self.kind == "add":
             return RowMove("add", self.i, self.j, -self.k)
         return self
-
-
-def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
 
 
 def det(m: Matrix) -> int:
@@ -140,9 +141,15 @@ def reduce_to_identity(m: Matrix) -> list[RowMove]:
     for i in range(n):
         if rows[i][i] == -1:
             do(RowMove("negate", i))
-    if rows != [list(r) for r in identity_matrix(n)]:
+    if not _is_identity(rows):
         raise NotUnimodular("reduction did not reach the identity")
     return moves
+
+
+def _is_identity(rows: list[list[int]]) -> bool:
+    # row i is e_i iff its entry i is 1 and every other entry is 0
+    n = len(rows)
+    return all(row[i] == 1 and row.count(0) == n - 1 for i, row in enumerate(rows))
 
 
 def factor_unimodular(m: Matrix) -> list[RowMove]:
@@ -150,10 +157,18 @@ def factor_unimodular(m: Matrix) -> list[RowMove]:
     return [move.inverse() for move in reduce_to_identity(m)]
 
 
-def inverse_unimodular(m: Matrix) -> Matrix:
-    """Exact inverse of a determinant +-1 integer matrix."""
-    n = len(m)
-    rows = [list(r) for r in identity_matrix(n)]
-    for move in reduce_to_identity(m):
+def replay(n: int, moves: Iterable[RowMove]) -> Matrix:
+    """The moves L_1..L_t applied in order to the rows of the n x n
+    identity: the matrix L_t * ... * L_1."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    for move in moves:
         _apply_move(move, rows)
     return tuple(tuple(r) for r in rows)
+
+
+def inverse_unimodular(m: Matrix) -> Matrix:
+    """Exact inverse of a determinant +-1 integer matrix: the moves that
+    reduce it to the identity, replayed on the identity."""
+    return replay(len(m), reduce_to_identity(m))

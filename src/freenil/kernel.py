@@ -28,7 +28,9 @@ know the answer set it and skip the determinant: the identity is
 unimodular, ia_central has the identity abelianization, and a product
 multiplies determinants, so unimodular maps give a unimodular one (`endo`'s
 constructors do the same).  A map parsed from the wire knows nothing and
-takes its own determinant.
+takes its own determinant, unless `decompose` settles the question first:
+it row-reduces the input's block on the generators outside D, and a map
+fixing D has that block's determinant.
 
 A MoietyCertificate names a partition (fixed P, preserved Q) of the
 generators, and check_certificate decides whether a map fixes P pointwise
@@ -192,9 +194,19 @@ class GeneratorMap:
 
     def _block(self, sub: Sequence[int]) -> intmat.Matrix:
         """The abelianization restricted to rows and columns `sub`, in that
-        order, read off the images."""
-        cols = [self.stored[c].poly if c in self.moved else {(c,): 1} for c in sub]
-        return tuple(tuple(col.get((r,), 0) for col in cols) for r in sub)
+        order, read off the images: a zero block takes each moved column's
+        degree-1 monomials on `sub`, and a 1 on the diagonal for each
+        unmoved one."""
+        pos = {g: k for k, g in enumerate(sub)}
+        rows = [[0] * len(sub) for _ in sub]
+        for b, g in enumerate(sub):
+            if g not in self.moved:
+                rows[b][b] = 1
+                continue
+            for m, v in self.stored[g].poly.items():
+                if len(m) == 1 and m[0] in pos:
+                    rows[pos[m[0]]][b] = v
+        return tuple(tuple(r) for r in rows)
 
     def is_identity(self) -> bool:
         return not self.moved

@@ -1,11 +1,16 @@
 """Dense integer matrices for checking `freenil.intmat` and generator maps.
 
 Shares no code with the package: `matmul` is the schoolbook product, and
+`identity_matrix` is written out entry by entry, and
 `move_matrix` writes down the elementary matrix of a row move directly
 instead of applying the move to rows.
 """
 
 from __future__ import annotations
+
+
+def identity_matrix(n):
+    return tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
 
 
 def matmul(a, b):

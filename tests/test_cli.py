@@ -397,6 +397,15 @@ def test_decompose_domain_errors_exit_1(tmp_path):
         tmp_path, ["decompose"], map_payload(identity_map(GroupContext(4, 2)))
     )
     assert code == 1 and out["error"] == "RankTooSmall"
+    # x_2 -> x_2^2: the row reduction of the free block refuses it
+    images = [[[g, 2 if g == 2 else 1]] for g in range(1, 9)]
+    code, _, out = run_cli(
+        tmp_path, ["decompose", "--fix", "1"], {"rank": 8, "class": 2, "images": images}
+    )
+    assert code == 1 and out == {
+        "error": "NotAutomorphism",
+        "message": "determinant of the abelianization is not +-1",
+    }
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,11 @@
 """The certified factorization pipeline and its recheck."""
 
 import importlib
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -344,17 +348,31 @@ def test_central_decompose_rejects_shallow_maps():
         central_decompose(alpha, ())
 
 
+def _dense_inverse_substitution(sigma):
+    # the substitution read off the dense abelianization of invert(sigma)
+    m = invert(sigma).matrix
+    gens = sigma.ctx.generators()
+    subst = {}
+    for b, j in enumerate(gens):
+        lin = [(r, m[a][b]) for a, r in enumerate(gens) if m[a][b]]
+        if lin != [(j, 1)]:
+            subst[j] = lin
+    return subst
+
+
 def test_central_quotient_is_the_inverse_composed_with_sigma(monkeypatch):
     # decompose divides the lifted product P out of sigma in closed form; at
-    # every level the result is the map invert(P) o sigma
+    # every level the result is the map invert(P) o sigma, and every level
+    # gets the one substitution built from sigma's single reduction
     engine = importlib.import_module("freenil.decompose")
     original = engine._central_quotient
-    seen = []
+    seen, substs = [], []
 
-    def checking(p, sigma):
-        alpha = original(p, sigma)
+    def checking(p, sigma, subst):
+        alpha = original(p, sigma, subst)
         assert alpha == compose(invert(p), sigma)
         seen.append((sigma.ctx.nilclass, len(alpha.moved)))
+        substs.append(subst)
         return alpha
 
     monkeypatch.setattr(engine, "_central_quotient", checking)
@@ -363,9 +381,35 @@ def test_central_quotient_is_the_inverse_composed_with_sigma(monkeypatch):
         fix = tuple(range(1, dsize + 1))
         sigma = random_automorphism(ctx, seed, 12, fix)
         seen.clear()
+        substs.clear()
         assert product_of(ctx, decompose(sigma, fix)) == sigma
         assert [level for level, _ in seen] == list(range(2, c + 1))
         assert any(moved for _, moved in seen)
+        assert all(subst is substs[0] for subst in substs)
+        assert substs[0] == _dense_inverse_substitution(sigma)
+
+
+def _substitution(engine, sigma):
+    # the inverse substitution decompose hands to _central_quotient
+    fixed, moves = engine._reduce_free_block(sigma, (), min_free=0)
+    return engine._inverse_substitution(sigma, fixed, moves)
+
+
+def test_inverse_substitution_matches_the_dense_inverse():
+    # the D rows -S B^-1 included: maps that add D letters to free images
+    engine = importlib.import_module("freenil.decompose")
+    rng = random.Random(1801)
+    with_d_rows = 0
+    for n, c, dsize in ((8, 2, 1), (9, 2, 3), (10, 3, 2)):
+        ctx = GroupContext(n, c)
+        fix = tuple(range(1, dsize + 1))
+        for _ in range(6):
+            sigma = random_automorphism(ctx, rng.randrange(2**32), 12, fix)
+            fixed, moves = engine._reduce_free_block(sigma, fix, min_free=0)
+            subst = engine._inverse_substitution(sigma, fixed, moves)
+            assert subst == _dense_inverse_substitution(sigma)
+            with_d_rows += any(r in fixed for lin in subst.values() for r, _ in lin)
+    assert with_d_rows >= 3
 
 
 def test_central_quotient_refuses_a_product_that_differs_below_the_center():
@@ -381,16 +425,18 @@ def test_central_quotient_refuses_a_product_that_differs_below_the_center():
         (transvection(ctx, 3, 4, 1), identity_map(ctx)),
     ):
         with pytest.raises(NotCentralIA):
-            engine._central_quotient(p, sigma)
+            engine._central_quotient(p, sigma, _substitution(engine, sigma))
     # a central difference is divided out: P^-1 o (P o beta) = beta
     beta = ia_central(ctx, {5: left_normed_element(ctx, (1, 2, 6), -1)})
     p = ordered_product(
         ctx,
         [transvection(ctx, 1, 2, 1), inversion(ctx, 6), permutational(ctx, {2: 6, 6: 2})],
     )
-    assert engine._central_quotient(p, compose(p, beta)) == beta
+    sigma = compose(p, beta)
+    assert engine._central_quotient(p, sigma, _substitution(engine, sigma)) == beta
     # an offset can sit where sigma moves nothing
-    assert engine._central_quotient(beta, identity_map(ctx)) == invert(beta)
+    sigma = identity_map(ctx)
+    assert engine._central_quotient(beta, sigma, _substitution(engine, sigma)) == invert(beta)
 
 
 def test_central_decompose_class_and_rank_guards():
@@ -485,22 +531,35 @@ def test_decompose_round_trip_bounds_permutation_factors(cell):
 
 
 def test_decompose_never_inverts_a_map(monkeypatch):
-    # the lifted factors' product is divided out of sigma in closed form at
-    # each level c >= 2, from one inverse of its abelianization block, so
-    # nothing in the pipeline inverts a map
+    # one row reduction of sigma's free block settles unimodularity, gives
+    # the class-1 factors and the inverse substitution of every level c >= 2:
+    # nothing in the pipeline inverts a map or takes a determinant, even of
+    # a map parsed from JSON, whose unimodularity is unknown
     from freenil import endo, intmat
+    from freenil.jsonio import dumps, loads, map_payload
+    from freenil.reader import parse_map
 
-    calls, blocks = [], []
-    _counting(monkeypatch, endo, "invert_with_rounds", calls)
-    _counting(monkeypatch, intmat, "inverse_unimodular", blocks)
-    ctx = GroupContext(12, 4)
-    for seed in (41, 42, 43):
-        blocks.clear()
-        sigma = random_automorphism(ctx, seed, 10, (1, 2))
-        dec = decompose(sigma, (1, 2))
+    calls = []
+    for module, name in (
+        (endo, "invert_with_rounds"),
+        (intmat, "inverse_unimodular"),
+        (intmat, "factor_unimodular"),
+        (intmat, "det"),
+    ):
+        _counting(monkeypatch, module, name, calls)
+    cases = [((12, 4), (1, 2), seed) for seed in (41, 42, 43)] + [((32, 2), (1,), 1)]
+    for (n, c), fix, seed in cases:
+        ctx = GroupContext(n, c)
+        text = dumps(map_payload(random_automorphism(ctx, seed, 10, fix)))
+        sigma = parse_map(loads(text))
+        assert sigma._unimodular is None
+        calls.clear()
+        dec = decompose(sigma, fix)
+        assert calls == ["factor_unimodular"]
+        # the reduction settled it: no determinant afterwards either
+        assert sigma.is_automorphism()
+        assert calls == ["factor_unimodular"]
         assert product_of(ctx, dec) == sigma
-        assert len(blocks) == 3
-    assert calls == []
 
 
 def _counting(monkeypatch, module, name, calls):
@@ -597,6 +656,62 @@ def test_decompose_error_taxonomy():
         decompose(identity_map(ctx), (1, 2, 3))  # 5 free < 2(c+1) = 6
     with pytest.raises(IndexOutOfRange):
         decompose(identity_map(ctx), (99,))
+
+
+NOT_AUTOMORPHISM = "determinant of the abelianization is not +-1"
+
+# decompose's refusals by the order of its checks: the index check, then
+# unimodularity, then D, then the rank.  Each row is (rank, images as
+# {generator: word}, D, error, message or None); rank 8 at class 2 needs
+# 2(c+1) = 6 free generators
+ERROR_ROWS = [
+    (8, {2: [[2, 2]]}, [1], "NotAutomorphism", NOT_AUTOMORPHISM),  # det 2: gcd
+    (8, {2: [[3, 1]]}, [1], "NotAutomorphism", NOT_AUTOMORPHISM),  # singular
+    (8, {1: [[1, 2]]}, [1], "NotAutomorphism", NOT_AUTOMORPHISM),  # moves D too
+    (8, {2: [[2, 2]]}, [1, 3, 4], "NotAutomorphism", NOT_AUTOMORPHISM),  # 5 free
+    (8, {1: [[1, -1]]}, [1], "DoesNotFixD", "map moves pinned generators [1]"),
+    (8, {}, [1, 2, 3], "RankTooSmall", None),
+    (8, {2: [[2, 2]]}, [9], "IndexOutOfRange", None),
+]
+
+ERROR_SCRIPT = """
+import json, sys
+from freenil import DomainError, decompose
+from freenil.reader import parse_map
+out = []
+for n, images, fix in json.loads(sys.argv[1]):
+    words = [images.get(str(g), [[g, 1]]) for g in range(1, n + 1)]
+    sigma = parse_map({"rank": n, "class": 2, "images": words})
+    try:
+        decompose(sigma, fix)
+        out.append(None)
+    except DomainError as err:
+        out.append([err.name, str(err)])
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_decompose_refusals_keep_their_order(flags):
+    # the same errors and messages with and without asserts; each input is
+    # parsed from JSON, so no determinant is known beforehand
+    import freenil
+
+    rows = [[n, images, fix] for n, images, fix, _, _ in ERROR_ROWS]
+    src = os.path.dirname(os.path.dirname(freenil.__file__))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", ERROR_SCRIPT, json.dumps(rows)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert len(got) == len(ERROR_ROWS)
+    for (_, _, _, error, message), result in zip(ERROR_ROWS, got):
+        assert result is not None and result[0] == error, (error, result)
+        if message is not None:
+            assert result[1] == message
 
 
 # ---------------------------------------------------------------------------

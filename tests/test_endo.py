@@ -269,6 +269,21 @@ def test_kernel_corpus_covers_the_edge_cases():
     assert max(rounds) >= 2
 
 
+def test_block_matches_the_dense_abelianization():
+    # entry (r, c) of the abelianization is the X_r coefficient in image c;
+    # every block is read on random orderings of random subsets, which mix
+    # moved and unmoved generators and drop rows that moved columns hit
+    rng = random.Random(1802)
+    for phi in _kernel_corpus():
+        gens = list(phi.ctx.generators())
+        dense = [[phi(c).poly.get((r,), 0) for c in gens] for r in gens]
+        assert phi.matrix == tuple(tuple(row) for row in dense)
+        for _ in range(6):
+            sub = rng.sample(gens, rng.randrange(0, len(gens) + 1))
+            expected = tuple(tuple(dense[r - 1][c - 1] for c in sub) for r in sub)
+            assert phi._block(sub) == expected
+
+
 def test_is_automorphism_matches_dense_determinant():
     for phi in _kernel_corpus():
         assert phi.is_automorphism() == (det(phi.matrix) in (1, -1))

@@ -13,12 +13,13 @@ from freenil.errors import NotUnimodular
 from freenil.intmat import (
     RowMove,
     det,
+    _is_identity,
     factor_unimodular,
-    identity_matrix,
     inverse_unimodular,
     reduce_to_identity,
+    replay,
 )
-from matrix_oracle import matmul, move_matrix
+from matrix_oracle import identity_matrix, matmul, move_matrix
 
 
 def _det_leibniz(m):
@@ -181,6 +182,43 @@ def test_inverse_unimodular():
         assert matmul(m, inverse_unimodular(m)) == identity_matrix(n)
         assert matmul(inverse_unimodular(m), m) == identity_matrix(n)
     assert inverse_unimodular(((-1,),)) == ((-1,),)
+
+
+def test_replay_is_the_product_of_the_moves():
+    # replay(n, [L_1..L_t]) = L_t * ... * L_1, and replaying a factorization's
+    # inverted moves inverts it
+    rng = random.Random(16)
+    for _ in range(100):
+        n = rng.randrange(1, 7)
+        m = _random_unimodular(rng, n) if n > 1 else ((rng.choice((-1, 1)),),)
+        moves = reduce_to_identity(m)
+        acc = identity_matrix(n)
+        for mv in moves:
+            acc = matmul(move_matrix(mv, n), acc)
+        assert replay(n, moves) == acc
+        undone = replay(n, [mv.inverse() for mv in factor_unimodular(m)])
+        assert undone == inverse_unimodular(m)
+    assert replay(3, []) == identity_matrix(3)
+
+
+def test_closing_check_accepts_only_the_identity():
+    # the check that ends reduce_to_identity, against the dense definition,
+    # on the identity and on every one-entry change of it
+    for n in range(1, 6):
+        ident = [list(r) for r in identity_matrix(n)]
+        assert _is_identity(ident)
+        for r in range(n):
+            for c in range(n):
+                for v in (-2, -1, 0, 1, 2):
+                    rows = [list(row) for row in ident]
+                    rows[r][c] = v
+                    assert _is_identity(rows) == (rows == ident)
+    rng = random.Random(17)
+    for _ in range(500):
+        n = rng.randrange(1, 5)
+        rows = [[rng.choice((-1, 0, 0, 1)) for _ in range(n)] for _ in range(n)]
+        expected = rows == [list(r) for r in identity_matrix(n)]
+        assert _is_identity(rows) == expected
 
 
 def _signed_permutation_heavy(rng, n):
