@@ -5,23 +5,30 @@ Every format has a fixed key order and integer-only numerics:
   word            [[i, e], ...]                    letters, exponents nonzero
   element         {"word": WORD}
   map             {"rank", "class", "images"}      images are words
-  certificate     {"fixed", "preserved"}           sorted generator indices
+  certificate     {"fixed"}                        sorted generator indices
   term            {"comm", "exp"}                  left-normed commutator
   offsets         [[g, [TERM, ...]], ...]          x_g -> x_g * prod of terms
   stored          [[g, WORD], ...]                 x_g -> WORD, g increasing
-  factor          {"stored" | "offsets", "certificate", "tag", "level"}
+  factor          {"stored" | "offsets", "certificate", "tag"}
                   (+ provenance keys)
   decomposition   {"version", "input", "fixed", "factors"}
   report          {"ok", "factors", "min_fixed_block", "max_coefficient",
                    "failures"}
 
-Decompositions are written as version 3.  A factor lists only the images
+Decompositions are written as version 4.  A factor lists only the images
 its map stores ("stored"): every generator it leaves out maps to itself, so
 a factor that moves two of n generators costs two images on the wire, not
 n.  A central_beta factor that keeps its terms (as `decompose` makes them)
 carries "offsets" instead.  The input map stays dense, one image per
 generator.  An element without a provenance word is written as its
 collected word (`lie.word_of`).
+
+Nothing the reader can derive is written.  A certificate holds its fixed
+block alone: check_certificate accepts only a partition of 1..rank, so the
+preserved block is the rest.  A factor has no level: decompose emits every
+factor at the decomposition's class.  The writer refuses a decomposition
+that breaks either rule (PartitionInvalid, BadClass) rather than write one
+that reads back as another.  Version 3 wrote both keys.
 
 Reading lives in `reader`, which the verifier uses without this module.
 `verify` is here because it writes a decomposition before it checks it.
@@ -33,8 +40,9 @@ import json
 import sys
 from typing import Any
 
-from .errors import MalformedInput
-from .kernel import GeneratorMap, MoietyCertificate
+from .context import GroupContext
+from .errors import BadClass, MalformedInput
+from .kernel import GeneratorMap, MoietyCertificate, check_partition
 from .lie import word_of
 from .records import TAGS, Decomposition, Factor, VerifyReport
 from .ring import GroupElement, LeftNormedTerm, Word
@@ -117,7 +125,8 @@ def stored_payload(phi: GeneratorMap) -> list:
 # certificates, terms
 
 def certificate_payload(cert: MoietyCertificate) -> dict:
-    return {"fixed": sorted(cert.fixed), "preserved": sorted(cert.preserved)}
+    # the preserved block is the rest of 1..rank (check_partition)
+    return {"fixed": sorted(cert.fixed)}
 
 
 def term_payload(t: LeftNormedTerm) -> dict:
@@ -131,14 +140,20 @@ def offsets_payload(offsets) -> list:
 # ---------------------------------------------------------------------------
 # factors and decompositions
 
-def factor_payload(f: Factor) -> dict:
+def factor_payload(ctx: GroupContext, f: Factor) -> dict:
+    """The factor without what the reader derives; a factor whose
+    certificate or level cannot be derived back is refused."""
+    check_partition(ctx, f.certificate)
+    if f.level != ctx.nilclass:
+        raise BadClass(
+            f"factor level {f.level} is not the decomposition's class {ctx.nilclass}"
+        )
     if f.offsets is not None:
         out = {"offsets": offsets_payload(f.offsets)}
     else:
         out = {"stored": stored_payload(f.map)}
     out["certificate"] = certificate_payload(f.certificate)
     out["tag"] = f.tag
-    out["level"] = f.level
     if f.origin is not None:
         out["origin"] = f.origin
     if f.part is not None:
@@ -150,15 +165,21 @@ def factor_payload(f: Factor) -> dict:
 
 def decomposition_payload(dec: Decomposition) -> dict:
     return {
-        "version": 3,
+        "version": 4,
         "input": map_payload(dec.input),
         "fixed": sorted(dec.fixed),
-        "factors": [factor_payload(f) for f in dec.factors],
+        "factors": [factor_payload(dec.input.ctx, f) for f in dec.factors],
     }
 
 
 def verify(dec: Decomposition) -> VerifyReport:
-    """Re-check a decomposition from its serialized form alone."""
+    """Re-check a decomposition from its serialized form alone.
+
+    Writing it raises, before any check, for what the wire cannot carry: a
+    certificate whose blocks do not partition 1..rank with the preserved
+    block nonempty (PartitionInvalid, with check_certificate's message), or
+    a factor whose level is not the input's class (BadClass).  `decompose`
+    never makes either."""
     return verify_payload(decomposition_payload(dec))
 
 
@@ -183,8 +204,9 @@ SCHEMAS: dict[str, Any] = {
         "images": "[<word>; one per generator, in index order]",
     },
     "certificate": {
-        "fixed": "[int, ...]  generators fixed pointwise",
-        "preserved": "[int, ...]  generators whose span is preserved; disjoint union with fixed covers 1..rank",
+        "fixed": "[int>=1, ...]  generators fixed pointwise, strictly increasing; "
+        "every other generator of 1..rank is preserved (before version 4 "
+        "also written, as preserved)",
     },
     "term": {
         "comm": "[int>=1 x>=2]  left-normed commutator letters [x_b1, .., x_bk]",
@@ -199,7 +221,6 @@ SCHEMAS: dict[str, Any] = {
         "offsets?": "<offsets>  central_beta factors, in place of stored",
         "certificate": "<certificate>",
         "tag": "one of %s" % (list(TAGS),),
-        "level": "int>=1  class at which the factor was emitted",
         "origin?": "pre-lift tag (lifted factors only)",
         "part?": "int>=1  avoided cell index (central_beta factors, "
         "and lifted factors of central_beta origin)",
@@ -207,8 +228,10 @@ SCHEMAS: dict[str, Any] = {
         "central_beta origin)",
     },
     "decomposition": {
-        "version": "3; read also: 2, where factors carry <map> in place of "
-        "stored, and 1 (no version key), where every factor carries a <map>",
+        "version": "4; read also: 3, where certificates also carry preserved "
+        "and factors carry level (int>=1, at most the class), 2, where "
+        "factors carry <map> in place of stored, and 1 (no version key), "
+        "where every factor carries a <map>",
         "input": "<map>",
         "fixed": "[int, ...]  the pinned generator set D",
         "factors": "[<factor>, ...]  left-to-right composition order",

@@ -35,6 +35,8 @@ fixing D has that block's determinant.
 A MoietyCertificate names a partition (fixed P, preserved Q) of the
 generators, and check_certificate decides whether a map fixes P pointwise
 and restricts to an automorphism of the subgroup generated by Q.
+check_partition is its shape check alone, and failed_claim names the claim
+a refused certificate breaks.
 """
 
 from __future__ import annotations
@@ -329,8 +331,10 @@ class MoietyCertificate:
         object.__setattr__(self, "preserved", frozenset(preserved))
 
 
-def check_certificate(phi: GeneratorMap, cert: MoietyCertificate) -> bool:
-    everything = frozenset(phi.ctx.generators())
+def check_partition(ctx: GroupContext, cert: MoietyCertificate) -> None:
+    """Refuse a certificate whose blocks do not partition 1..rank with
+    preserved nonempty, the only shape check_certificate accepts."""
+    everything = frozenset(ctx.generators())
     if (
         cert.fixed | cert.preserved != everything
         or cert.fixed & cert.preserved
@@ -340,6 +344,23 @@ def check_certificate(phi: GeneratorMap, cert: MoietyCertificate) -> bool:
             "certificate needs fixed and preserved to partition 1..rank "
             "with preserved nonempty"
         )
+
+
+def check_certificate(phi: GeneratorMap, cert: MoietyCertificate) -> bool:
+    check_partition(phi.ctx, cert)
     if not phi.is_automorphism():
         raise NotAutomorphism("certificates only apply to automorphisms")
     return phi.fixes_pointwise(cert.fixed) and phi.preserves(cert.preserved)
+
+
+def failed_claim(phi: GeneratorMap, cert: MoietyCertificate) -> str:
+    """The claim of a certificate that check_certificate refused, named at
+    the least generator that breaks it: the fixed block first."""
+    moved = phi.moved & cert.fixed
+    if moved:
+        return f"fixed block: generator {min(moved)} is moved"
+    leaving = [
+        g for g in phi.moved & cert.preserved
+        if not occurs(phi.stored[g]) <= cert.preserved
+    ]
+    return f"preserved block: image of generator {min(leaving)} leaves it"

@@ -4,19 +4,23 @@ The formats are listed in `jsonio`, which writes them, and `freenil
 --schema` prints them.  This module parses them: the verifier needs it and
 the map kernel, never the writer or the engine.
 
-Decompositions of versions 1, 2 and 3 are read.  Version 1 has no "version"
+Decompositions of versions 1 to 4 are read.  Version 1 has no "version"
 key and a dense "map" in every factor; version 2 allows "offsets" in
 central_beta factors and a "map" in every other one; version 3 has a
 "stored" list of the images a factor's map stores, or "offsets".  A factor
-map in version 3, or a "stored" list before it, is refused.  Offsets are
+map from version 3 on, or a "stored" list before it, is refused.  Version
+4 drops what a reader can derive: a certificate holds its "fixed" block
+alone, in strictly increasing order, and its preserved block is the rest of
+1..rank; a factor has no "level", which is the decomposition's class.
+Either key in a version 4 payload is unknown.  Offsets are
 rebuilt in closed form by `ring.central_offset`.  Any integer combination of
 weight-c terms is a central group element, so a parsed factor is a genuine
 map whatever its terms say.
 
 The provenance keys are read as the schema documents them: "origin" only on
 lifted factors, "part" and "side" only on central_beta factors and on lifted
-factors of central_beta origin, and "level" at most the decomposition's
-class.
+factors of central_beta origin, and "level" (before version 4) at most the
+decomposition's class.
 
 Structural violations raise MalformedInput; out-of-range generator indices
 and mismatched contexts surface as their own domain errors so callers can
@@ -125,15 +129,28 @@ def parse_stored(ctx: GroupContext, obj: Any) -> GeneratorMap:
 # ---------------------------------------------------------------------------
 # certificates, terms
 
-def parse_certificate(obj: Any) -> MoietyCertificate:
-    obj = _need_keys(obj, "certificate", ("fixed", "preserved"))
-    sides = []
-    for key in ("fixed", "preserved"):
-        idx = [_need_int(i, f"{key} index") for i in _need_list(obj[key], key)]
-        if any(i < 1 for i in idx):
-            raise MalformedInput(f"{key} indices must be positive")
-        sides.append(frozenset(idx))
-    return MoietyCertificate(sides[0], sides[1])
+def _indices(obj: Any, key: str) -> list[int]:
+    idx = [_need_int(i, f"{key} index") for i in _need_list(obj, key)]
+    if any(i < 1 for i in idx):
+        raise MalformedInput(f"{key} indices must be positive")
+    return idx
+
+
+def parse_certificate(ctx: GroupContext, obj: Any, version: int) -> MoietyCertificate:
+    """Both blocks as written before version 4; from version 4 on, the fixed
+    block alone, and the preserved block is the rest of 1..rank.  Whether
+    the blocks partition 1..rank is check_certificate's question."""
+    if version < 4:
+        obj = _need_keys(obj, "certificate", ("fixed", "preserved"))
+        return MoietyCertificate(
+            _indices(obj["fixed"], "fixed"), _indices(obj["preserved"], "preserved")
+        )
+    obj = _need_keys(obj, "certificate", ("fixed",))
+    fixed = _indices(obj["fixed"], "fixed")
+    if any(a >= b for a, b in zip(fixed, fixed[1:])):
+        raise MalformedInput("fixed indices must strictly increase")
+    fixed = frozenset(fixed)
+    return MoietyCertificate(fixed, frozenset(ctx.generators()) - fixed)
 
 
 def parse_term(obj: Any) -> LeftNormedTerm:
@@ -170,7 +187,7 @@ def parse_factor(ctx: GroupContext, obj: Any, version: int) -> Factor:
     obj = _need_keys(
         obj,
         "factor",
-        ("certificate", "tag", "level"),
+        ("certificate", "tag", "level") if version < 4 else ("certificate", "tag"),
         optional=("map", "stored", "offsets", "origin", "part", "side"),
     )
     tag = obj["tag"]
@@ -183,7 +200,7 @@ def parse_factor(ctx: GroupContext, obj: Any, version: int) -> Factor:
     offsets = None
     if "map" in obj:
         if version >= 3:
-            raise MalformedInput("version 3 factors carry stored, not map")
+            raise MalformedInput(f"version {version} factors carry stored, not map")
         phi = parse_map(obj["map"])
         if phi.ctx != ctx:
             raise ContextMismatch(
@@ -207,8 +224,10 @@ def parse_factor(ctx: GroupContext, obj: Any, version: int) -> Factor:
     side = obj.get("side")
     if side is not None and side not in ("F", "G"):
         raise MalformedInput("side must be 'F' or 'G'")
-    cert = parse_certificate(obj["certificate"])
-    level = _need_int(obj["level"], "level")
+    cert = parse_certificate(ctx, obj["certificate"], version)
+    # every factor decompose emits is at the top class: version 4 says so
+    # by leaving the key out
+    level = _need_int(obj["level"], "level") if version < 4 else ctx.nilclass
     if part is not None:
         part = _need_int(part, "part")
     if level < 1 or (part is not None and part < 1):
@@ -228,7 +247,7 @@ def parse_factor(ctx: GroupContext, obj: Any, version: int) -> Factor:
     )
 
 
-VERSIONS = (1, 2, 3)  # decomposition versions parse_decomposition reads
+VERSIONS = (1, 2, 3, 4)  # decomposition versions parse_decomposition reads
 
 
 def parse_decomposition(obj: Any) -> Decomposition:

@@ -12,7 +12,7 @@ decomposition in memory, writes it first and so lives with the writer.
 from __future__ import annotations
 
 from .errors import DomainError
-from .kernel import check_certificate, ordered_product
+from .kernel import check_certificate, failed_claim, ordered_product
 from .reader import parse_decomposition
 from .records import VerifyReport
 
@@ -34,7 +34,7 @@ def verify_payload(payload: dict) -> VerifyReport:
         where = f"factor {idx} ({f.tag})"
         try:
             if not check_certificate(f.map, f.certificate):
-                failures.append(f"{where}: certificate does not hold")
+                failures.append(f"{where}: {failed_claim(f.map, f.certificate)}")
         except DomainError as err:  # a refused certificate is a failed check
             failures.append(f"{where}: {err}")
         if not f.map.fixes_pointwise(dec.fixed):

@@ -47,6 +47,8 @@ from freenil import (
     verify,
 )
 
+from test_wire_fixtures import as_v3
+
 
 def product_of(ctx, dec):
     return ordered_product(ctx, [f.map for f in dec.factors])
@@ -763,7 +765,7 @@ def test_verify_flags_dropped_factor():
 def test_verify_flags_broken_certificate():
     from freenil import verify_payload
 
-    payload = _good_payload()
+    payload = as_v3(_good_payload())
     f = payload["factors"][0]
     # a generator the factor genuinely moves, claimed as fixed
     moving = f["stored"][0][0]
@@ -772,7 +774,26 @@ def test_verify_flags_broken_certificate():
     cert["preserved"].remove(moving)
     cert["fixed"] = sorted(cert["fixed"] + [moving])
     rep = verify_payload(payload)
-    assert rep.failures == (f"factor 0 ({f['tag']}): certificate does not hold",)
+    assert rep.failures == (
+        f"factor 0 ({f['tag']}): fixed block: generator {moving} is moved",
+    )
+
+
+def test_verify_names_the_least_generator_leaving_the_preserved_block():
+    # x_2 -> x_2 x_5 and x_3 -> x_3 x_6 fix {5, .., 8} pointwise, and both
+    # images leave <x_1, .., x_4>: the failure names generator 2
+    from freenil import verify_payload
+    from freenil.jsonio import decomposition_payload
+
+    ctx = GroupContext(8, 2)
+    phi = compose(transvection(ctx, 2, 5, 1), transvection(ctx, 3, 6, 1))
+    cert = MoietyCertificate(frozenset({5, 6, 7, 8}), frozenset({1, 2, 3, 4}))
+    assert not check_certificate(phi, cert)
+    dec = Decomposition(phi, frozenset(), (Factor(phi, cert, "shear", 2),))
+    rep = verify_payload(decomposition_payload(dec))
+    assert rep.failures == (
+        "factor 0 (shear): preserved block: image of generator 2 leaves it",
+    )
 
 
 def test_verify_names_the_factor_that_moves_d():
@@ -856,7 +877,7 @@ def test_verify_flags_a_certificate_fixing_nothing_outside_d(fixed):
     # block without a generator outside D
     from freenil import verify_payload
 
-    payload = _good_payload()
+    payload = as_v3(_good_payload())
     assert payload["fixed"] == [1]
     cert = payload["factors"][0]["certificate"]
     cert["fixed"] = fixed
@@ -870,7 +891,7 @@ def test_verify_flags_a_certificate_fixing_nothing_outside_d(fixed):
 def test_verify_refuses_nonpositive_level_or_part(key, value):
     from freenil import MalformedInput, verify_payload
 
-    payload = _good_payload()
+    payload = as_v3(_good_payload())
     payload["factors"][0][key] = value
     with pytest.raises(MalformedInput, match="level and part must be at least 1"):
         verify_payload(payload)
@@ -898,6 +919,8 @@ def test_verify_refuses_provenance_keys_outside_their_factors(tag, edit, message
 
     sigma = random_automorphism(GroupContext(8, 2), 3, 8, (1,))
     payload = decomposition_payload(decompose(sigma, (1,)))
+    if "level" in edit:  # a key version 4 leaves out
+        payload = as_v3(payload)
     assert verify_payload(payload).ok
     edited = [f for f in payload["factors"] if f["tag"] == tag]
     assert edited and all(f.get("origin") != "central_beta" for f in edited)

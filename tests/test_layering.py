@@ -108,7 +108,7 @@ def test_verifier_runs_on_the_core_alone():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert set(out["loaded"]) == CORE
-    assert len(out["reports"]) == len(FIXTURES) == 14
+    assert len(out["reports"]) == len(FIXTURES) == 19
     for version, cell in FIXTURES:
         path = fixture_path(version, cell)
         fields = out["reports"][f"{version}/{path.name}"]

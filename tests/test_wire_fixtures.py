@@ -2,12 +2,17 @@
 
 tests/data/ holds one payload per golden cell in each wire format the writer
 has produced: v1 (dense maps), v2 (central factors as Lie terms, class >= 2
-only) and v3 (each factor as the images it stores).  The three payloads of a
+only), v3 (each factor as the images it stores) and v4 (v3 without the
+derivable certificate "preserved" and factor "level").  The payloads of a
 cell are the same decomposition, so they verify to the same report.  Both
-tables were pinned when the v3 payloads were written; the decomposition of a
-cell may change since, these bytes and reports may not.
+tables were pinned when the v3 payloads were written, and the v4 payloads
+joined under the same reports; the decomposition of a cell may change
+since, these bytes and reports may not.  `as_v3` rebuilds the version 3
+payload of a version 4 one, for tests that compare with the v3 bytes or
+tamper with the keys version 4 leaves out.
 """
 
+import copy
 import hashlib
 from pathlib import Path
 
@@ -35,6 +40,11 @@ FIXTURES = {
     ("v3", (9, 3, 0)): "54dac5a67c01afe795ef90eb5c599d49f8c3635041445503fc59fbef12a14ad7",
     ("v3", (12, 3, 2)): "1c57641f5a6546a4c3672384e5bfdbd272604113338b5d4e6b5c870d56117559",
     ("v3", (12, 4, 2)): "cbf8a6e1392153c099da48c851e34a701c60fb675da8430d206f73ffcf4199e7",
+    ("v4", (10, 1, 2)): "e2d445979a1812c3d869be5777e645064ac2856118a34a2930edf5eb2faea0cc",
+    ("v4", (10, 2, 1)): "1ba9deee80d48fe42c93d12a9448acc45a1cf8bc0cba6d24c6e56f5c290ab49d",
+    ("v4", (9, 3, 0)): "f0013c6dfb8ebc1bf385b6a1906db2a00fe1e893565a0684eb5889594a789ac6",
+    ("v4", (12, 3, 2)): "c9b5d404c1532fee628ff962ef502bff5225b29c9b3f026fde224acfca096c97",
+    ("v4", (12, 4, 2)): "344c833e2fa4db59f889e9cabf4bb45a05e3ab6deb3ac9c4205c47598a8a58dd",
 }
 
 # cell -> SHA-256 of the compact report every payload of the cell verifies to
@@ -53,6 +63,34 @@ def fixture_path(version: str, cell) -> Path:
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def as_v3(payload: dict) -> dict:
+    """The version 3 form of a version 4 payload, as a fresh tree: each
+    certificate gets back its preserved block (the rest of 1..rank) and
+    each factor its level (the class), in version 3 key order."""
+    payload = copy.deepcopy(payload)
+    rank, nilclass = payload["input"]["rank"], payload["input"]["class"]
+    factors = []
+    for factor in payload["factors"]:
+        out = {}
+        for key, value in factor.items():
+            if key == "certificate":
+                fixed = value["fixed"]
+                value = {
+                    "fixed": fixed,
+                    "preserved": [g for g in range(1, rank + 1) if g not in fixed],
+                }
+            out[key] = value
+            if key == "tag":
+                out["level"] = nilclass
+        factors.append(out)
+    return {
+        "version": 3,
+        "input": payload["input"],
+        "fixed": payload["fixed"],
+        "factors": factors,
+    }
 
 
 def test_every_committed_payload_is_pinned():
@@ -74,3 +112,13 @@ def test_fixture_keeps_its_bytes_and_its_report(version, cell, tmp_path):
     out = tmp_path / "report.json"
     assert main(["verify", "--in", str(path), "--out", str(out)]) == 0
     assert _digest(out.read_text(encoding="utf-8")) == REPORTS[cell]
+
+
+@pytest.mark.parametrize("cell", sorted(REPORTS))
+def test_v4_fixture_is_the_v3_fixture_without_derivable_keys(cell):
+    v4 = loads(fixture_path("v4", cell).read_text(encoding="utf-8"))
+    assert v4["version"] == 4
+    for factor in v4["factors"]:
+        assert "level" not in factor and list(factor["certificate"]) == ["fixed"]
+    v3 = fixture_path("v3", cell).read_text(encoding="utf-8")
+    assert dumps(as_v3(v4)) == v3

@@ -36,6 +36,8 @@ from freenil.jsonio import (
     report_payload,
 )
 
+from test_wire_fixtures import as_v3
+
 SEED = 20261018
 MOVES = 12
 
@@ -43,39 +45,49 @@ MOVES = 12
 GOLDEN = {
     (10, 1, 2): {
         "map": "1a824b713bb95a364a1e0c06c07c7eb0d0b0dda10cb008c11279e54b90cf4f14",
-        "decomposition": "a4499a44624bd5ff8625c137f581bff1b5b7b6fb05cfa91ad54d148fd231297e",
+        "decomposition": "37ead8d86180c4746444696dd188d9a2fbc16953c37f556b33f81e657a6c3656",
         "report": "395e1880dd6ad539f209803b868cb663b5ddb8871ce6b9a1e7266c8a18443b7a",
         "square": "c19977fa022bbc182c286e984543cd84fef70bc90e6b37171be05e5dd53e6da2",
         "inverses": "3992dc99cba6f2ff77df793301c7ee4bb31a038b5fa2a6f137efa5d65cbe2a8d",
     },
     (10, 2, 1): {
         "map": "38ed3ee2b4b234cf9d1811ef9ff202fe34f9a7f2ef60192ac9d67bbca7c8aa3f",
-        "decomposition": "213891dba4c0a8d0252b4a3921348d0ba842e5dc5ffd27f2f1517b3f71860107",
+        "decomposition": "93b555f893b4620e6b3aa7f6f84622a81f7d9e0d0153b6c1a01af45b849e7fd4",
         "report": "53ffde0b37dc629012c15688c3afbc95633b16372b55e50e7f3d8f2ecc81004c",
         "square": "094d79bf9b709bb28ca00e35043f9b496c2f1040e94cd64331e7900640d24dd8",
         "inverses": "e7f6f6b4ab93f0bb797c8063e1a56163c5a361580fe9e006f77a3280fe704f23",
     },
     (9, 3, 0): {
         "map": "d6c894c078bd05d41078b592eaeead52deaf5468934c7ef8eee51bc78fe86a95",
-        "decomposition": "46e9393cf99b955e0f624006cfe5b5cf5f66e7d42822b6a4878cec48dc4c66b0",
+        "decomposition": "8f6f3bed55831d7e993ff1a93529c251d88938076e9f012c4b0c63b8286cdd6a",
         "report": "bdbf0a6b01a4986b789b32699c17f8e3a90b1c11520001aa1c3ce7fa69a50335",
         "square": "77ce1d1dc083050f89da431929ce19e525997634c15f02fdf69e11c6bc9039c4",
         "inverses": "e6bf6ca7218e1347b4e395df9f218abbbec80221f7b5bb5e2c7d967d5d51d8f7",
     },
     (12, 3, 2): {
         "map": "bdac19340610b220fc72b30ce35683adc595319244bd18c59924eaca020e0e24",
-        "decomposition": "767997dda37c7e3444d06cebc0c07d72b6a32af8f54d459d6bbfdda12b64df85",
+        "decomposition": "ddcd0d91148ad491ed214bb2221889741c395b838f1d54066a90212bbf6b03b7",
         "report": "962ae7c90ad338264a9118bebe8f30fa5ca61ef9b600f19a4a4ae9aca23e93fa",
         "square": "6ae5ad60f8c73410bd9d9112996dee2c60b5d05f500914d4da957ec1dd5ce01c",
         "inverses": "a70c8afe8ee02109f4b6500b1b1ce9dade17526304e8014796b9bc834a9204e6",
     },
     (12, 4, 2): {
         "map": "aec85539f58fe0a9d2ae797712e15717aa4f6d1fef61b4dfa2ff0e3774eca377",
-        "decomposition": "5cc37a818376e9f990b7612f0a8d1968759a6f67000694bae941311ccaf61d26",
+        "decomposition": "e2d890257331256e40522196e4f7f407b710e8f7b5fb3f31b04bbcf9866b5343",
         "report": "962ae7c90ad338264a9118bebe8f30fa5ca61ef9b600f19a4a4ae9aca23e93fa",
         "square": "26edf35a8cfeac1faed8285d53959043f26edfcff919ac1392489446ee47b87f",
         "inverses": "74e42b6896a2a428996c65dd3f7873d8356d7eb136048398515e3429df56f84a",
     },
+}
+
+# each cell's "decomposition" digest as the version 3 writer made it, which
+# as_v3 rebuilds from the version 4 payload
+V3_DECOMPOSITION = {
+    (10, 1, 2): "a4499a44624bd5ff8625c137f581bff1b5b7b6fb05cfa91ad54d148fd231297e",
+    (10, 2, 1): "213891dba4c0a8d0252b4a3921348d0ba842e5dc5ffd27f2f1517b3f71860107",
+    (9, 3, 0): "46e9393cf99b955e0f624006cfe5b5cf5f66e7d42822b6a4878cec48dc4c66b0",
+    (12, 3, 2): "767997dda37c7e3444d06cebc0c07d72b6a32af8f54d459d6bbfdda12b64df85",
+    (12, 4, 2): "5cc37a818376e9f990b7612f0a8d1968759a6f67000694bae941311ccaf61d26",
 }
 
 # the inverse of each cell's map, which no change to decompose may move: the
@@ -130,6 +142,13 @@ def _digest(payload) -> str:
 def test_wire_bytes_match_golden_digests(cell):
     got = {name: _digest(payload) for name, payload in _artifacts(*cell).items()}
     assert got == GOLDEN[cell]
+
+
+@pytest.mark.parametrize("cell", sorted(V3_DECOMPOSITION))
+def test_v4_decomposition_rebuilds_the_v3_bytes(cell):
+    payload = _artifacts(*cell)["decomposition"]
+    assert payload["version"] == 4
+    assert _digest(as_v3(payload)) == V3_DECOMPOSITION[cell]
 
 
 @pytest.mark.parametrize("cell", sorted(INVERSION))

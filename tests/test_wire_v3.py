@@ -6,9 +6,10 @@ maps to itself.  These tests pin that the payloads the writer made before
 version 3 (committed under tests/data/v1/ for class 1 and tests/data/v2/
 otherwise) still hold the bytes the golden digests pinned then and verify to
 the pinned reports, that the writer turns the decompositions they hold into
-the committed version 3 payloads (tests/data/v3/), which differ from them
-only in map -> stored, and that malformed stored lists are refused with a
-named error.
+payloads whose version 3 form (`as_v3`, as the writer wrote before version
+4) is the committed version 3 payload (tests/data/v3/), which differs from
+them only in map -> stored, and that malformed stored lists are refused
+with a named error.
 """
 
 import hashlib
@@ -37,7 +38,7 @@ from freenil.reader import (
     parse_stored,
 )
 
-from test_wire_fixtures import REPORTS, fixture_path
+from test_wire_fixtures import REPORTS, as_v3, fixture_path
 from test_wire_golden import GOLDEN
 
 DATA = Path(__file__).parent / "data"
@@ -79,8 +80,9 @@ def test_earlier_fixture_keeps_its_bytes_and_report(cell, tmp_path):
 @pytest.mark.parametrize("cell", sorted(GOLDEN))
 def test_v3_payload_matches_the_earlier_one_but_for_stored(cell):
     old = loads(_fixture(cell).read_text(encoding="utf-8"))
-    # the writer on the decomposition the earlier payload holds
-    new = decomposition_payload(parse_decomposition(old))
+    # the writer on the decomposition the earlier payload holds, in the
+    # version 3 form
+    new = as_v3(decomposition_payload(parse_decomposition(old)))
     assert dumps(new) == fixture_path("v3", cell).read_text(encoding="utf-8")
     assert list(new) == ["version", "input", "fixed", "factors"]
     assert new.pop("version") == 3
