@@ -1,27 +1,82 @@
-"""Shared group context: rank and nilpotency class."""
+"""Shared group context: rank and nilpotency class.
+
+Also the base of the package's immutable records.  Each record is a plain
+class whose `__slots__` name its fields in constructor order; `dataclasses`
+is not used, because importing it (with `inspect`, `ast` and `dis`) and
+generating the classes cost every command-line process more start-up time
+than most commands spend working.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ContextMismatch, IndexOutOfRange, MalformedInput
 
 
-@dataclass(frozen=True)
-class GroupContext:
+class Record:
+    """Immutable value with fields `__slots__`, in constructor order.
+
+    Equal only to a record of the same class with equal fields, hashed by
+    the field tuple (so a record holding a dict is unhashable), printed as
+    `Name(field=value, ...)`.  Assignment and deletion raise AttributeError;
+    subclasses set their fields in `__init__` with `object.__setattr__`.
+    Copies and pickles are rebuilt through the constructor, which must
+    therefore take the field values positionally and give back an equal
+    record.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({inner})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+class GroupContext(Record):
     """Free nilpotent group on `rank` generators, nilpotency class `nilclass`.
 
     All elements and maps carry one of these; operations on operands from
     different contexts refuse to mix them.
     """
 
+    __slots__ = ("rank", "nilclass")
     rank: int
     nilclass: int
 
-    def __post_init__(self):
-        if self.rank < 1 or self.nilclass < 1:
+    def __init__(self, rank: int, nilclass: int):
+        if rank < 1 or nilclass < 1:
             raise MalformedInput("rank and class must be at least 1")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "nilclass", nilclass)
+
+    # compared on every mixed-operand check, so spelled out
+    def __eq__(self, other):
+        if other.__class__ is GroupContext:
+            return self.rank == other.rank and self.nilclass == other.nilclass
+        return NotImplemented
+
+    __hash__ = Record.__hash__  # a class defining __eq__ loses the inherited one
 
     def generators(self) -> range:
         return range(1, self.rank + 1)
@@ -35,7 +90,7 @@ class GroupContext:
 
 
 def check_same_context(a: GroupContext, b: GroupContext) -> None:
-    if a != b:
+    if a is not b and a != b:
         raise ContextMismatch(
             f"contexts differ: rank {a.rank} class {a.nilclass} "
             f"vs rank {b.rank} class {b.nilclass}"

@@ -25,20 +25,26 @@ the inverted moves, and reduces nothing twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
+from .context import Record
 from .errors import NotUnimodular
 
 Matrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class RowMove:
+class RowMove(Record):
+    __slots__ = ("kind", "i", "j", "k")
     kind: str  # "add" | "swap" | "negate"
     i: int
-    j: int = 0
-    k: int = 0
+    j: int
+    k: int
+
+    def __init__(self, kind: str, i: int, j: int = 0, k: int = 0):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "k", k)
 
     def inverse(self) -> "RowMove":
         if self.kind == "add":

@@ -233,7 +233,8 @@ SCHEMAS: dict[str, Any] = {
         "factors carry <map> in place of stored, and 1 (no version key), "
         "where every factor carries a <map>",
         "input": "<map>",
-        "fixed": "[int, ...]  the pinned generator set D",
+        "fixed": "[int>=1, ...]  the pinned generator set D, strictly increasing "
+        "(before version 4 in any order)",
         "factors": "[<factor>, ...]  left-to-right composition order",
     },
     "report": {

@@ -41,11 +41,10 @@ a refused certificate breaks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import intmat
-from .context import GroupContext, check_same_context
+from .context import GroupContext, Record, check_same_context
 from .errors import IndexOutOfRange, NotAutomorphism, NotInGamma2, PartitionInvalid
 from .ring import (
     GroupElement,
@@ -318,11 +317,11 @@ def ia_central(ctx: GroupContext, assignment: Mapping[int, GroupElement]) -> Gen
 # ---------------------------------------------------------------------------
 # certificates
 
-@dataclass(frozen=True)
-class MoietyCertificate:
+class MoietyCertificate(Record):
     """Partition witness: the map fixes `fixed` pointwise and restricts to an
     automorphism of the subgroup generated by `preserved`."""
 
+    __slots__ = ("fixed", "preserved")
     fixed: frozenset[int]
     preserved: frozenset[int]
 

@@ -25,10 +25,9 @@ since the wire reader needs them and nothing else here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .context import GroupContext
+from .context import GroupContext, Record
 from .errors import NotCentral, NotLieElement
 from .ring import (
     BracketTree,
@@ -110,17 +109,18 @@ def lyndon_brackets(ctx: GroupContext) -> tuple[BracketTree, ...]:
 # ---------------------------------------------------------------------------
 # homogeneous Lie data
 
-@dataclass(frozen=True)
-class LieHomogeneous:
+class LieHomogeneous(Record):
     """Homogeneous degree-`degree` polynomial, candidate Lie ring element."""
 
+    __slots__ = ("degree", "coefficients")
     degree: int
     coefficients: Poly  # keys all of length `degree`, values nonzero
 
-    def __post_init__(self):
-        clean = {m: c for m, c in self.coefficients.items() if c}
-        if any(len(m) != self.degree for m in clean):
+    def __init__(self, degree: int, coefficients: Poly):
+        clean = {m: c for m, c in coefficients.items() if c}
+        if any(len(m) != degree for m in clean):
             raise ValueError("coefficient keys must all have the stated degree")
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coefficients", clean)
 
     def is_zero(self) -> bool:

@@ -12,7 +12,9 @@ map from version 3 on, or a "stored" list before it, is refused.  Version
 4 drops what a reader can derive: a certificate holds its "fixed" block
 alone, in strictly increasing order, and its preserved block is the rest of
 1..rank; a factor has no "level", which is the decomposition's class.
-Either key in a version 4 payload is unknown.  Offsets are
+Either key in a version 4 payload is unknown.  The decomposition's own
+"fixed" list, the pinned set D, strictly increases from version 4 on too;
+earlier versions read both lists in any order.  Offsets are
 rebuilt in closed form by `ring.central_offset`.  Any integer combination of
 weight-c terms is a central group element, so a parsed factor is a genuine
 map whatever its terms say.
@@ -136,6 +138,14 @@ def _indices(obj: Any, key: str) -> list[int]:
     return idx
 
 
+def _fixed_indices(obj: Any, version: int) -> list[int]:
+    # a certificate's or a decomposition's "fixed" list
+    fixed = _indices(obj, "fixed")
+    if version >= 4 and any(a >= b for a, b in zip(fixed, fixed[1:])):
+        raise MalformedInput("fixed indices must strictly increase")
+    return fixed
+
+
 def parse_certificate(ctx: GroupContext, obj: Any, version: int) -> MoietyCertificate:
     """Both blocks as written before version 4; from version 4 on, the fixed
     block alone, and the preserved block is the rest of 1..rank.  Whether
@@ -143,13 +153,10 @@ def parse_certificate(ctx: GroupContext, obj: Any, version: int) -> MoietyCertif
     if version < 4:
         obj = _need_keys(obj, "certificate", ("fixed", "preserved"))
         return MoietyCertificate(
-            _indices(obj["fixed"], "fixed"), _indices(obj["preserved"], "preserved")
+            _fixed_indices(obj["fixed"], version), _indices(obj["preserved"], "preserved")
         )
     obj = _need_keys(obj, "certificate", ("fixed",))
-    fixed = _indices(obj["fixed"], "fixed")
-    if any(a >= b for a, b in zip(fixed, fixed[1:])):
-        raise MalformedInput("fixed indices must strictly increase")
-    fixed = frozenset(fixed)
+    fixed = frozenset(_fixed_indices(obj["fixed"], version))
     return MoietyCertificate(fixed, frozenset(ctx.generators()) - fixed)
 
 
@@ -259,9 +266,7 @@ def parse_decomposition(obj: Any) -> Decomposition:
     if type(version) is not int or version not in VERSIONS:
         raise MalformedInput(f"unknown decomposition version {version!r}")
     sigma = parse_map(obj["input"])
-    fixed = [_need_int(d, "fixed index") for d in _need_list(obj["fixed"], "fixed")]
-    if any(d < 1 for d in fixed):
-        raise MalformedInput("fixed indices must be positive")
+    fixed = _fixed_indices(obj["fixed"], version)
     sigma.ctx.check_generators(fixed)
     factors = [
         parse_factor(sigma.ctx, f, version)

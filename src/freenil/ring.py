@@ -27,11 +27,10 @@ the Lyndon code in `lie`, which builds on these expansions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
-from .context import GroupContext, check_same_context
+from .context import GroupContext, Record, check_same_context
 from .errors import BadClass, IndexOutOfRange, NotCentral
 
 Monomial = tuple[int, ...]
@@ -43,8 +42,7 @@ BracketTree = Union[int, tuple]
 # ---------------------------------------------------------------------------
 # words
 
-@dataclass(frozen=True)
-class Word:
+class Word(Record):
     """Free group word as a tuple of (generator, exponent) pairs.
 
     Construction freely reduces: adjacent pairs on the same generator merge,
@@ -52,6 +50,7 @@ class Word:
     single pair.
     """
 
+    __slots__ = ("letters",)
     letters: tuple[tuple[int, int], ...]
 
     def __init__(self, letters: Iterable[tuple[int, int]] = ()):
@@ -343,12 +342,16 @@ def bracket_expansion(tree: BracketTree) -> Poly:
     return out
 
 
-@dataclass(frozen=True)
-class LeftNormedTerm:
+class LeftNormedTerm(Record):
     """Power of a left-normed commutator [x_{b1}, x_{b2}, ..., x_{bk}]."""
 
+    __slots__ = ("generators", "exponent")
     generators: tuple[int, ...]
     exponent: int
+
+    def __init__(self, generators: tuple[int, ...], exponent: int):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "exponent", exponent)
 
 
 def _left_normed_letters(seq: Sequence[int], exponent: int) -> list[tuple[int, int]]:

@@ -4,7 +4,9 @@
 on the engine that produced them, the Lyndon code or the writer.  The
 structural checks read the import statements of every module in the package
 with `ast`, without importing anything; one more runs the verifier in a
-process where only its modules can load.  Three checks pin the public
+process where only its modules can load.  Two more keep every command's cold
+start cheap: no module imports `dataclasses` or `inspect`, and a fresh
+`import freenil.cli` loads neither.  Three checks pin the public
 surface: `__all__` names exactly what the package imports, every other
 public definition is used by the library, and the README's
 `from freenil import *` example runs.
@@ -83,13 +85,54 @@ def test_jsonio_does_not_import_the_engine():
     assert _closure("jsonio") == CORE | {"jsonio", "lie"}
 
 
+# costly to import, and the records need neither
+COLD_START_FREE = {"dataclasses", "inspect"}
+
+
+def _outside_imports(tree: ast.Module) -> set[str]:
+    """Top-level packages named by `import x` or `from x import ...`."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_no_module_imports_dataclasses_or_inspect():
+    found = {
+        name: sorted(_outside_imports(tree) & COLD_START_FREE)
+        for name, tree in TREES.items()
+    }
+    assert not any(found.values()), found
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # measured against a bare interpreter, so a module that `site` already
+    # loads here is not blamed on the package
+    def loaded(statement: str) -> set[str]:
+        code = (
+            f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
+            f"{statement}; print(' '.join(sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    added = loaded("import freenil.cli") - loaded("pass")
+    assert "freenil.cli" in added
+    assert not added & COLD_START_FREE, sorted(added & COLD_START_FREE)
+
+
 def test_verifier_runs_on_the_core_alone():
     # a stub package stands in for freenil, so __init__ (which imports
     # everything) never runs; verifying every committed payload must load
     # exactly the core and give each fixture its pinned report
     code = (
         "import json, sys, types\n"
-        "from dataclasses import asdict\n"
         "from pathlib import Path\n"
         "pkg = types.ModuleType('freenil')\n"
         f"pkg.__path__ = [{str(PACKAGE)!r}]\n"
@@ -98,7 +141,11 @@ def test_verifier_runs_on_the_core_alone():
         "reports = {}\n"
         f"for path in Path({str(DATA)!r}).glob('v*/*.json'):\n"
         "    rep = verify_payload(json.loads(path.read_text(encoding='utf-8')))\n"
-        "    reports[f'{path.parent.name}/{path.name}'] = asdict(rep)\n"
+        "    reports[f'{path.parent.name}/{path.name}'] = {\n"
+        "        'ok': rep.ok, 'factors': rep.factors,\n"
+        "        'min_fixed_block': rep.min_fixed_block,\n"
+        "        'max_coefficient': rep.max_coefficient, 'failures': rep.failures,\n"
+        "    }\n"
         "loaded = [k[len('freenil.'):] for k in sys.modules if k.startswith('freenil.')]\n"
         "print(json.dumps({'loaded': loaded, 'reports': reports}))\n"
     )

@@ -4,11 +4,12 @@ A version 4 certificate holds its "fixed" block alone, as strictly
 increasing positive generator indices; its preserved block is the rest of
 1..rank, the only partner check_certificate accepts.  A factor carries no
 "level": every factor `decompose` emits is at the decomposition's class, and
-the reader sets it so.  These tests pin that a version 4 payload verifies
-exactly as its version 3 form (`as_v3`) does, that the keys version 4 leaves
-out are refused in it, that a fixed block that is not a proper subset of
-1..rank is a failed factor as in version 3, and that the writer refuses a
-decomposition in memory that version 4 cannot carry.
+the reader sets it so.  The decomposition's own "fixed" list, the pinned
+set D, strictly increases as well.  These tests pin that a version 4 payload
+verifies exactly as its version 3 form (`as_v3`) does, that the keys version
+4 leaves out are refused in it, that a fixed block that is not a proper
+subset of 1..rank is a failed factor as in version 3, and that the writer
+refuses a decomposition in memory that version 4 cannot carry.
 """
 
 import random
@@ -140,6 +141,18 @@ def test_refuses_a_fixed_block_out_of_order(v4_text):
         cert["fixed"] = bad
         with pytest.raises(MalformedInput, match="fixed indices must strictly increase"):
             verify_payload(payload)
+
+
+@pytest.mark.parametrize("pinned", [[2, 1], [1, 1], [2, 1, 1]])
+def test_refuses_a_pinned_set_out_of_order(v4_text, pinned):
+    # the decomposition's own "fixed" list, D, follows the certificates' rule
+    # in version 4; its version 3 form reads the same list, in any order
+    payload = loads(v4_text)
+    assert payload["fixed"] == [1, 2]
+    payload["fixed"] = pinned
+    with pytest.raises(MalformedInput, match="fixed indices must strictly increase"):
+        verify_payload(payload)
+    assert verify_payload(as_v3(payload)).ok
 
 
 @pytest.mark.parametrize(
