@@ -9,6 +9,7 @@ than most commands spend working.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import ContextMismatch, IndexOutOfRange, MalformedInput
@@ -81,12 +82,21 @@ class GroupContext(Record):
     def generators(self) -> range:
         return range(1, self.rank + 1)
 
+    def generator_set(self) -> frozenset[int]:
+        """frozenset(generators()), built once per rank and shared."""
+        return _generator_set(self.rank)
+
     def check_generators(self, indices: Iterable[int]) -> None:
         """Raise IndexOutOfRange at the first index, in iteration order,
         outside 1..rank."""
         for i in indices:
             if not 1 <= i <= self.rank:
                 raise IndexOutOfRange(f"generator {i} out of range 1..{self.rank}")
+
+
+@lru_cache(maxsize=64)
+def _generator_set(rank: int) -> frozenset[int]:
+    return frozenset(range(1, rank + 1))
 
 
 def check_same_context(a: GroupContext, b: GroupContext) -> None:

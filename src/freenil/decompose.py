@@ -162,7 +162,7 @@ def _half_cert(
     # fixed block: the lower-index half of the untouched free generators
     rest = [e for e in free if e not in touched]
     fixed = frozenset(rest[: (len(rest) + 1) // 2])
-    return MoietyCertificate(fixed, frozenset(ctx.generators()) - fixed)
+    return MoietyCertificate(fixed, ctx.generator_set() - fixed)
 
 
 def abelian_decompose(
@@ -184,7 +184,7 @@ def abelian_decompose(
     if moves is None:
         fixed, moves = _reduce_free_block(sigma, fixed, min_free=3)
     fixed = frozenset(fixed)
-    free = sorted(frozenset(ctx.generators()) - fixed)
+    free = sorted(ctx.generator_set() - fixed)
     factors: list[Factor] = []
     for phi, tag, touched in _block_maps(ctx, free, moves):
         cert = _half_cert(ctx, free, touched)
@@ -207,7 +207,7 @@ def abelian_decompose(
         # only D letters to its own generator
         shear = GeneratorMap._sparse(ctx, images, unimodular=True)
         cert = MoietyCertificate(
-            frozenset(other), frozenset(ctx.generators()) - frozenset(other)
+            frozenset(other), ctx.generator_set() - frozenset(other)
         )
         factors.append(_certified(fixed, shear, cert, "shear", 1))
     if ordered_product(ctx, [f.map for f in factors]) != sigma:
@@ -274,7 +274,7 @@ def _inverse_substitution(
     inverted moves replayed on the identity, and every D column is a unit
     vector, so only free generators are substituted.
     """
-    free = sorted(frozenset(sigma.ctx.generators()) - fixed)
+    free = sorted(sigma.ctx.generator_set() - fixed)
     binv = intmat.replay(len(free), [move.inverse() for move in moves])
     images = [sigma(e).poly for e in free]
     s_rows = [(d, [img.get((d,), 0) for img in images]) for d in sorted(fixed)]
@@ -359,7 +359,7 @@ def central_decompose(alpha: GeneratorMap, fixed: Iterable[int]) -> list[Factor]
     if c < 2:
         raise BadClass("the central stage needs class >= 2")
     fixed = _check_common(alpha, fixed, min_free=2 * (c + 1))
-    free = sorted(frozenset(ctx.generators()) - fixed)
+    free = sorted(ctx.generator_set() - fixed)
     half = (len(free) + 1) // 2
     sides = ((free[:half], free[half:], "F"), (free[half:], free[:half], "G"))
     factors: list[Factor] = []
@@ -403,7 +403,7 @@ def central_decompose(alpha: GeneratorMap, fixed: Iterable[int]) -> list[Factor]
             spares = [e for e in cells_source if e not in cells[k] and e not in used]
             pinned_block = frozenset(cells[k]) | frozenset(spares)
             cert = MoietyCertificate(
-                pinned_block, frozenset(ctx.generators()) - pinned_block
+                pinned_block, ctx.generator_set() - pinned_block
             )
             factors.append(
                 _certified(
@@ -455,7 +455,7 @@ def _reduce_free_block(
     fixed = frozenset(fixed)
     ctx = sigma.ctx
     ctx.check_generators(fixed)
-    free = sorted(frozenset(ctx.generators()) - fixed)
+    free = sorted(ctx.generator_set() - fixed)
     if not sigma.fixes_pointwise(fixed) or len(free) < min_free:
         _check_common(sigma, fixed, min_free)  # raises
     try:

@@ -114,7 +114,7 @@ def blockwise(
         raise PartitionInvalid(
             f"{len(block_sets)} blocks but {len(maps)} maps supplied"
         )
-    everything = frozenset(ctx.generators())
+    everything = ctx.generator_set()
     pieces = [fixed, *block_sets]
     if frozenset().union(*pieces) != everything or sum(map(len, pieces)) != ctx.rank:
         raise PartitionInvalid("fixed set and blocks must partition 1..rank")
@@ -275,7 +275,7 @@ def random_automorphism(
     """
     fix = frozenset(fix)
     ctx.check_generators(fix)
-    free = sorted(frozenset(ctx.generators()) - fix)
+    free = sorted(ctx.generator_set() - fix)
     acc = identity_map(ctx)
     if not free:
         return acc

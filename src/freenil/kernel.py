@@ -333,9 +333,8 @@ class MoietyCertificate(Record):
 def check_partition(ctx: GroupContext, cert: MoietyCertificate) -> None:
     """Refuse a certificate whose blocks do not partition 1..rank with
     preserved nonempty, the only shape check_certificate accepts."""
-    everything = frozenset(ctx.generators())
     if (
-        cert.fixed | cert.preserved != everything
+        cert.fixed | cert.preserved != ctx.generator_set()
         or cert.fixed & cert.preserved
         or not cert.preserved
     ):

@@ -19,6 +19,11 @@ rebuilt in closed form by `ring.central_offset`.  Any integer combination of
 weight-c terms is a central group element, so a parsed factor is a genuine
 map whatever its terms say.
 
+A valid one-letter image [[g, e]], in a map or a "stored" list, is not
+parsed: it becomes `ring.letter`'s shared element, equal in polynomial and
+word to the parsed one.  Every other word is parsed, so each refusal is
+unchanged.
+
 The provenance keys are read as the schema documents them: "origin" only on
 lifted factors, "part" and "side" only on central_beta factors and on lifted
 factors of central_beta origin, and "level" (before version 4) at most the
@@ -37,7 +42,7 @@ from .context import GroupContext
 from .errors import ContextMismatch, MalformedInput
 from .kernel import GeneratorMap, MoietyCertificate, ia_central
 from .records import TAGS, Decomposition, Factor
-from .ring import GroupElement, LeftNormedTerm, Word, central_offset, from_word
+from .ring import GroupElement, LeftNormedTerm, Word, central_offset, from_word, letter
 
 
 # ---------------------------------------------------------------------------
@@ -76,14 +81,32 @@ def parse_word(obj: Any) -> Word:
         item = _need_list(item, "word letter")
         if len(item) != 2:
             raise MalformedInput("word letters must be [generator, exponent] pairs")
-        g = _need_int(item[0], "generator index")
-        e = _need_int(item[1], "exponent")
+        g, e = item
+        # _need_int only raises (or passes an int subclass): a plain int is
+        # the common case and needs no call
+        if type(g) is not int:
+            g = _need_int(g, "generator index")
+        if type(e) is not int:
+            e = _need_int(e, "exponent")
         if g < 1:
             raise MalformedInput(f"generator index {g} must be positive")
         if e == 0:
             raise MalformedInput("exponent must be nonzero")
         pairs.append((g, e))
     return Word(tuple(pairs))
+
+
+def _image(ctx: GroupContext, w: Any) -> GroupElement:
+    """The element the JSON word w spells in ctx.  A valid one-letter word
+    [[g, e]] becomes the shared ring.letter, with no parsing; every other
+    word, and so every refusal, takes from_word(ctx, parse_word(w))."""
+    if type(w) is list and len(w) == 1:
+        item = w[0]
+        if type(item) is list and len(item) == 2:
+            g, e = item
+            if type(g) is int and type(e) is int and e and 1 <= g <= ctx.rank:
+                return letter(ctx, g, e)
+    return from_word(ctx, parse_word(w))
 
 
 def parse_element(ctx: GroupContext, obj: Any) -> GroupElement:
@@ -107,7 +130,7 @@ def parse_map(obj: Any) -> GeneratorMap:
         # also match [[True, 1]] or [[1.0, 1]], which parse_word refuses
         if w == [[i, 1]] and type(w[0][0]) is int and type(w[0][1]) is int:
             continue
-        stored[i] = from_word(ctx, parse_word(w))
+        stored[i] = _image(ctx, w)
     return GeneratorMap._sparse(ctx, stored)
 
 
@@ -124,7 +147,7 @@ def parse_stored(ctx: GroupContext, obj: Any) -> GeneratorMap:
         if g <= last:
             raise MalformedInput("stored generators must strictly increase")
         last = g
-        stored[g] = from_word(ctx, parse_word(item[1]))
+        stored[g] = _image(ctx, item[1])
     return GeneratorMap._sparse(ctx, stored)
 
 
@@ -132,7 +155,11 @@ def parse_stored(ctx: GroupContext, obj: Any) -> GeneratorMap:
 # certificates, terms
 
 def _indices(obj: Any, key: str) -> list[int]:
-    idx = [_need_int(i, f"{key} index") for i in _need_list(obj, key)]
+    # every entry an integer, then every one positive, in that order
+    idx = _need_list(obj, key)
+    for i in idx:
+        if type(i) is not int:
+            _need_int(i, f"{key} index")
     if any(i < 1 for i in idx):
         raise MalformedInput(f"{key} indices must be positive")
     return idx
@@ -141,8 +168,12 @@ def _indices(obj: Any, key: str) -> list[int]:
 def _fixed_indices(obj: Any, version: int) -> list[int]:
     # a certificate's or a decomposition's "fixed" list
     fixed = _indices(obj, "fixed")
-    if version >= 4 and any(a >= b for a, b in zip(fixed, fixed[1:])):
-        raise MalformedInput("fixed indices must strictly increase")
+    if version >= 4:
+        last = 0
+        for i in fixed:
+            if i <= last:
+                raise MalformedInput("fixed indices must strictly increase")
+            last = i
     return fixed
 
 
@@ -157,7 +188,7 @@ def parse_certificate(ctx: GroupContext, obj: Any, version: int) -> MoietyCertif
         )
     obj = _need_keys(obj, "certificate", ("fixed",))
     fixed = frozenset(_fixed_indices(obj["fixed"], version))
-    return MoietyCertificate(fixed, frozenset(ctx.generators()) - fixed)
+    return MoietyCertificate(fixed, ctx.generator_set() - fixed)
 
 
 def parse_term(obj: Any) -> LeftNormedTerm:

@@ -9,7 +9,10 @@ Everything here is integer-exact; coefficients are arbitrary-precision.
 Representation.  A monomial is a tuple of generator indices (1-based), the
 empty tuple being the constant monomial.  A polynomial is a dict mapping
 monomials to nonzero ints; zero coefficients are never stored.  Polynomial
-dicts are never mutated once an element owns them.
+dicts are never mutated once an element owns them.  That rule is
+load-bearing: the polynomial and word of each one-letter element x_g^e are
+built once, cached, and shared by every element `letter` makes (generators
+and one-letter images on the wire are such elements).
 
 GroupElement has no public raw-polynomial constructor: build elements with
 identity(), generator(), from_word(), or the group operations, so every
@@ -56,8 +59,10 @@ class Word(Record):
     def __init__(self, letters: Iterable[tuple[int, int]] = ()):
         stack: list[tuple[int, int]] = []
         for gen, exp in letters:
-            gen = int(gen)
-            exp = int(exp)
+            if type(gen) is not int:
+                gen = int(gen)
+            if type(exp) is not int:
+                exp = int(exp)
             if gen < 1:
                 raise IndexOutOfRange(f"generator index {gen} is not >= 1")
             if exp == 0:
@@ -144,8 +149,15 @@ def _poly_mul(a: Poly, b: Poly, cap: int) -> Poly:
     return out
 
 
+# entries of each one-letter cache: every letter of rank <= 64 at class <= 6
+# with exponent +-1 or +-2
+_LETTER_CACHE = 4096
+
+
+@lru_cache(maxsize=_LETTER_CACHE)
 def _genpow_poly(g: int, e: int, cap: int) -> Poly:
-    """(1 + X_g)^e truncated above degree cap; exact for any integer e."""
+    """(1 + X_g)^e truncated above degree cap; exact for any integer e.
+    Cached, so every caller shares the dict and must not mutate it."""
     # C(e, k+1) = C(e, k) * (e - k) / (k + 1), exact in integers; once a
     # coefficient is zero (k > e >= 0) every later one is too
     out: Poly = {}
@@ -182,6 +194,11 @@ class GroupElement:
 
     __hash__ = None  # polynomial dicts are not hashable
 
+    def __reduce__(self):
+        # slotted without __getstate__: copies and pickles of every protocol
+        # go through the constructor, as for context.Record
+        return self.__class__, (self.ctx, self.poly, self.word)
+
     def is_identity(self) -> bool:
         return len(self.poly) == 1
 
@@ -213,9 +230,20 @@ def identity(ctx: GroupContext) -> GroupElement:
     return GroupElement(ctx, {(): 1}, Word())
 
 
+@lru_cache(maxsize=_LETTER_CACHE)
+def _letter_word(g: int, e: int) -> Word:
+    return Word(((g, e),))
+
+
+def letter(ctx: GroupContext, g: int, e: int) -> GroupElement:
+    """x_g^e, with the cached polynomial and word every such element shares;
+    the caller has checked 1 <= g <= rank and e != 0."""
+    return GroupElement(ctx, _genpow_poly(g, e, ctx.nilclass), _letter_word(g, e))
+
+
 def generator(ctx: GroupContext, i: int) -> GroupElement:
     ctx.check_generators((i,))
-    return GroupElement(ctx, {(): 1, (i,): 1}, Word(((i, 1),)))
+    return letter(ctx, i, 1)
 
 
 def _word_poly(ctx: GroupContext, pairs: tuple[tuple[int, int], ...], lo: int, hi: int) -> Poly:
@@ -304,7 +332,7 @@ def retract(a: GroupElement, keep: Iterable[int]) -> GroupElement:
     """Image under the retraction killing every generator outside `keep`."""
     keep = frozenset(keep)
     a.ctx.check_generators(keep)
-    drop = frozenset(range(1, a.ctx.rank + 1)) - keep
+    drop = a.ctx.generator_set() - keep
     poly = {m: c for m, c in a.poly.items() if drop.isdisjoint(m)}
     word = Word((g, e) for g, e in a.word.letters if g in keep) if a.word is not None else None
     return GroupElement(a.ctx, poly, word)

@@ -12,9 +12,18 @@ decomposition in memory, writes it first and so lives with the writer.
 from __future__ import annotations
 
 from .errors import DomainError
-from .kernel import check_certificate, failed_claim, ordered_product
+from .kernel import GeneratorMap, check_certificate, failed_claim, ordered_product
 from .reader import parse_decomposition
 from .records import VerifyReport
+
+
+def _max_coefficient(maps: list[GeneratorMap]) -> int:
+    # unstored images are generators, whose coefficients are all 1
+    top = 1
+    for phi in maps:
+        for img in phi.stored.values():
+            top = max(top, max(map(abs, img.poly.values())))
+    return top
 
 
 def verify_payload(payload: dict) -> VerifyReport:
@@ -24,13 +33,7 @@ def verify_payload(payload: dict) -> VerifyReport:
     dec = parse_decomposition(payload)
     ctx = dec.input.ctx
     failures: list[str] = []
-    # unstored images are generators, whose coefficients are all 1
-    coeffs = [1]
-    for img in dec.input.stored.values():
-        coeffs.extend(abs(v) for v in img.poly.values())
     for idx, f in enumerate(dec.factors):
-        for img in f.map.stored.values():
-            coeffs.extend(abs(v) for v in img.poly.values())
         where = f"factor {idx} ({f.tag})"
         try:
             if not check_certificate(f.map, f.certificate):
@@ -41,9 +44,8 @@ def verify_payload(payload: dict) -> VerifyReport:
             failures.append(f"{where}: moves the pinned set")
         if f.certificate.fixed <= dec.fixed:
             failures.append(f"{where}: certificate fixes no generator outside D")
-    product = ordered_product(ctx, [f.map for f in dec.factors])
-    for img in product.stored.values():
-        coeffs.extend(abs(v) for v in img.poly.values())
+    maps = [f.map for f in dec.factors]
+    product = ordered_product(ctx, maps)
     if product != dec.input:
         failures.append("ordered product of factors differs from the input map")
     sizes = [len(f.certificate.fixed - dec.fixed) for f in dec.factors]
@@ -51,6 +53,6 @@ def verify_payload(payload: dict) -> VerifyReport:
         ok=not failures,
         factors=len(dec.factors),
         min_fixed_block=min(sizes) if sizes else None,
-        max_coefficient=max(coeffs),
+        max_coefficient=_max_coefficient([dec.input, *maps, product]),
         failures=tuple(failures),
     )

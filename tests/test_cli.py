@@ -15,6 +15,7 @@ import pytest
 
 from freenil import (
     GroupContext,
+    IndexOutOfRange,
     MalformedInput,
     Word,
     comm,
@@ -27,7 +28,8 @@ from freenil import (
 )
 from freenil.cli import _build_parser, main
 from freenil.jsonio import dumps, map_payload
-from freenil.reader import parse_element, parse_map
+from freenil.reader import parse_element, parse_map, parse_stored, parse_word
+from freenil.verifier import verify_payload
 
 from test_wire_fixtures import as_v3
 
@@ -465,18 +467,21 @@ def test_verify_reports_a_factor_fixing_nothing_outside_d(tmp_path, fixed):
     )
 
 
-@pytest.mark.parametrize(
-    "letter, message",
-    [
-        ([True, 1], "generator index must be an integer"),
-        ([1.0, 1], "generator index must be an integer"),
-        ([1, True], "exponent must be an integer"),
-        ([1, 1.0], "exponent must be an integer"),
-    ],
-)
+# one-letter words the reader must refuse as parse_word does, though a
+# valid one-letter word skips parsing; [[True, 1]] == [[1, 1]] in Python
+LOOKALIKES = [
+    ([True, 1], "generator index must be an integer"),
+    ([1.0, 1], "generator index must be an integer"),
+    ([1, True], "exponent must be an integer"),
+    ([1, 1.0], "exponent must be an integer"),
+    ([0, 1], "generator index 0 must be positive"),
+    ([1, 0], "exponent must be nonzero"),
+]
+
+
+@pytest.mark.parametrize("letter, message", LOOKALIKES)
 def test_literal_image_lookalikes_are_refused(tmp_path, letter, message):
-    # [[True, 1]] == [[1, 1]] in Python, so the literal-image shortcut in
-    # parse_map must not accept them
+    # nor may the literal-image shortcut in parse_map accept them
     payload = {"rank": 2, "class": 2, "images": [[letter], [[2, 1]]]}
     with pytest.raises(MalformedInput, match=message):
         parse_map(payload)
@@ -485,6 +490,64 @@ def test_literal_image_lookalikes_are_refused(tmp_path, letter, message):
     assert raw == json.dumps(
         {"error": "MalformedInput", "message": message}, separators=(",", ":")
     ) + "\n"
+
+
+def test_one_letter_image_beyond_the_rank_is_refused(tmp_path):
+    payload = {"rank": 2, "class": 2, "images": [[[3, 1]], [[2, 1]]]}
+    message = "word uses generator 3 but rank is 2"
+    with pytest.raises(IndexOutOfRange, match=message):
+        parse_map(payload)
+    code, raw, _ = run_cli(tmp_path, ["is-aut"], payload)
+    assert code == 1
+    assert raw == json.dumps(
+        {"error": "IndexOutOfRange", "message": message}, separators=(",", ":")
+    ) + "\n"
+
+
+@pytest.mark.parametrize(
+    "letter, error, message",
+    [(letter, MalformedInput, message) for letter, message in LOOKALIKES]
+    + [([3, 1], IndexOutOfRange, "word uses generator 3 but rank is 2")],
+)
+def test_one_letter_stored_lookalikes_are_refused(tmp_path, letter, error, message):
+    ctx = GroupContext(2, 2)
+    with pytest.raises(error, match=message):
+        parse_stored(ctx, [[1, [letter]]])
+    payload = {
+        "version": 4,
+        "input": {"rank": 2, "class": 2, "images": [[[1, 1]], [[2, 1]]]},
+        "fixed": [],
+        "factors": [
+            {"stored": [[1, [letter]]], "certificate": {"fixed": [2]}, "tag": "sign"}
+        ],
+    }
+    with pytest.raises(error, match=message):
+        verify_payload(payload)
+    code, raw, _ = run_cli(tmp_path, ["verify"], payload)
+    assert code == (2 if error is MalformedInput else 1)
+    assert raw == json.dumps(
+        {"error": error.__name__, "message": message}, separators=(",", ":")
+    ) + "\n"
+
+
+@pytest.mark.parametrize("rank", [1, 5])
+@pytest.mark.parametrize("nilclass", [1, 2, 4])
+def test_one_letter_images_equal_their_parsed_words(rank, nilclass):
+    # a one-letter image read from a map or a stored list is the element,
+    # word and dict order included, that its parsed word evaluates to
+    ctx = GroupContext(rank, nilclass)
+    for g in sorted({1, rank}):
+        for e in (1, -1, 2, -3, 10**20):
+            w = [[g, e]]
+            want = from_word(ctx, parse_word(w))
+            images = [[[i, 1]] for i in ctx.generators()]
+            images[0] = w
+            for got in (
+                parse_map({"rank": rank, "class": nilclass, "images": images})(1),
+                parse_stored(ctx, [[1, w]])(1),
+            ):
+                assert list(got.poly.items()) == list(want.poly.items())
+                assert got.word.letters == want.word.letters
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from freenil import (
     MalformedInput,
     Word,
     comm,
+    decompose,
     from_word,
     generator,
     identity,
@@ -24,10 +25,15 @@ from freenil import (
     mul,
     occurs,
     power,
+    random_automorphism,
     retract,
     truncate_class,
 )
+import freenil.ring as ring_module
+from freenil.jsonio import decomposition_payload, dumps, loads, map_payload
+from freenil.reader import parse_map
 from freenil.ring import _genpow_poly
+from freenil.verifier import verify_payload
 
 C32 = GroupContext(3, 2)
 C33 = GroupContext(3, 3)
@@ -260,3 +266,39 @@ def test_word_provenance_survives_arithmetic():
     assert mul(a, b).word == Word(((1, 2), (2, -1), (3, 1)))
     assert inv(a).word == Word(((2, 1), (1, -2)))
     assert power(b, 3).word == Word(((3, 3),))
+
+
+# ---------------------------------------------------------------------------
+# shared one-letter polynomials
+
+def test_shared_letter_polynomials_are_never_mutated(monkeypatch):
+    # every element ring.letter builds shares its polynomial with the cache,
+    # so no operation may edit one in place: after a decompose and a verify
+    # each dict the cache handed out must still be (1 + X_g)^e
+    assert _genpow_poly.cache_info().maxsize is not None
+    handed = []
+
+    def recording(g, e, cap):
+        poly = _genpow_poly(g, e, cap)
+        handed.append(((g, e, cap), poly))
+        return poly
+
+    cells = ((32, 2, 1), (12, 4, 2), (9, 3, 1))
+    monkeypatch.setattr(ring_module, "_genpow_poly", recording)
+    for rank, nilclass, pinned in cells:
+        ctx = GroupContext(rank, nilclass)
+        fix = tuple(range(1, pinned + 1))
+        for seed in (1, 2):
+            phi = random_automorphism(ctx, seed, 8, fix)
+            sigma = parse_map(loads(dumps(map_payload(phi))))
+            payload = loads(dumps(decomposition_payload(decompose(sigma, fix))))
+            assert verify_payload(payload).ok
+    monkeypatch.undo()
+    assert handed
+    for key, poly in handed:
+        assert poly == _genpow_poly.__wrapped__(*key), key
+    for rank, nilclass, _ in cells:
+        ctx = GroupContext(rank, nilclass)
+        for i in ctx.generators():
+            assert generator(ctx, i).poly == {(): 1, (i,): 1}
+
