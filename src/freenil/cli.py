@@ -146,7 +146,9 @@ _GROUP.add_argument("--class", dest="nilclass", type=int, help="nilpotency class
 _IN.add_argument("--in", dest="infile", default="-", metavar="FILE")
 _OUT.add_argument("--out", dest="outfile", default="-", metavar="FILE")
 _OUT.add_argument("--pretty", action="store_true", help="indent the output")
-_SEED.add_argument("--seed", type=int, required=True)
+_SEED.add_argument(
+    "--seed", type=int, required=True, help="integer in 0..2^64-1 (splitmix64 state)"
+)
 _SEED.add_argument("--length", type=int, default=10, help="number of elementary moves")
 _FIX.add_argument(
     "--fix", default="", help="comma separated generator indices to pin, e.g. 1,2"

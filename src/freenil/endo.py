@@ -271,15 +271,16 @@ def random_automorphism(
 
     Moves compose on the left of the accumulator: after k draws the map is
     move_k o ... o move_1.  E is 1..n minus `fix`, in increasing order; if E
-    is empty the identity map returns immediately (no draws happen).
+    is empty the identity map returns immediately (no draws happen).  The
+    seed must lie in 0..2^64-1 (MalformedInput otherwise).
     """
     fix = frozenset(fix)
     ctx.check_generators(fix)
     free = sorted(ctx.generator_set() - fix)
     acc = identity_map(ctx)
+    rng = SplitMix64(seed)  # refuses a seed outside 0..2^64-1
     if not free:
         return acc
-    rng = SplitMix64(seed)
     for _ in range(length):
         kind = rng.below(4)
         if kind == 3 and ctx.nilclass == 1:

@@ -3,32 +3,39 @@
 Every format has a fixed key order and integer-only numerics:
 
   word            [[i, e], ...]                    letters, exponents nonzero
+  image           WORD, or [[g, e], .., [[w1..wk], e], ..]   collected form
   element         {"word": WORD}
-  map             {"rank", "class", "images"}      images are words
+  map             {"rank", "class", "images"}      one IMAGE per generator
   certificate     {"fixed"}                        sorted generator indices
   term            {"comm", "exp"}                  left-normed commutator
   offsets         [[g, [TERM, ...]], ...]          x_g -> x_g * prod of terms
-  stored          [[g, WORD], ...]                 x_g -> WORD, g increasing
+  stored          [[g, IMAGE], ...]                x_g -> IMAGE, g increasing
   factor          {"stored" | "offsets", "certificate", "tag"}
                   (+ provenance keys)
   decomposition   {"version", "input", "fixed", "factors"}
   report          {"ok", "factors", "min_fixed_block", "max_coefficient",
                    "failures"}
 
-Decompositions are written as version 4.  A factor lists only the images
+Decompositions are written as version 5.  A factor lists only the images
 its map stores ("stored"): every generator it leaves out maps to itself, so
 a factor that moves two of n generators costs two images on the wire, not
 n.  A central_beta factor that keeps its terms (as `decompose` makes them)
 carries "offsets" instead.  The input map stays dense, one image per
-generator.  An element without a provenance word is written as its
-collected word (`lie.word_of`).
+generator.
+
+An image is written as its provenance word when it has one, else in
+collected form (`ring`, "Collected coordinates"): the coordinates it was
+read with, so `decompose` echoes its input as read, or those
+`lie.collect_word` finds.  An image of letters alone has the bytes of the
+word version 4 wrote.  Element payloads stay words (`lie.word_of`).
 
 Nothing the reader can derive is written.  A certificate holds its fixed
 block alone: check_certificate accepts only a partition of 1..rank, so the
 preserved block is the rest.  A factor has no level: decompose emits every
 factor at the decomposition's class.  The writer refuses a decomposition
 that breaks either rule (PartitionInvalid, BadClass) rather than write one
-that reads back as another.  Version 3 wrote both keys.
+that reads back as another.  Version 3 wrote both keys, and version 4
+spelled every image out as a word.
 
 Reading lives in `reader`, which the verifier uses without this module.
 `verify` is here because it writes a decomposition before it checks it.
@@ -43,7 +50,7 @@ from typing import Any
 from .context import GroupContext
 from .errors import BadClass, MalformedInput
 from .kernel import GeneratorMap, MoietyCertificate, check_partition
-from .lie import word_of
+from .lie import collect_word, word_of
 from .records import TAGS, Decomposition, Factor, VerifyReport
 from .ring import GroupElement, LeftNormedTerm, Word
 from .verifier import verify_payload
@@ -104,13 +111,21 @@ def element_payload(a: GroupElement) -> dict:
 # ---------------------------------------------------------------------------
 # maps
 
+def image_payload(a: GroupElement) -> list:
+    """a's provenance word, else its collected form."""
+    if a.word is not None:
+        return word_payload(a.word)
+    coords = a.coords if a.coords is not None else collect_word(a)
+    return [[list(w) if type(w) is tuple else w, e] for w, e in coords]
+
+
 def map_payload(phi: GeneratorMap) -> dict:
     stored = phi.stored
     return {
         "rank": phi.ctx.rank,
         "class": phi.ctx.nilclass,
         "images": [
-            word_payload(word_of(stored[i])) if i in stored else [[i, 1]]
+            image_payload(stored[i]) if i in stored else [[i, 1]]
             for i in phi.ctx.generators()
         ],
     }
@@ -118,7 +133,7 @@ def map_payload(phi: GeneratorMap) -> dict:
 
 def stored_payload(phi: GeneratorMap) -> list:
     stored = phi.stored
-    return [[g, word_payload(word_of(stored[g]))] for g in sorted(stored)]
+    return [[g, image_payload(stored[g])] for g in sorted(stored)]
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +180,7 @@ def factor_payload(ctx: GroupContext, f: Factor) -> dict:
 
 def decomposition_payload(dec: Decomposition) -> dict:
     return {
-        "version": 4,
+        "version": 5,
         "input": map_payload(dec.input),
         "fixed": sorted(dec.fixed),
         "factors": [factor_payload(dec.input.ctx, f) for f in dec.factors],
@@ -197,11 +212,18 @@ def report_payload(rep: VerifyReport) -> dict:
 
 SCHEMAS: dict[str, Any] = {
     "word": "[[generator:int>=1, exponent:int!=0], ...]  (a group word, read left to right)",
+    "image": "<word>, or in collected form [[g:int, e:int!=0], ..., "
+    "[[w1, .., wk], e:int!=0], ...]: the letters x_g^e with g strictly "
+    "increasing, then the bracket powers, w a Lyndon word over 1..rank with "
+    "2<=k<=class, strictly increasing by (k, w); a bracket power is the "
+    "standard bracketing of w, commutators [a,b] = a^-1 b^-1 a b, with its "
+    "last letter raised to e.  A list with a bracket entry must be in this "
+    "canonical form; one without is a word.  Before version 5, always a word",
     "element": {"word": "<word>"},
     "map": {
         "rank": "int>=1",
         "class": "int>=1",
-        "images": "[<word>; one per generator, in index order]",
+        "images": "[<image>; one per generator, in index order]",
     },
     "certificate": {
         "fixed": "[int>=1, ...]  generators fixed pointwise, strictly increasing; "
@@ -214,8 +236,8 @@ SCHEMAS: dict[str, Any] = {
     },
     "offsets": "[[g:int, [<term>, ...]], ...]  x_g -> x_g * product of its terms, "
     "every term of length exactly class; each g at most once, in 1..rank",
-    "stored": "[[g:int, <word>], ...]  x_g -> word, g strictly increasing in 1..rank; "
-    "every generator not listed maps to itself",
+    "stored": "[[g:int, <image>], ...]  x_g -> image, g strictly increasing in "
+    "1..rank; every generator not listed maps to itself",
     "factor": {
         "stored": "<stored>  (or offsets, in central_beta factors)",
         "offsets?": "<offsets>  central_beta factors, in place of stored",
@@ -228,7 +250,8 @@ SCHEMAS: dict[str, Any] = {
         "central_beta origin)",
     },
     "decomposition": {
-        "version": "4; read also: 3, where certificates also carry preserved "
+        "version": "5; read also: 4, where every <image> is a <word>, "
+        "3, where certificates also carry preserved "
         "and factors carry level (int>=1, at most the class), 2, where "
         "factors carry <map> in place of stored, and 1 (no version key), "
         "where every factor carries a <map>",

@@ -15,12 +15,17 @@ makes the passage
 
 integer-exact in both directions.
 
+The same coordinates, layer by layer, give every element its collected
+form (`collect_word`), which the writer puts on the wire.
+
 Bracket trees are nested pairs with int leaves: 3 is a leaf, (1, (2, 3)) is
 [x1, [x2, x3]].  The Lie bracket matching the group commutator convention
 a^-1 b^-1 a b is [U, V] = UV - VU.  Expanding a tree in the word basis
-(`bracket_expansion`), the left-normed term record `LeftNormedTerm` and the
-closed-form product of central terms (`central_offset`) live in `ring`,
-since the wire reader needs them and nothing else here.
+(`bracket_expansion`), Lyndon words' standard bracketings, the polynomials
+of collected coordinates (`from_collected`), the left-normed term record
+`LeftNormedTerm` and the closed-form product of central terms
+(`central_offset`) live in `ring`, since the wire reader needs them and
+nothing else here.
 """
 
 from __future__ import annotations
@@ -31,21 +36,28 @@ from .context import GroupContext, Record
 from .errors import NotCentral, NotLieElement
 from .ring import (
     BracketTree,
+    Collected,
     GroupElement,
     LeftNormedTerm,
     Poly,
     Word,
+    _bracket_power,
     _left_normed_letters,
     _poly_add_into,
+    _poly_inv,
+    _poly_mul,
+    _word_poly,
     bracket_expansion,
     comm,
-    from_word,
     generator,
-    inv,
+    is_lyndon,
     lcs_weight,
-    mul,
     power,
+    standard_bracketing,
 )
+
+# perfbench/ checks that its tracer rebinds this alias of ring.mul
+from .ring import mul  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -70,22 +82,6 @@ def lyndon_words(rank: int, length: int) -> tuple[tuple[int, ...], ...]:
         w[-1] += 1
         if len(w) == length:
             out.append(tuple(w))
-
-
-def is_lyndon(word: tuple[int, ...]) -> bool:
-    """True when word is nonempty and smaller than each proper rotation."""
-    return bool(word) and all(word < word[i:] + word[:i] for i in range(1, len(word)))
-
-
-def standard_bracketing(word: tuple[int, ...]) -> BracketTree:
-    """Standard (right-to-longest-Lyndon-suffix) bracketing of a Lyndon word."""
-    if len(word) == 1:
-        return word[0]
-    split = 1
-    for i in range(2, len(word)):
-        if word[i:] < word[split:]:
-            split = i
-    return (standard_bracketing(word[:split]), standard_bracketing(word[split:]))
 
 
 @lru_cache(maxsize=None)
@@ -223,7 +219,7 @@ def central_factorize(w: GroupElement) -> list[LeftNormedTerm]:
 
 
 def _tree_power_pairs(tree: BracketTree, e: int) -> list[tuple[int, int]]:
-    # group word whose lowest-degree part is e times the tree's bracket
+    # group word of the bracket power of `tree` (the exponent on its last leaf)
     if isinstance(tree, int):
         return [(tree, e)]
     wl = _tree_power_pairs(tree[0], 1)
@@ -233,38 +229,61 @@ def _tree_power_pairs(tree: BracketTree, e: int) -> list[tuple[int, int]]:
     return inv_l + inv_r + wl + wr
 
 
-def collect_word(a: GroupElement) -> Word:
-    """Canonical collected word for a: layer-by-layer normal form.
+def collect_word(a: GroupElement) -> Collected:
+    """The collected word of a: its coordinates over the Lyndon basis.
 
     Peels the abelian part, then for each weight k = 2..c reads the degree-k
     part (a Lie element for genuine group elements), converts it to Lyndon
-    coordinates, and emits one bracket word per nonzero coordinate.  The
-    result has bounded length and depends only on the polynomial, so it is a
-    deterministic serialization fallback for elements without provenance.
+    coordinates, and divides out their bracket powers (`ring`, "Collected
+    coordinates").  Once 2k > c what is
+    left is 1 plus the sum of its bracket powers less 1, so they are
+    subtracted.  The result depends only on the polynomial, so it is a
+    deterministic serialization for elements without provenance.
     """
     ctx = a.ctx
-    parts: list[tuple[int, int]] = []
-    r = a
-    layer1 = [(i, a.poly.get((i,), 0)) for i in ctx.generators()]
-    pairs1 = [(g, e) for g, e in layer1 if e]
-    if pairs1:
-        parts.extend(pairs1)
-        r = mul(inv(from_word(ctx, Word(pairs1))), r)
-    for k in range(2, ctx.nilclass + 1):
-        pk = r.degree_part(k)
+    cap = ctx.nilclass
+    cache: dict = {}  # bracket powers, shared by the layers
+    poly = a.poly
+    coords: list = [(g, poly[(g,)]) for g in ctx.generators() if (g,) in poly]
+    back = [(g, -e) for g, e in reversed(coords)]
+    r = _poly_mul(_word_poly(cap, back, 0, len(back)), poly, cap)
+    for k in range(2, cap + 1):
+        pk = {m: c for m, c in r.items() if len(m) == k}
         if not pk:
             continue
-        coords = lie_coordinates(ctx, LieHomogeneous(k, pk))
-        layer_pairs: list[tuple[int, int]] = []
-        for word in sorted(coords):
-            layer_pairs.extend(_tree_power_pairs(_lyndon_row(word)[0], coords[word]))
-        parts.extend(layer_pairs)
-        r = mul(inv(from_word(ctx, Word(layer_pairs))), r)
-    if not r.is_identity():
+        layer = lie_coordinates(ctx, LieHomogeneous(k, pk))
+        powers = []
+        for w in sorted(layer):
+            coords.append((w, layer[w]))
+            powers.append(_bracket_power(_lyndon_row(w)[0], layer[w], cap, cache))
+        if 2 * k > cap:
+            for t in powers:
+                _poly_add_into(r, t, -1)
+            r[()] = 1
+        else:
+            lk: Poly = {(): 1}
+            for t in powers:
+                lk = _poly_mul(lk, t, cap)
+            r = _poly_mul(_poly_inv(lk, cap), r, cap)
+    if r != {(): 1}:
         raise NotLieElement("polynomial is not the image of a group word")
-    return Word(parts)
+    return tuple(coords)
+
+
+def spell(coords: Collected) -> Word:
+    """The group word of collected coordinates: each letter power, then each
+    bracket power spelled by its standard bracketing, freely reduced."""
+    letters: list[tuple[int, int]] = []
+    for w, e in coords:
+        if type(w) is int:
+            letters.append((w, e))
+        else:
+            letters.extend(_tree_power_pairs(standard_bracketing(w), e))
+    return Word(letters)
 
 
 def word_of(a: GroupElement) -> Word:
-    """Provenance word when present, else the canonical collected word."""
-    return a.word if a.word is not None else collect_word(a)
+    """Provenance word when present, else the collected word spelled out."""
+    if a.word is not None:
+        return a.word
+    return spell(a.coords if a.coords is not None else collect_word(a))

@@ -4,7 +4,7 @@ The formats are listed in `jsonio`, which writes them, and `freenil
 --schema` prints them.  This module parses them: the verifier needs it and
 the map kernel, never the writer or the engine.
 
-Decompositions of versions 1 to 4 are read.  Version 1 has no "version"
+Decompositions of versions 1 to 5 are read.  Version 1 has no "version"
 key and a dense "map" in every factor; version 2 allows "offsets" in
 central_beta factors and a "map" in every other one; version 3 has a
 "stored" list of the images a factor's map stores, or "offsets".  A factor
@@ -14,15 +14,22 @@ alone, in strictly increasing order, and its preserved block is the rest of
 1..rank; a factor has no "level", which is the decomposition's class.
 Either key in a version 4 payload is unknown.  The decomposition's own
 "fixed" list, the pinned set D, strictly increases from version 4 on too;
-earlier versions read both lists in any order.  Offsets are
+earlier versions read both lists in any order.  Version 5 is version 4
+with images in collected form (below).  Offsets are
 rebuilt in closed form by `ring.central_offset`.  Any integer combination of
 weight-c terms is a central group element, so a parsed factor is a genuine
 map whatever its terms say.
 
-A valid one-letter image [[g, e]], in a map or a "stored" list, is not
-parsed: it becomes `ring.letter`'s shared element, equal in polynomial and
-word to the parsed one.  Every other word is parsed, so each refusal is
-unchanged.
+An image, in a map or a "stored" list, is a word or, from version 5 on
+and in any map read alone, in collected form: a list with a bracket entry
+[[w1..wk], e], which must be canonical (`parse_collected`), so every
+element has one encoding.  `ring.from_collected` rebuilds it with one
+cache of bracket powers per parse, and the element keeps its coordinates.
+Before version 5 such a list is refused as a word, as it always was.
+
+A valid one-letter image [[g, e]] is not parsed: it becomes
+`ring.letter`'s shared element, equal in polynomial and word to the parsed
+one.  Every other word is parsed, so each refusal is unchanged.
 
 The provenance keys are read as the schema documents them: "origin" only on
 lifted factors, "part" and "side" only on central_beta factors and on lifted
@@ -36,13 +43,23 @@ tell "not even the right shape" from "well-formed but invalid here".
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
 from .context import GroupContext
 from .errors import ContextMismatch, MalformedInput
 from .kernel import GeneratorMap, MoietyCertificate, ia_central
 from .records import TAGS, Decomposition, Factor
-from .ring import GroupElement, LeftNormedTerm, Word, central_offset, from_word, letter
+from .ring import (
+    Collected,
+    GroupElement,
+    LeftNormedTerm,
+    Word,
+    central_offset,
+    from_collected,
+    from_word,
+    is_lyndon,
+    letter,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -96,16 +113,62 @@ def parse_word(obj: Any) -> Word:
     return Word(tuple(pairs))
 
 
-def _image(ctx: GroupContext, w: Any) -> GroupElement:
-    """The element the JSON word w spells in ctx.  A valid one-letter word
-    [[g, e]] becomes the shared ring.letter, with no parsing; every other
-    word, and so every refusal, takes from_word(ctx, parse_word(w))."""
-    if type(w) is list and len(w) == 1:
-        item = w[0]
-        if type(item) is list and len(item) == 2:
-            g, e = item
-            if type(g) is int and type(e) is int and e and 1 <= g <= ctx.rank:
-                return letter(ctx, g, e)
+def parse_collected(ctx: GroupContext, obj: Any) -> Collected:
+    """Collected coordinates, refused unless canonical: letters [g, e] with
+    g increasing, then brackets [[w1..wk], e], w a Lyndon word and
+    2 <= k <= class, increasing by (k, w).  Exponents are nonzero."""
+    coords, last = [], (0, ())
+    for item in _need_list(obj, "image"):
+        item = _need_list(item, "collected entry")
+        if len(item) != 2:
+            raise MalformedInput(
+                "collected entries must be [letter or bracket, exponent] pairs"
+            )
+        head, e = item
+        e = _need_int(e, "exponent")
+        if e == 0:
+            raise MalformedInput("exponent must be nonzero")
+        if type(head) is list:
+            w = tuple(_need_int(g, "bracket letter") for g in head)
+            if not 2 <= len(w) <= ctx.nilclass:
+                raise MalformedInput(
+                    f"bracket {head} needs 2 to {ctx.nilclass} letters, the class"
+                )
+        else:
+            w = (_need_int(head, "generator index"),)
+        if min(w) < 1:
+            raise MalformedInput(f"generator index {min(w)} must be positive")
+        ctx.check_generators(w)
+        if (len(w), w) <= last:
+            raise MalformedInput(
+                "collected entries must strictly increase: letters by generator, "
+                "then brackets by length and word"
+            )
+        last = (len(w), w)
+        if not is_lyndon(w):
+            raise MalformedInput(f"bracket {head} is not a Lyndon word")
+        coords.append((w if len(w) > 1 else w[0], e))
+    return tuple(coords)
+
+
+def _image(ctx: GroupContext, w: Any, cache: Optional[dict]) -> GroupElement:
+    """The element the JSON image w stands for in ctx.  A list with a
+    bracket entry is in collected form when `cache` (the parse's bracket
+    cache) is given, and refused as a word when it is None (payloads before
+    version 5).  A valid one-letter word [[g, e]] becomes the shared
+    ring.letter, with no parsing; every other word, and so every refusal,
+    takes from_word(ctx, parse_word(w))."""
+    if type(w) is list:
+        if len(w) == 1:
+            item = w[0]
+            if type(item) is list and len(item) == 2:
+                g, e = item
+                if type(g) is int and type(e) is int and e and 1 <= g <= ctx.rank:
+                    return letter(ctx, g, e)
+        if cache is not None and any(
+            type(item) is list and item and type(item[0]) is list for item in w
+        ):
+            return from_collected(ctx, parse_collected(ctx, w), cache)
     return from_word(ctx, parse_word(w))
 
 
@@ -118,6 +181,11 @@ def parse_element(ctx: GroupContext, obj: Any) -> GroupElement:
 # maps
 
 def parse_map(obj: Any) -> GeneratorMap:
+    return _parse_map(obj, {})
+
+
+def _parse_map(obj: Any, cache: Optional[dict]) -> GeneratorMap:
+    # `cache` as for _image
     obj = _need_keys(obj, "map", ("rank", "class", "images"))
     rank = _need_int(obj["rank"], "rank")
     ctx = GroupContext(rank, _need_int(obj["class"], "class"))
@@ -130,13 +198,14 @@ def parse_map(obj: Any) -> GeneratorMap:
         # also match [[True, 1]] or [[1.0, 1]], which parse_word refuses
         if w == [[i, 1]] and type(w[0][0]) is int and type(w[0][1]) is int:
             continue
-        stored[i] = _image(ctx, w)
+        stored[i] = _image(ctx, w, cache)
     return GeneratorMap._sparse(ctx, stored)
 
 
-def parse_stored(ctx: GroupContext, obj: Any) -> GeneratorMap:
-    """The map x_g -> WORD for each listed g, fixing every other generator:
-    the map parse_map builds from the dense images it stands for."""
+def parse_stored(ctx: GroupContext, obj: Any, cache: Optional[dict] = None) -> GeneratorMap:
+    """The map x_g -> IMAGE for each listed g, fixing every other generator:
+    the map parse_map builds from the dense images it stands for.  Images
+    in collected form need a bracket cache, `cache` (see _image)."""
     stored, last = {}, 0
     for item in _need_list(obj, "stored"):
         item = _need_list(item, "stored image")
@@ -147,7 +216,7 @@ def parse_stored(ctx: GroupContext, obj: Any) -> GeneratorMap:
         if g <= last:
             raise MalformedInput("stored generators must strictly increase")
         last = g
-        stored[g] = _image(ctx, item[1])
+        stored[g] = _image(ctx, item[1], cache)
     return GeneratorMap._sparse(ctx, stored)
 
 
@@ -221,7 +290,9 @@ def parse_offsets(ctx: GroupContext, obj: Any) -> tuple[GeneratorMap, tuple]:
 # ---------------------------------------------------------------------------
 # factors and decompositions
 
-def parse_factor(ctx: GroupContext, obj: Any, version: int) -> Factor:
+def parse_factor(
+    ctx: GroupContext, obj: Any, version: int, cache: Optional[dict] = None
+) -> Factor:
     obj = _need_keys(
         obj,
         "factor",
@@ -239,7 +310,7 @@ def parse_factor(ctx: GroupContext, obj: Any, version: int) -> Factor:
     if "map" in obj:
         if version >= 3:
             raise MalformedInput(f"version {version} factors carry stored, not map")
-        phi = parse_map(obj["map"])
+        phi = _parse_map(obj["map"], None)
         if phi.ctx != ctx:
             raise ContextMismatch(
                 f"factor map lives in {phi.ctx.rank}/{phi.ctx.nilclass}, "
@@ -248,7 +319,7 @@ def parse_factor(ctx: GroupContext, obj: Any, version: int) -> Factor:
     elif "stored" in obj:
         if version < 3:
             raise MalformedInput("stored needs a version 3 decomposition")
-        phi = parse_stored(ctx, obj["stored"])
+        phi = parse_stored(ctx, obj["stored"], cache)
     elif version < 2:
         raise MalformedInput("offsets need a version 2 decomposition")
     elif tag != "central_beta":
@@ -285,7 +356,7 @@ def parse_factor(ctx: GroupContext, obj: Any, version: int) -> Factor:
     )
 
 
-VERSIONS = (1, 2, 3, 4)  # decomposition versions parse_decomposition reads
+VERSIONS = (1, 2, 3, 4, 5)  # decomposition versions parse_decomposition reads
 
 
 def parse_decomposition(obj: Any) -> Decomposition:
@@ -296,11 +367,13 @@ def parse_decomposition(obj: Any) -> Decomposition:
     version = obj.get("version", 1)
     if type(version) is not int or version not in VERSIONS:
         raise MalformedInput(f"unknown decomposition version {version!r}")
-    sigma = parse_map(obj["input"])
+    # one bracket cache for the whole payload, which is in one context
+    cache = {} if version >= 5 else None
+    sigma = _parse_map(obj["input"], cache)
     fixed = _fixed_indices(obj["fixed"], version)
     sigma.ctx.check_generators(fixed)
     factors = [
-        parse_factor(sigma.ctx, f, version)
+        parse_factor(sigma.ctx, f, version, cache)
         for f in _need_list(obj["factors"], "factors")
     ]
     return Decomposition(sigma, frozenset(fixed), tuple(factors))

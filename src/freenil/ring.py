@@ -15,16 +15,30 @@ built once, cached, and shared by every element `letter` makes (generators
 and one-letter images on the wire are such elements).
 
 GroupElement has no public raw-polynomial constructor: build elements with
-identity(), generator(), from_word(), or the group operations, so every
-element is the image of an actual group word.  Elements optionally remember a
-defining word; the polynomial is the element's identity, the word is
-provenance that serializers prefer when present.
+identity(), generator(), from_word(), from_collected(), or the group
+operations, so every element is the image of an actual group word.  Elements
+optionally remember a defining word; the polynomial is the element's
+identity, the word is provenance that serializers prefer when present.  An
+element built from collected coordinates remembers those instead (`coords`):
+they are its canonical form, so writing them back gives the bytes it was
+read from.
+
+Collected coordinates.  Every element is uniquely a product
+x_1^a_1 .. x_n^a_n  b_1^e_1 .. b_m^e_m  of generator powers and then bracket
+powers over the Lyndon basis, ordered by (length, word).  A coordinate tuple
+lists (g, a) for each nonzero a, then (w, e) for each bracket: w is a
+Lyndon word (a tuple) and its power is the standard bracketing of w with the
+exponent on the last letter, [u, v]^e read as [u, v^e] down the right spine.
+`from_collected` rebuilds the polynomial from nested commutators of
+polynomials, caching each bracket power per parse; `lie.collect_word`
+computes the coordinates of an element.
 
 Left-normed commutators of generators also live here, in closed form:
 `central_offset` builds a product of weight-c commutator powers from their
-bracket expansions alone, with no group product formed.  That is all the
-wire reader needs of commutators, so reading a decomposition never touches
-the Lyndon code in `lie`, which builds on these expansions.
+bracket expansions alone, with no group product formed.  That, with the
+Lyndon words and standard bracketings that collected coordinates name, is
+all the wire reader needs of commutators, so reading a decomposition never
+touches the Lyndon elimination in `lie`, which builds on these expansions.
 """
 
 from __future__ import annotations
@@ -38,6 +52,8 @@ from .errors import BadClass, IndexOutOfRange, NotCentral
 
 Monomial = tuple[int, ...]
 Poly = dict  # Monomial -> int, zero coefficients absent
+# ((g, e), .., (lyndon word, e), ..): see "Collected coordinates" above
+Collected = tuple
 # nested pairs with int leaves: 3 is x_3, (1, (2, 3)) is [x_1, [x_2, x_3]]
 BracketTree = Union[int, tuple]
 
@@ -121,6 +137,20 @@ def _poly_add_into(acc: Poly, other: Poly, scale: int = 1) -> None:
             del acc[m]
 
 
+def _poly_inv(p: Poly, cap: int) -> Poly:
+    """Inverse of the unit p truncated above degree cap, by the geometric
+    series (1+u)^-1 = 1 - u + u^2 - ..., which stops as u^k has degree >= k."""
+    neg_u = {m: -c for m, c in p.items() if m}
+    acc: Poly = {(): 1}
+    pw: Poly = {(): 1}
+    for _ in range(cap):
+        pw = _poly_mul(pw, neg_u, cap)
+        if not pw:
+            break
+        _poly_add_into(acc, pw)
+    return acc
+
+
 def _poly_mul(a: Poly, b: Poly, cap: int) -> Poly:
     if len(a) == 1 and () in a:
         s = a[()]
@@ -174,11 +204,20 @@ def _genpow_poly(g: int, e: int, cap: int) -> Poly:
 # elements
 
 class GroupElement:
-    """A unit 1 + (positive-degree terms); always the image of some group word."""
+    """A unit 1 + (positive-degree terms); always the image of some group word.
 
-    __slots__ = ("ctx", "poly", "word")
+    `word` is the defining word when known; `coords`, the collected
+    coordinates an element was built from, when it has no word."""
 
-    def __init__(self, ctx: GroupContext, poly: Poly, word: Optional[Word] = None):
+    __slots__ = ("ctx", "poly", "word", "coords")
+
+    def __init__(
+        self,
+        ctx: GroupContext,
+        poly: Poly,
+        word: Optional[Word] = None,
+        coords: Optional[Collected] = None,
+    ):
         # internal: callers outside this package should use the factories below
         if poly.get((), 0) != 1:
             # a library bug, not bad input: not a DomainError
@@ -186,6 +225,7 @@ class GroupElement:
         self.ctx = ctx
         self.poly = poly
         self.word = word
+        self.coords = coords
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupElement):
@@ -197,7 +237,7 @@ class GroupElement:
     def __reduce__(self):
         # slotted without __getstate__: copies and pickles of every protocol
         # go through the constructor, as for context.Record
-        return self.__class__, (self.ctx, self.poly, self.word)
+        return self.__class__, (self.ctx, self.poly, self.word, self.coords)
 
     def is_identity(self) -> bool:
         return len(self.poly) == 1
@@ -246,18 +286,16 @@ def generator(ctx: GroupContext, i: int) -> GroupElement:
     return letter(ctx, i, 1)
 
 
-def _word_poly(ctx: GroupContext, pairs: tuple[tuple[int, int], ...], lo: int, hi: int) -> Poly:
+def _word_poly(cap: int, pairs: Sequence[tuple[int, int]], lo: int, hi: int) -> Poly:
     # balanced product keeps most multiplications between short subproducts
     if hi == lo:
         return {(): 1}
     if hi - lo == 1:
         g, e = pairs[lo]
-        return _genpow_poly(g, e, ctx.nilclass)
+        return _genpow_poly(g, e, cap)
     mid = (lo + hi) // 2
     return _poly_mul(
-        _word_poly(ctx, pairs, lo, mid),
-        _word_poly(ctx, pairs, mid, hi),
-        ctx.nilclass,
+        _word_poly(cap, pairs, lo, mid), _word_poly(cap, pairs, mid, hi), cap
     )
 
 
@@ -266,7 +304,8 @@ def from_word(ctx: GroupContext, word: Word) -> GroupElement:
         raise IndexOutOfRange(
             f"word uses generator {word.max_index()} but rank is {ctx.rank}"
         )
-    return GroupElement(ctx, _word_poly(ctx, word.letters, 0, len(word.letters)), word)
+    letters = word.letters
+    return GroupElement(ctx, _word_poly(ctx.nilclass, letters, 0, len(letters)), word)
 
 
 def mul(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -276,18 +315,8 @@ def mul(a: GroupElement, b: GroupElement) -> GroupElement:
 
 
 def inv(a: GroupElement) -> GroupElement:
-    # geometric series: (1+u)^-1 = 1 - u + u^2 - ... stops because u^k has degree >= k
-    cap = a.ctx.nilclass
-    neg_u = {m: -c for m, c in a.poly.items() if m}
-    acc: Poly = {(): 1}
-    pw: Poly = {(): 1}
-    for _ in range(cap):
-        pw = _poly_mul(pw, neg_u, cap)
-        if not pw:
-            break
-        _poly_add_into(acc, pw)
     word = a.word.inverse() if a.word is not None else None
-    return GroupElement(a.ctx, acc, word)
+    return GroupElement(a.ctx, _poly_inv(a.poly, a.ctx.nilclass), word)
 
 
 def power(a: GroupElement, k: int) -> GroupElement:
@@ -344,6 +373,88 @@ def occurs(a: GroupElement) -> frozenset[int]:
     for m in a.poly:
         seen.update(m)
     return frozenset(seen)
+
+
+# ---------------------------------------------------------------------------
+# Lyndon words and collected coordinates
+
+def is_lyndon(word: tuple[int, ...]) -> bool:
+    """True when word is nonempty and smaller than each proper rotation."""
+    return bool(word) and all(word < word[i:] + word[:i] for i in range(1, len(word)))
+
+
+def standard_bracketing(word: tuple[int, ...]) -> BracketTree:
+    """Standard (right-to-longest-Lyndon-suffix) bracketing of a Lyndon word."""
+    if len(word) == 1:
+        return word[0]
+    split = 1
+    for i in range(2, len(word)):
+        if word[i:] < word[split:]:
+            split = i
+    return (standard_bracketing(word[:split]), standard_bracketing(word[split:]))
+
+
+def _comm_poly(a: Poly, b: Poly, cap: int) -> Poly:
+    """The commutator a^-1 b^-1 a b of two units as 1 + (ba)^-1 (ab - ba):
+    ab - ba starts at degree d, so (ba)^-1 is needed to degree cap - d."""
+    d = _poly_mul(a, b, cap)
+    ba = _poly_mul(b, a, cap)
+    _poly_add_into(d, ba, -1)
+    out: Poly = {(): 1}
+    if d:
+        room = cap - min(map(len, d))
+        if room:
+            low = {m: c for m, c in ba.items() if len(m) <= room}
+            d = _poly_mul(_poly_inv(low, room), d, cap)
+        _poly_add_into(out, d)
+    return out
+
+
+def _bracket_power(tree: BracketTree, e: int, cap: int, cache: dict) -> Poly:
+    """The bracket power of a standard bracketing (module docstring): for
+    tree (u, v), the commutator of u's power 1 and v's power e.  Every one
+    met is kept in `cache`; callers only read the dicts."""
+    if isinstance(tree, int):
+        return _genpow_poly(tree, e, cap)
+    key = (tree, e, cap)
+    got = cache.get(key)
+    if got is None:
+        got = cache[key] = _comm_poly(
+            _bracket_power(tree[0], 1, cap, cache),
+            _bracket_power(tree[1], e, cap, cache),
+            cap,
+        )
+    return got
+
+
+def from_collected(
+    ctx: GroupContext, coords: Collected, cache: Optional[dict] = None
+) -> GroupElement:
+    """The element whose collected coordinates are `coords`, which it keeps.
+
+    The caller has checked them canonical and in range.  `cache` holds the
+    bracket powers of one parse, shared by its calls.  A bracket power of
+    length k with 2k > class multiplies by adding, as the product of two
+    such is dropped; the others are multiplied in, from the right.
+    """
+    cap = ctx.nilclass
+    cache = {} if cache is None else cache
+    nletters = 0
+    while nletters < len(coords) and type(coords[nletters][0]) is int:
+        nletters += 1
+    tail: Poly = {(): 1}
+    low = []
+    for w, e in coords[nletters:]:
+        t = _bracket_power(standard_bracketing(w), e, cap, cache)
+        if 2 * len(w) > cap:
+            _poly_add_into(tail, t)
+            tail[()] = 1
+        else:
+            low.append(t)
+    for t in reversed(low):
+        tail = _poly_mul(t, tail, cap)
+    poly = _poly_mul(_word_poly(cap, coords, 0, nletters), tail, cap)
+    return GroupElement(ctx, poly, coords=coords)
 
 
 # ---------------------------------------------------------------------------

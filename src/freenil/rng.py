@@ -12,9 +12,15 @@ across platforms and Python versions.  State update and output mix:
 Derived draws (documented because callers promise reproducibility):
 `below(m)` is one raw draw reduced modulo m, `shuffle` is a Fisher-Yates
 pass drawing `below(i + 1)` for i from len-1 down to 1.
+
+A seed is a state, so it must lie in 0..2^64-1; any other integer is
+refused (MalformedInput) rather than reduced, which would give two seeds
+one stream.
 """
 
 from __future__ import annotations
+
+from .errors import MalformedInput
 
 _MASK = (1 << 64) - 1
 
@@ -23,7 +29,9 @@ class SplitMix64:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK
+        if not 0 <= seed <= _MASK:
+            raise MalformedInput(f"seed {seed} is outside 0..2^64-1")
+        self.state = seed
 
     def next_u64(self) -> int:
         self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK

@@ -211,6 +211,29 @@ def test_random_aut_is_seed_deterministic(tmp_path):
     assert parse_map(out1).is_automorphism()
 
 
+@pytest.mark.parametrize(
+    "seed", ["-1", str(2**64), str(2**64 + 1)], ids=["negative", "2^64", "2^64+1"]
+)
+def test_random_aut_refuses_a_seed_outside_64_bits(tmp_path, seed):
+    # reduced mod 2^64, 2^64 + 1 would draw the stream of seed 1
+    args = ["random-aut", "--rank", "6", "--class", "2", "--length", "4"]
+    for fix in ([], ["--fix", "1,2,3,4,5,6"]):  # the second draws nothing
+        code, _, out = run_cli(tmp_path, [*args, *fix, "--seed", seed])
+        assert code == 2
+        assert out == {
+            "error": "MalformedInput",
+            "message": f"seed {seed} is outside 0..2^64-1",
+        }
+    code, _, out = run_cli(tmp_path, [*args, "--seed", str(2**64 - 1)])
+    assert code == 0 and parse_map(out).is_automorphism()
+
+
+def test_random_aut_help_states_the_seed_range():
+    proc = run_proc(["random-aut", "--help"])
+    assert proc.returncode == 0
+    assert b"integer in 0..2^64-1" in proc.stdout
+
+
 # ---------------------------------------------------------------------------
 # the decompose/verify pipeline
 

@@ -23,6 +23,7 @@ from freenil import (
     central_log,
     collect_word,
     comm,
+    from_collected,
     from_word,
     generator,
     identity,
@@ -34,6 +35,7 @@ from freenil import (
     mul,
     occurs,
     power,
+    spell,
     word_of,
 )
 from freenil import lie
@@ -278,8 +280,10 @@ def test_collect_word_round_trip():
             )
             a = from_word(ctx, w)
             collected = collect_word(a)
-            assert from_word(ctx, collected) == a
-            assert {g for g, _ in collected.letters} <= occurs(a)
+            back = from_collected(ctx, collected)
+            assert back == a and back.coords == collected
+            assert from_word(ctx, spell(collected)) == a
+            assert {g for g, _ in spell(collected).letters} <= occurs(a)
 
 
 def test_word_of_prefers_provenance():
@@ -375,7 +379,7 @@ def test_central_factorize_never_enumerates_the_layer(monkeypatch):
     for term in central_factorize(z):
         back = mul(back, left_normed_element(ctx, term.generators, term.exponent))
     assert back == z
-    assert from_word(ctx, collect_word(z)) == z
+    assert from_collected(ctx, collect_word(z)) == z
 
 
 # expansions that break unitriangularity: own coefficient 2; a smaller word

@@ -2,14 +2,16 @@
 
 tests/data/ holds one payload per golden cell in each wire format the writer
 has produced: v1 (dense maps), v2 (central factors as Lie terms, class >= 2
-only), v3 (each factor as the images it stores) and v4 (v3 without the
-derivable certificate "preserved" and factor "level").  The payloads of a
-cell are the same decomposition, so they verify to the same report.  Both
-tables were pinned when the v3 payloads were written, and the v4 payloads
+only), v3 (each factor as the images it stores), v4 (v3 without the
+derivable certificate "preserved" and factor "level") and v5 (v4 with each
+collected word as its collected coordinates).  The payloads of a cell are
+the same decomposition, so they verify to the same report.  Both tables
+were pinned when the v3 payloads were written, and the v4 and v5 payloads
 joined under the same reports; the decomposition of a cell may change
-since, these bytes and reports may not.  `as_v3` rebuilds the version 3
-payload of a version 4 one, for tests that compare with the v3 bytes or
-tamper with the keys version 4 leaves out.
+since, these bytes and reports may not.  `as_v4` spells a version 5
+payload back into words, and `as_v3` rebuilds the version 3 payload of a
+version 4 or 5 one, for tests that compare with the older bytes or tamper
+with the keys later versions leave out.
 """
 
 import copy
@@ -21,6 +23,7 @@ import pytest
 from freenil import verify_payload
 from freenil.cli import main
 from freenil.jsonio import dumps, loads, report_payload
+from freenil.lie import spell
 
 DATA = Path(__file__).parent / "data"
 
@@ -45,6 +48,11 @@ FIXTURES = {
     ("v4", (9, 3, 0)): "f0013c6dfb8ebc1bf385b6a1906db2a00fe1e893565a0684eb5889594a789ac6",
     ("v4", (12, 3, 2)): "c9b5d404c1532fee628ff962ef502bff5225b29c9b3f026fde224acfca096c97",
     ("v4", (12, 4, 2)): "344c833e2fa4db59f889e9cabf4bb45a05e3ab6deb3ac9c4205c47598a8a58dd",
+    ("v5", (10, 1, 2)): "c55f2d72d11742a0aa80b171199fc463f551a2551471c899cd564b53c69616df",
+    ("v5", (10, 2, 1)): "41a0486ce9b37adcfc82a6b476a112b18ca047346124c108924311dd5f9bcb5c",
+    ("v5", (9, 3, 0)): "ae14c1fc6519c3bbe2b332f589a89275bfbf40a9d3c006e660e06b73c244c658",
+    ("v5", (12, 3, 2)): "f9f571a4d982df93cc34da4fd45ce0aa84db12d08b8b9a649767f7db3488a563",
+    ("v5", (12, 4, 2)): "c5a22522a1ca28b264396e39586311bc2cc77df84b9475be08b7a8217ca2187b",
 }
 
 # cell -> SHA-256 of the compact report every payload of the cell verifies to
@@ -65,11 +73,41 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def spelled(image: list) -> list:
+    """An image as version 4 wrote it: one in collected form (with a
+    bracket entry) spelled out as its collected word, any other as is."""
+    if not any(type(head) is list for head, _ in image):
+        return image
+    coords = tuple((tuple(w) if type(w) is list else w, e) for w, e in image)
+    return [[g, e] for g, e in spell(coords).letters]
+
+
+def spelled_map(payload: dict) -> dict:
+    """A map payload with every image `spelled`, as a fresh tree."""
+    return {**payload, "images": [spelled(w) for w in payload["images"]]}
+
+
+def as_v4(payload: dict) -> dict:
+    """The version 4 form of a version 5 payload, as a fresh tree: every
+    image in collected form, in the input map and in the factors' stored
+    lists, spelled out as its collected word."""
+    payload = copy.deepcopy(payload)
+    for factor in payload["factors"]:
+        if "stored" in factor:
+            factor["stored"] = [[g, spelled(w)] for g, w in factor["stored"]]
+    return {
+        "version": 4,
+        "input": spelled_map(payload["input"]),
+        "fixed": payload["fixed"],
+        "factors": payload["factors"],
+    }
+
+
 def as_v3(payload: dict) -> dict:
-    """The version 3 form of a version 4 payload, as a fresh tree: each
+    """The version 3 form of a version 4 or 5 payload, as a fresh tree: each
     certificate gets back its preserved block (the rest of 1..rank) and
     each factor its level (the class), in version 3 key order."""
-    payload = copy.deepcopy(payload)
+    payload = copy.deepcopy(as_v4(payload) if payload["version"] == 5 else payload)
     rank, nilclass = payload["input"]["rank"], payload["input"]["class"]
     factors = []
     for factor in payload["factors"]:
@@ -122,3 +160,13 @@ def test_v4_fixture_is_the_v3_fixture_without_derivable_keys(cell):
         assert "level" not in factor and list(factor["certificate"]) == ["fixed"]
     v3 = fixture_path("v3", cell).read_text(encoding="utf-8")
     assert dumps(as_v3(v4)) == v3
+
+
+@pytest.mark.parametrize("cell", sorted(REPORTS))
+def test_v5_fixture_spells_back_to_the_v4_fixture(cell):
+    v5 = loads(fixture_path("v5", cell).read_text(encoding="utf-8"))
+    assert v5["version"] == 5
+    v4 = fixture_path("v4", cell).read_text(encoding="utf-8")
+    assert dumps(as_v4(v5)) == v4
+    collected = [w for w in v5["input"]["images"] if any(type(h) is list for h, _ in w)]
+    assert bool(collected) == (cell[1] > 1)

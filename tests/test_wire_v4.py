@@ -35,7 +35,7 @@ from freenil import (
 from freenil.jsonio import decomposition_payload, dumps, loads, report_payload
 from freenil.reader import parse_decomposition
 
-from test_wire_fixtures import as_v3, fixture_path
+from test_wire_fixtures import as_v3, as_v4, fixture_path
 
 _PARTITION = (
     "certificate needs fixed and preserved to partition 1..rank "
@@ -93,7 +93,7 @@ def test_v4_and_its_v3_form_verify_to_the_same_report(c):
         ctx = GroupContext(2 * (c + 1) + dsize + spare, c)
         fix = tuple(range(1, dsize + 1))
         sigma = random_automorphism(ctx, seed, moves, fix)
-        payload = decomposition_payload(decompose(sigma, fix))
+        payload = as_v4(decomposition_payload(decompose(sigma, fix)))
         assert payload["version"] == 4
         report = _report(payload)
         assert loads(report)["ok"]
