@@ -83,6 +83,22 @@ GOLDEN = {
         "square": "646b6a87f6dd6a2cad0872e58164d8e97a87d78091c1d5fd4b697991abf295a8",
         "inverses": "8be1e7a7d7efab94bac01c1db438f765f48c5ca60d6facb29bd3c1a1968a53f3",
     },
+    # high rank at class 2: the class-1 stage's row reduction of a 31 x 31
+    # and a 63 x 63 free block
+    (32, 2, 1): {
+        "map": "2b7a9dd63b84948cbe242b7e14e7c30a187d502d1218face563b09e6de4e4079",
+        "decomposition": "fb283c2ff8f2bc54260bd92d5343fdfc0ea25bc49e2f38700b35c0b0ec41c07e",
+        "report": "c41cfed685a6575dc4927ba1e7dfde786d390a5adcf81ddf893758fe6d249cd2",
+        "square": "5ced32dbc7c02410edc211ddbf931cf05c41b506f6ff2cd930b0944704163cd2",
+        "inverses": "70ac6a64e8b14a30a543b116ffabd07c2e439e053bf2e061100c634f368eadd5",
+    },
+    (64, 2, 1): {
+        "map": "0fcea0bff8764627d75535b1171c5ef3e3fe4b4b99ffaf2d6b001b316c47211b",
+        "decomposition": "ab666b83e4dee04863da314552a151adcdfd4ba96cae7bc71d3e1c39086cdfe8",
+        "report": "3b4b72bbcaeba6c6e9b02557d69a638b91db69169bca72ae5ad3cbbb076f30c5",
+        "square": "26ef03b91f18b3d6ce2d080e2ae17a331e3324f80f575557214e9ca4c1ed873f",
+        "inverses": "9e01a74516cffc85f896dd0944934e8812efc06430244df6faa3c381ccae6ff2",
+    },
 }
 
 # each cell's artifacts with every image in collected form spelled out as

@@ -35,10 +35,9 @@ from freenil.reader import parse_map
 from freenil.ring import LeftNormedTerm, central_offset
 
 from test_wire_fixtures import REPORTS
-from test_wire_golden import GOLDEN
 
 DATA = Path(__file__).parent / "data"
-CELLS = [cell for cell in sorted(GOLDEN) if cell[1] >= 2]
+CELLS = [cell for cell in sorted(REPORTS) if cell[1] >= 2]
 
 
 def _fixture(cell, version="v1") -> Path:

@@ -39,11 +39,11 @@ from freenil.reader import (
 )
 
 from test_wire_fixtures import REPORTS, as_v3, fixture_path
-from test_wire_golden import GOLDEN
 
 DATA = Path(__file__).parent / "data"
 
-# GOLDEN[cell]["decomposition"] before version 3: the bytes of the fixtures
+# the golden "decomposition" digest of each fixture cell before version 3:
+# the bytes of the fixtures
 EARLIER = {
     (10, 1, 2): "3af40ab66e2ce3d49ae7c0f2824195d2932a99eb1fb4cb6408b0f715f69ca997",
     (10, 2, 1): "30affce57326d8861a7a0037f053d8f2dde520c0ad223951286ef9db2a3a303b",
@@ -65,7 +65,7 @@ def _digest(text: str) -> str:
 # ---------------------------------------------------------------------------
 # the earlier payloads keep their bytes and their reports
 
-@pytest.mark.parametrize("cell", sorted(GOLDEN))
+@pytest.mark.parametrize("cell", sorted(REPORTS))
 def test_earlier_fixture_keeps_its_bytes_and_report(cell, tmp_path):
     text = _fixture(cell).read_text(encoding="utf-8")
     assert _digest(text) == EARLIER[cell]
@@ -77,7 +77,7 @@ def test_earlier_fixture_keeps_its_bytes_and_report(cell, tmp_path):
     assert _digest(out.read_text(encoding="utf-8")) == REPORTS[cell]
 
 
-@pytest.mark.parametrize("cell", sorted(GOLDEN))
+@pytest.mark.parametrize("cell", sorted(REPORTS))
 def test_v3_payload_matches_the_earlier_one_but_for_stored(cell):
     old = loads(_fixture(cell).read_text(encoding="utf-8"))
     # the writer on the decomposition the earlier payload holds, in the
