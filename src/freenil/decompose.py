@@ -10,9 +10,11 @@ nilpotency class:
             flip per -1 pivot), then two "shear" maps adding the
             D-translation parts over each half of E.
 
-  class c   project one class down, decompose recursively, lift each factor
-            back up (word reinterpretation plus a central correction pinning
-            D exactly), divide their product out of sigma in closed form
+  class c   lift the factors of one class down: at c = 2 the class-1 pieces,
+            built in place from the same words, are their own lifts; above,
+            project one class down, decompose recursively and lift each
+            factor (word reinterpretation plus a central correction pinning
+            D exactly).  Divide their product out of sigma in closed form
             (no map is inverted), and split the remaining central piece
             into 2(c+1) commuting maps beta_k, each avoiding one cell of a
             partition of half of E — the avoided cell is the certificate's
@@ -22,10 +24,10 @@ nilpotency class:
 
 Every level shares sigma's abelianization, so one row reduction of its
 block on E serves the whole call: it proves sigma unimodular (a map fixing D
-has that block's determinant), its moves are the class-1 factors, and the
+has that block's determinant), its moves are the class-1 pieces, and the
 same moves replayed give the inverse abelianization that divides the lifted
-product out at every class c >= 2.  No determinant is taken and no matrix
-is reduced twice.
+product out at every class c >= 2.  No determinant is taken, no matrix is
+reduced twice, and above class 1 no class-1 map is built.
 
 The checker for the output lives in `verifier`, which does not import this
 module.
@@ -33,7 +35,6 @@ module.
 
 from __future__ import annotations
 
-import operator
 from itertools import groupby
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -119,14 +120,12 @@ def _move_to_map(
 def _permutation_piece(
     ctx: GroupContext, swaps: Sequence[tuple[int, int]]
 ) -> tuple[GeneratorMap, str, frozenset[int]]:
-    # the swaps' maps composed left to right: p = s_1 o ... o s_k
+    # the swaps' maps composed left to right, p = s_1 o ... o s_k, built as
+    # q_j = q_(j-1) o s_j: q_(j-1) with its values at s_j's pair exchanged
     touched = frozenset(g for pair in swaps for g in pair)
-    perm = {}
-    for start in sorted(touched):
-        g = start
-        for a, b in reversed(swaps):
-            g = b if g == a else a if g == b else g
-        perm[start] = g
+    perm = {g: g for g in sorted(touched)}
+    for a, b in swaps:
+        perm[a], perm[b] = perm[b], perm[a]
     return permutational(ctx, perm), "permutation", touched
 
 
@@ -165,6 +164,48 @@ def _half_cert(
     return MoietyCertificate(fixed, ctx.generator_set() - fixed)
 
 
+def _class_one_factors(
+    sigma: GeneratorMap, fixed: frozenset[int], moves: Sequence[intmat.RowMove]
+) -> list[Factor]:
+    """The class-1 stage, certified, in sigma's own context: the pieces of
+    `_block_maps`, then the two shears, read off sigma's degree-1 part.
+    Spelled by the same words at any class and fixing D, each is the lift
+    of its class-1 counterpart, and above class 1 is emitted as that lift.
+    """
+    ctx = sigma.ctx
+    free = sorted(ctx.generator_set() - fixed)
+    blocks = _block_maps(ctx, free, moves)
+    pieces = [(phi, tag, _half_cert(ctx, free, used)) for phi, tag, used in blocks]
+    # the D-translation parts: sigma(x_i) = x_i' * u_i with u_i over D; after
+    # dividing by the block part, each free generator just picks up its u_i
+    half = (len(free) + 1) // 2
+    pinned = sorted(fixed)
+    for own, other in ((free[:half], free[half:]), (free[half:], free[:half])):
+        images = {}
+        for i in own:
+            # the D rows of sigma's abelianization column i (none unstored)
+            col = sigma.stored[i].poly if i in sigma.stored else {}
+            pairs = [(d, col[(d,)]) for d in pinned if (d,) in col]
+            if pairs:
+                images[i] = from_word(ctx, Word(((i, 1), *pairs)))
+        if not images:
+            continue
+        # the block on the moved generators is the identity: each image adds
+        # only D letters to its own generator
+        shear = GeneratorMap._sparse(ctx, images, unimodular=True)
+        cert = MoietyCertificate(
+            frozenset(other), ctx.generator_set() - frozenset(other)
+        )
+        pieces.append((shear, "shear", cert))
+    c = ctx.nilclass
+    return [
+        _certified(fixed, phi, cert, tag, 1)
+        if c == 1
+        else _certified(fixed, phi, cert, "lifted", c, origin=tag)
+        for phi, tag, cert in pieces
+    ]
+
+
 def abelian_decompose(
     sigma: GeneratorMap,
     fixed: Iterable[int],
@@ -184,32 +225,7 @@ def abelian_decompose(
     if moves is None:
         fixed, moves = _reduce_free_block(sigma, fixed, min_free=3)
     fixed = frozenset(fixed)
-    free = sorted(ctx.generator_set() - fixed)
-    factors: list[Factor] = []
-    for phi, tag, touched in _block_maps(ctx, free, moves):
-        cert = _half_cert(ctx, free, touched)
-        factors.append(_certified(fixed, phi, cert, tag, 1))
-    # the D-translation parts: sigma(x_i) = x_i' * u_i with u_i over D; after
-    # dividing by the block part, each free generator just picks up its u_i
-    half = (len(free) + 1) // 2
-    pinned = sorted(fixed)
-    for own, other in ((free[:half], free[half:]), (free[half:], free[:half])):
-        images = {}
-        for i in own:
-            # the D rows of sigma's abelianization column i
-            col = sigma(i).poly
-            pairs = [(d, col[(d,)]) for d in pinned if (d,) in col]
-            if pairs:
-                images[i] = from_word(ctx, Word(((i, 1), *pairs)))
-        if not images:
-            continue
-        # the block on the moved generators is the identity: each image adds
-        # only D letters to its own generator
-        shear = GeneratorMap._sparse(ctx, images, unimodular=True)
-        cert = MoietyCertificate(
-            frozenset(other), ctx.generator_set() - frozenset(other)
-        )
-        factors.append(_certified(fixed, shear, cert, "shear", 1))
+    factors = _class_one_factors(sigma, fixed, moves)
     if ordered_product(ctx, [f.map for f in factors]) != sigma:
         raise CertificateInvalid("abelian factors do not multiply back to the input")
     return Decomposition(sigma, fixed, tuple(factors))
@@ -271,23 +287,25 @@ def _inverse_substitution(
     With the free generators E first and D after them, sigma's
     abelianization is [[B, 0], [S, I]], where S holds the D rows of sigma's
     columns on E, so its inverse is [[B^-1, 0], [-S B^-1, I]].  B^-1 is the
-    inverted moves replayed on the identity, and every D column is a unit
-    vector, so only free generators are substituted.
+    inverted moves replayed on the identity's sparse rows, and every D
+    column is a unit vector, so only free generators are substituted.
     """
     free = sorted(sigma.ctx.generator_set() - fixed)
-    binv = intmat.replay(len(free), [move.inverse() for move in moves])
-    images = [sigma(e).poly for e in free]
-    s_rows = [(d, [img.get((d,), 0) for img in images]) for d in sorted(fixed)]
-    subst: Substitution = {}
-    for j, column in zip(free, zip(*binv)):
-        lin = [(r, v) for r, v in zip(free, column) if v]
-        for d, s_row in s_rows:
-            v = -sum(map(operator.mul, s_row, column))
-            if v:
-                lin.append((d, v))
-        if lin != [(j, 1)]:
-            subst[j] = sorted(lin)
-    return subst
+    binv = intmat.replay_rows(len(free), [move.inverse() for move in moves])
+    pinned = sorted(fixed)
+    # the columns of B^-1 and -S B^-1, gathered row by row of B^-1
+    cols: list[dict[int, int]] = [{} for _ in free]
+    for r, row in zip(free, binv):
+        # an image sigma does not store is x_r, with no D letter
+        poly = sigma.stored[r].poly if r in sigma.stored else {}
+        s_col = [(d, poly[(d,)]) for d in pinned if (d,) in poly]
+        for b, v in row.items():
+            col = cols[b]
+            col[r] = v
+            for d, s in s_col:
+                col[d] = col.get(d, 0) - s * v
+    lins = {j: sorted((g, v) for g, v in c.items() if v) for j, c in zip(free, cols)}
+    return {j: lin for j, lin in lins.items() if lin != [(j, 1)]}
 
 
 def _central_quotient(
@@ -472,8 +490,11 @@ def decompose(sigma: GeneratorMap, fixed: Iterable[int] = ()) -> Decomposition:
     reduced once, here, and every level reuses that reduction."""
     c = sigma.ctx.nilclass
     fixed, moves = _reduce_free_block(sigma, fixed, min_free=2 * (c + 1))
-    subst = _inverse_substitution(sigma, fixed, moves) if c > 1 else {}
-    return _decompose_level(sigma, fixed, moves, subst)
+    if c == 1:
+        return abelian_decompose(sigma, fixed, moves)
+    subst = _inverse_substitution(sigma, fixed, moves)
+    factors = _decompose_level(sigma, fixed, moves, subst)
+    return Decomposition(sigma, fixed, tuple(factors))
 
 
 def _decompose_level(
@@ -481,15 +502,16 @@ def _decompose_level(
     fixed: frozenset[int],
     moves: Sequence[intmat.RowMove],
     subst: Substitution,
-) -> Decomposition:
-    ctx = sigma.ctx
-    c = ctx.nilclass
-    if c == 1:
-        return abelian_decompose(sigma, fixed, moves)
-    below = _decompose_level(project(sigma, c - 1), fixed, moves, subst)
-    lifted = [lift_factor(f, fixed) for f in below.factors]
+) -> list[Factor]:
+    c = sigma.ctx.nilclass
+    if c == 2:
+        # no class-1 map: _central_quotient refuses any difference of degree
+        # below 2, which is the class-1 multiply-back check
+        lifted = _class_one_factors(sigma, fixed, moves)
+    else:
+        below = _decompose_level(project(sigma, c - 1), fixed, moves, subst)
+        lifted = [lift_factor(f, fixed) for f in below]
     # alpha = (lifted product)^-1 o sigma, central IA, in closed form
-    product = ordered_product(ctx, [f.map for f in lifted])
+    product = ordered_product(sigma.ctx, [f.map for f in lifted])
     alpha = _central_quotient(product, sigma, subst)
-    factors = tuple(lifted) + tuple(central_decompose(alpha, fixed))
-    return Decomposition(sigma, fixed, factors)
+    return lifted + central_decompose(alpha, fixed)

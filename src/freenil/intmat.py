@@ -18,9 +18,12 @@ so a caller can merge them into a few permutations (decompose: permutations
 moving at most half of E) instead of one factor per swap.  The negates
 follow them, one per row that the walk leaves at -1.
 
-`replay(n, moves)` applies moves to the identity.  Replaying a reduction's
-moves gives the inverse, so a caller holding a factorization inverts A with
-the inverted moves, and reduces nothing twice.
+The reduction keeps its rows sparse, {column: entry}, with an index of the
+rows that hold each column, so a block that is nearly a signed permutation
+costs about its number of entries, not n^2.  `replay_rows(n, moves)` applies
+moves to the identity's sparse rows, and `replay` gives the dense matrix.
+Replaying a reduction's moves gives the inverse, so a caller holding a
+factorization inverts A with the inverted moves, and reduces nothing twice.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .context import Record
 from .errors import NotUnimodular
 
 Matrix = tuple[tuple[int, ...], ...]
+Rows = list[dict[int, int]]  # sparse rows, {column: nonzero entry}
 
 
 class RowMove(Record):
@@ -81,14 +85,17 @@ def det(m: Matrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _apply_move(move: RowMove, rows: list[list[int]]) -> None:
+def _apply_move(move: RowMove, rows: Rows) -> None:
     if move.kind == "add":
-        ri, rj = rows[move.i], rows[move.j]
-        rows[move.i] = [x + move.k * y for x, y in zip(ri, rj)]
+        ri, k = rows[move.i], move.k
+        for c, v in rows[move.j].items():
+            x = ri.pop(c, 0) + k * v
+            if x:
+                ri[c] = x
     elif move.kind == "swap":
         rows[move.i], rows[move.j] = rows[move.j], rows[move.i]
     else:
-        rows[move.i] = [-x for x in rows[move.i]]
+        rows[move.i] = {c: -v for c, v in rows[move.i].items()}
 
 
 def reduce_to_identity(m: Matrix) -> list[RowMove]:
@@ -103,10 +110,30 @@ def reduce_to_identity(m: Matrix) -> list[RowMove]:
     with no live entry or with gcd above 1 raises NotUnimodular.
     """
     n = len(m)
-    rows = [list(r) for r in m]
+    rows: Rows = [{c: v for c, v in enumerate(r) if v} for r in m]
+    # the rows with an entry in each column: a column's live rows and the
+    # rows its pivot clears are read off it, not off every row
+    holders: list[set[int]] = [set() for _ in range(n)]
+    for r, row in enumerate(rows):
+        for c in row:
+            holders[c].add(r)
     moves: list[RowMove] = []
-    unused = list(range(n))  # rows not yet used as pivots, in order
+    unused = set(range(n))  # rows not yet used as pivots
     column_of = [0] * n  # pivot row -> its column
+
+    def add(i: int, j: int, k: int) -> None:
+        # row_i += k * row_j, keeping `holders` in step
+        ri = rows[i]
+        for c, v in rows[j].items():
+            x = ri.get(c, 0) + k * v
+            if not x:
+                del ri[c]
+                holders[c].discard(i)
+            else:
+                if c not in ri:
+                    holders[c].add(i)
+                ri[c] = x
+        moves.append(RowMove("add", i, j, k))
 
     def do(move: RowMove) -> None:
         _apply_move(move, rows)
@@ -114,30 +141,30 @@ def reduce_to_identity(m: Matrix) -> list[RowMove]:
 
     for col in range(n):
         while True:
-            live = [r for r in unused if rows[r][col]]
+            live = sorted(holders[col] & unused)
             if not live:
                 raise NotUnimodular("matrix is singular")
-            best = min(live, key=lambda r: abs(rows[r][col]))
-            if len(live) == 1 and abs(rows[best][col]) == 1:
+            best = min(live, key=lambda r: abs(rows[r][col])) if live[1:] else live[0]
+            lead = rows[best][col]
+            if len(live) == 1 and abs(lead) == 1:
                 break
             progressed = False
             for r in live:
                 if r == best:
                     continue
-                q = rows[r][col] // rows[best][col]
+                q = rows[r][col] // lead
                 if q:
-                    do(RowMove("add", r, best, -q))
+                    add(r, best, -q)
                     progressed = True
             # when every other entry is a multiple of the minimum, one pass
             # clears them; otherwise remainders shrank and we loop again
-            if not progressed and abs(rows[best][col]) != 1:
+            if not progressed and abs(lead) != 1:
                 raise NotUnimodular("column gcd exceeds 1")
         unused.remove(best)
         column_of[best] = col
-        sign = rows[best][col]
-        for r in range(n):
-            if r != best and rows[r][col]:
-                do(RowMove("add", r, best, -rows[r][col] * sign))
+        for r in sorted(holders[col]):
+            if r != best:
+                add(r, best, -rows[r][col] * lead)
     # row r is now +-e_{column_of[r]}: each swap puts one row in place
     for i in range(n):
         while column_of[i] != i:
@@ -145,17 +172,16 @@ def reduce_to_identity(m: Matrix) -> list[RowMove]:
             do(RowMove("swap", i, c))
             column_of[i], column_of[c] = column_of[c], c
     for i in range(n):
-        if rows[i][i] == -1:
+        if rows[i].get(i) == -1:
             do(RowMove("negate", i))
     if not _is_identity(rows):
         raise NotUnimodular("reduction did not reach the identity")
     return moves
 
 
-def _is_identity(rows: list[list[int]]) -> bool:
-    # row i is e_i iff its entry i is 1 and every other entry is 0
-    n = len(rows)
-    return all(row[i] == 1 and row.count(0) == n - 1 for i, row in enumerate(rows))
+def _is_identity(rows: Rows) -> bool:
+    # sparse row i is e_i iff it holds the one entry 1 in column i
+    return all(row == {i: 1} for i, row in enumerate(rows))
 
 
 def factor_unimodular(m: Matrix) -> list[RowMove]:
@@ -163,15 +189,19 @@ def factor_unimodular(m: Matrix) -> list[RowMove]:
     return [move.inverse() for move in reduce_to_identity(m)]
 
 
-def replay(n: int, moves: Iterable[RowMove]) -> Matrix:
+def replay_rows(n: int, moves: Iterable[RowMove]) -> Rows:
     """The moves L_1..L_t applied in order to the rows of the n x n
-    identity: the matrix L_t * ... * L_1."""
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1
+    identity, as sparse rows: the matrix L_t * ... * L_1."""
+    rows: Rows = [{i: 1} for i in range(n)]
     for move in moves:
         _apply_move(move, rows)
-    return tuple(tuple(r) for r in rows)
+    return rows
+
+
+def replay(n: int, moves: Iterable[RowMove]) -> Matrix:
+    """`replay_rows` as a dense matrix."""
+    rows = replay_rows(n, moves)
+    return tuple(tuple(row.get(c, 0) for c in range(n)) for row in rows)
 
 
 def inverse_unimodular(m: Matrix) -> Matrix:

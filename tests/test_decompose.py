@@ -352,8 +352,11 @@ def test_central_decompose_rejects_shallow_maps():
 
 def _dense_inverse_substitution(sigma):
     # the substitution read off the dense abelianization of invert(sigma)
-    m = invert(sigma).matrix
-    gens = sigma.ctx.generators()
+    return _substitution_of(invert(sigma).matrix, sigma.ctx.generators())
+
+
+def _substitution_of(m, gens):
+    # the letter substitution of a dense inverse abelianization m
     subst = {}
     for b, j in enumerate(gens):
         lin = [(r, m[a][b]) for a, r in enumerate(gens) if m[a][b]]
@@ -398,11 +401,16 @@ def _substitution(engine, sigma):
 
 
 def test_inverse_substitution_matches_the_dense_inverse():
-    # the D rows -S B^-1 included: maps that add D letters to free images
+    # the D rows -S B^-1 included: maps that add D letters to free images.
+    # The sparse replay against the inverse of the map and against
+    # intmat.inverse_unimodular of its whole abelianization
+    from freenil import intmat
+
     engine = importlib.import_module("freenil.decompose")
     rng = random.Random(1801)
     with_d_rows = 0
-    for n, c, dsize in ((8, 2, 1), (9, 2, 3), (10, 3, 2)):
+    cells = ((8, 2, 1), (9, 2, 3), (10, 3, 2), (10, 2, 1), (32, 2, 1), (12, 4, 2))
+    for n, c, dsize in cells:
         ctx = GroupContext(n, c)
         fix = tuple(range(1, dsize + 1))
         for _ in range(6):
@@ -410,6 +418,8 @@ def test_inverse_substitution_matches_the_dense_inverse():
             fixed, moves = engine._reduce_free_block(sigma, fix, min_free=0)
             subst = engine._inverse_substitution(sigma, fixed, moves)
             assert subst == _dense_inverse_substitution(sigma)
+            whole = intmat.inverse_unimodular(sigma.matrix)
+            assert subst == _substitution_of(whole, ctx.generators())
             with_d_rows += any(r in fixed for lin in subst.values() for r, _ in lin)
     assert with_d_rows >= 3
 
@@ -567,9 +577,9 @@ def test_decompose_never_inverts_a_map(monkeypatch):
 def _counting(monkeypatch, module, name, calls):
     original = getattr(module, name)
 
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         calls.append(name)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
 
@@ -626,6 +636,91 @@ def test_lift_factor_multiplies_only_at_moved_pinned_generators(monkeypatch):
             assert lifted.map.fixes_pointwise(fix)
             quiet += not pinned
     assert quiet > 10
+
+
+def test_class_two_builds_the_class_one_pieces_in_place(monkeypatch):
+    # at class 2 nothing goes through class 1: no projection, no class-1
+    # decomposition, no lift, and each factor is certified exactly once
+    engine = importlib.import_module("freenil.decompose")
+    calls = []
+    for name in ("project", "lift_factor", "abelian_decompose", "_certified"):
+        _counting(monkeypatch, engine, name, calls)
+    for n, fix, seed in ((10, (1,), 1), (32, (1,), 1), (12, (1, 2), 3)):
+        ctx = GroupContext(n, 2)
+        sigma = random_automorphism(ctx, seed, 12, fix)
+        calls.clear()
+        dec = decompose(sigma, fix)
+        assert calls == ["_certified"] * len(dec.factors)
+        assert any(f.tag == "lifted" for f in dec.factors)
+        assert product_of(ctx, dec) == sigma
+
+
+def test_class_three_lifts_only_at_level_three(monkeypatch):
+    engine = importlib.import_module("freenil.decompose")
+    original = engine.lift_factor
+    lifts = []
+
+    def recording(f, fixed):
+        lifted = original(f, fixed)
+        lifts.append((f.level, lifted.level))
+        return lifted
+
+    monkeypatch.setattr(engine, "lift_factor", recording)
+    ctx = GroupContext(10, 3)
+    sigma = random_automorphism(ctx, 7, 12, (1, 2))
+    dec = decompose(sigma, (1, 2))
+    assert lifts and set(lifts) == {(2, 3)}
+    assert len(lifts) == sum(f.tag == "lifted" for f in dec.factors)
+
+
+@pytest.mark.parametrize("n, fix", [(8, (1,)), (10, (1, 2)), (32, (1,))])
+def test_class_two_pieces_are_the_lifts_of_the_class_one_factors(n, fix):
+    # what the round trip through class 1 built: the class-1 factors of the
+    # projection, each lifted; the pieces built in place are those, map,
+    # words, certificate and provenance alike
+    ctx = GroupContext(n, 2)
+    for seed in range(1, 5):
+        sigma = random_automorphism(ctx, seed, 16, fix)
+        below = abelian_decompose(project(sigma, 1), fix).factors
+        old = [lift_factor(f, fix) for f in below]
+        factors = decompose(sigma, fix).factors
+        new, rest = factors[: len(old)], factors[len(old) :]
+        assert len(new) == len(old)
+        assert all(f.tag == "central_beta" for f in rest)
+        for a, b in zip(old, new):
+            assert (a.tag, a.level, a.origin, a.part, a.side) == (
+                b.tag, b.level, b.origin, b.part, b.side
+            )
+            assert a.certificate == b.certificate
+            assert a.map == b.map
+            assert {i: img.word for i, img in a.map.stored.items()} == {
+                i: img.word for i, img in b.map.stored.items()
+            }
+
+
+def test_a_broken_class_one_stage_is_still_refused(monkeypatch):
+    # drop one move from the class-1 pieces: the class-1 check that
+    # abelian_decompose makes, and at class 2 _central_quotient's refusal of
+    # a difference below the center, catch it
+    engine = importlib.import_module("freenil.decompose")
+    original = engine._block_maps
+
+    def dropping(ctx, basis, moves):
+        adds = [k for k, move in enumerate(moves) if move.kind == "add"]
+        k = adds[len(adds) // 2]
+        return original(ctx, basis, list(moves[:k]) + list(moves[k + 1 :]))
+
+    monkeypatch.setattr(engine, "_block_maps", dropping)
+    ctx = GroupContext(10, 1)
+    sigma = random_automorphism(ctx, 11, 12, (1,))
+    for run in (abelian_decompose, decompose):
+        with pytest.raises(CertificateInvalid, match="do not multiply back"):
+            run(sigma, (1,))
+    for c in (2, 3):
+        ctx = GroupContext(10, c)
+        sigma = random_automorphism(ctx, 11, 12, (1,))
+        with pytest.raises(NotCentralIA, match="modulo the lifted product"):
+            decompose(sigma, (1,))
 
 
 def test_decompose_factor_provenance():

@@ -20,6 +20,7 @@ from freenil.intmat import (
     replay,
 )
 from matrix_oracle import identity_matrix, matmul, move_matrix
+from matrix_oracle import reduce_to_identity as dense_reduce_to_identity
 
 
 def _det_leibniz(m):
@@ -201,38 +202,41 @@ def test_replay_is_the_product_of_the_moves():
     assert replay(3, []) == identity_matrix(3)
 
 
+def _sparse(rows):
+    # intmat's sparse rows, {column: nonzero entry}, of a dense matrix
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
+
+
 def test_closing_check_accepts_only_the_identity():
-    # the check that ends reduce_to_identity, against the dense definition,
-    # on the identity and on every one-entry change of it
+    # the check that ends reduce_to_identity, on its sparse rows, against the
+    # dense definition, on the identity and on every one-entry change of it
     for n in range(1, 6):
         ident = [list(r) for r in identity_matrix(n)]
-        assert _is_identity(ident)
+        assert _is_identity(_sparse(ident))
         for r in range(n):
             for c in range(n):
                 for v in (-2, -1, 0, 1, 2):
                     rows = [list(row) for row in ident]
                     rows[r][c] = v
-                    assert _is_identity(rows) == (rows == ident)
+                    assert _is_identity(_sparse(rows)) == (rows == ident)
     rng = random.Random(17)
     for _ in range(500):
         n = rng.randrange(1, 5)
         rows = [[rng.choice((-1, 0, 0, 1)) for _ in range(n)] for _ in range(n)]
         expected = rows == [list(r) for r in identity_matrix(n)]
-        assert _is_identity(rows) == expected
+        assert _is_identity(_sparse(rows)) == expected
 
 
 def _signed_permutation_heavy(rng, n):
     # a random signed permutation with a few row adds on top
     perm = list(range(n))
     rng.shuffle(perm)
-    m = tuple(
-        tuple(rng.choice((-1, 1)) if c == perm[r] else 0 for c in range(n))
-        for r in range(n)
-    )
+    rows = [[rng.choice((-1, 1)) if c == perm[r] else 0 for c in range(n)] for r in range(n)]
     for _ in range(rng.randrange(0, n // 2 + 1)):
         i, j = rng.sample(range(n), 2)
-        m = matmul(move_matrix(RowMove("add", i, j, rng.choice((-2, -1, 1, 2))), n), m)
-    return m
+        k = rng.choice((-2, -1, 1, 2))
+        rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+    return tuple(tuple(row) for row in rows)
 
 
 def _is_signed_permutation(m):
@@ -281,6 +285,78 @@ def test_inverse_unimodular_of_permutation_heavy_matrices():
             m = _signed_permutation_heavy(rng, n)
             assert matmul(inverse_unimodular(m), m) == identity_matrix(n)
             assert matmul(m, inverse_unimodular(m)) == identity_matrix(n)
+
+
+def _dense_product(rng, n):
+    # L * U * P: unitriangular L and U with every entry below (above) the
+    # diagonal nonzero, and a signed permutation P, so a product of add moves
+    # (and one signed permutation) with no zero entry once n > 2
+    def tri(lower):
+        return tuple(
+            tuple(
+                1 if r == c else rng.choice((-2, -1, 1, 2)) if (r > c) == lower else 0
+                for c in range(n)
+            )
+            for r in range(n)
+        )
+
+    perm = list(range(n))
+    rng.shuffle(perm)
+    p = tuple(
+        tuple(rng.choice((-1, 1)) if c == perm[r] else 0 for c in range(n))
+        for r in range(n)
+    )
+    return matmul(matmul(tri(True), tri(False)), p)
+
+
+def _automorphism_block(n, seed):
+    # the free block that decompose reduces: a random_automorphism of
+    # N(n + 1, 1) fixing x_1, read on x_2..x_{n+1}
+    ctx = freenil.GroupContext(n + 1, 1)
+    sigma = freenil.random_automorphism(ctx, seed, 3 * n, (1,))
+    return sigma._block(range(2, n + 2))
+
+
+def _refusal(reduce, m):
+    try:
+        reduce(m)
+    except NotUnimodular as exc:
+        return str(exc)
+    return None
+
+
+def test_sparse_reduction_emits_the_dense_moves():
+    # the sparse reduce_to_identity against the dense one it replaced, on
+    # every size 0..64: the same moves in the same order, and on singular and
+    # determinant +-2 inputs the same refusal
+    rng = random.Random(2023)
+    dense_sizes = set(range(13)) | {16, 31, 64}
+    refused = set()
+    for n in range(65):
+        cases = [_signed_permutation_heavy(rng, n), _automorphism_block(n, n)]
+        if n in dense_sizes:
+            cases.append(_dense_product(rng, n))
+        for index, m in enumerate(cases):
+            assert reduce_to_identity(m) == dense_reduce_to_identity(m)
+            # a refused dense block costs a near-full reduction on each side
+            if n == 0 or (index == 2 and n > 16):
+                continue
+            r = rng.randrange(n)
+            for bad in (
+                # determinant +-2: a row doubled
+                m[:r] + (tuple(2 * x for x in m[r]),) + m[r + 1 :],
+                # singular: a row repeated
+                m[:r] + (m[(r + 1) % n],) + m[r + 1 :],
+                # singular: a zero column
+                tuple(row[:r] + (0,) + row[r + 1 :] for row in m),
+            ):
+                if n == 1 and bad[0] == m[0]:
+                    continue  # repeating the only row changes nothing
+                message = _refusal(dense_reduce_to_identity, bad)
+                assert message is not None
+                assert _refusal(reduce_to_identity, bad) == message
+                refused.add(message)
+    assert refused == {"matrix is singular", "column gcd exceeds 1"}
 
 
 def test_not_unimodular_rejected():
