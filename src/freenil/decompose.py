@@ -466,7 +466,8 @@ def _reduce_free_block(
 
     A map fixing D has a block triangular abelianization with the identity
     on D, so its determinant is det(B): the reduction of B succeeds exactly
-    when sigma is an automorphism, and no determinant is taken.  A map that
+    when sigma is an automorphism, and no determinant is taken.  B is read
+    off sigma's images as sparse rows, never as a dense matrix.  A map that
     moves D, or leaves too few generators free, goes to _check_common, whose
     determinant keeps the order of the errors.
     """
@@ -477,7 +478,7 @@ def _reduce_free_block(
     if not sigma.fixes_pointwise(fixed) or len(free) < min_free:
         _check_common(sigma, fixed, min_free)  # raises
     try:
-        moves = intmat.factor_unimodular(sigma._block(free))
+        moves = intmat.factor_unimodular(sigma._rows(free))
     except NotUnimodular:
         raise NotAutomorphism("determinant of the abelianization is not +-1") from None
     sigma._unimodular = True

@@ -20,15 +20,18 @@ follow them, one per row that the walk leaves at -1.
 
 The reduction keeps its rows sparse, {column: entry}, with an index of the
 rows that hold each column, so a block that is nearly a signed permutation
-costs about its number of entries, not n^2.  `replay_rows(n, moves)` applies
-moves to the identity's sparse rows, and `replay` gives the dense matrix.
+costs about its number of entries, not n^2; `reduce_to_identity` and
+`factor_unimodular` also take such rows, so a caller holding them builds no
+dense matrix.  `replay_rows(n, moves)` applies moves to the identity's sparse
+rows, `dense` turns sparse rows into a Matrix, and `replay` gives the dense
+matrix.
 Replaying a reduction's moves gives the inverse, so a caller holding a
 factorization inverts A with the inverted moves, and reduces nothing twice.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Union
 
 from .context import Record
 from .errors import NotUnimodular
@@ -98,8 +101,10 @@ def _apply_move(move: RowMove, rows: Rows) -> None:
         rows[move.i] = {c: -v for c, v in rows[move.i].items()}
 
 
-def reduce_to_identity(m: Matrix) -> list[RowMove]:
+def reduce_to_identity(m: Union[Matrix, Rows]) -> list[RowMove]:
     """Row moves L_1..L_t with L_t * ... * L_1 * m = I.  Requires det = +-1.
+    The rows of m may be dense sequences or sparse {column: entry} dicts;
+    both give the same moves.
 
     Column by column, without swapping rows: euclidean gcd runs among the
     rows not yet used as pivots (the gcd is forced to 1, because those rows
@@ -110,7 +115,10 @@ def reduce_to_identity(m: Matrix) -> list[RowMove]:
     with no live entry or with gcd above 1 raises NotUnimodular.
     """
     n = len(m)
-    rows: Rows = [{c: v for c, v in enumerate(r) if v} for r in m]
+    rows: Rows = [
+        {c: v for c, v in (r.items() if isinstance(r, dict) else enumerate(r)) if v}
+        for r in m
+    ]
     # the rows with an entry in each column: a column's live rows and the
     # rows its pivot clears are read off it, not off every row
     holders: list[set[int]] = [set() for _ in range(n)]
@@ -184,7 +192,7 @@ def _is_identity(rows: Rows) -> bool:
     return all(row == {i: 1} for i, row in enumerate(rows))
 
 
-def factor_unimodular(m: Matrix) -> list[RowMove]:
+def factor_unimodular(m: Union[Matrix, Rows]) -> list[RowMove]:
     """Ordered moves whose matrix product equals m (see module docstring)."""
     return [move.inverse() for move in reduce_to_identity(m)]
 
@@ -200,7 +208,12 @@ def replay_rows(n: int, moves: Iterable[RowMove]) -> Rows:
 
 def replay(n: int, moves: Iterable[RowMove]) -> Matrix:
     """`replay_rows` as a dense matrix."""
-    rows = replay_rows(n, moves)
+    return dense(replay_rows(n, moves))
+
+
+def dense(rows: Rows) -> Matrix:
+    """Square sparse rows as a dense matrix."""
+    n = len(rows)
     return tuple(tuple(row.get(c, 0) for c in range(n)) for row in rows)
 
 

@@ -10,15 +10,20 @@ moves, not the rank.
 
 Applying a map to an element substitutes X_i -> (image of x_i) - 1 into every
 monomial, which is exactly the ring extension of the group homomorphism.  The
-substitution is organized around two facts that keep the common cases cheap:
-a monomial none of whose letters is moved passes through unchanged, and the
-substituted slots and their partial products are shared through one per-map
-memo keyed by monomial suffixes (only below the top degree, where entries
-stay small).
+substitution is organized around three facts that keep the common cases
+cheap: a generator x_b (polynomial 1 + X_b) goes to its stored image as it
+stands, a monomial none of whose letters is moved passes through unchanged,
+and the substituted slots and their partial products are shared through one
+per-map memo keyed by monomial suffixes (only below the top degree, where
+entries stay small).
 
 Determinants work on the moved block.  The abelianization column of an
 unmoved generator is a unit vector, so det(M) is the determinant of the
-block on the moved generators.  Nothing here builds the dense n x n matrix.
+block on the moved generators.  That block is read off the images' degree-1
+monomials as sparse rows (`_rows`), and a signed permutation block, one
+entry +-1 in each row and column, takes no determinant: it is unimodular by
+inspection.  Permutations and signs are such blocks.  Nothing here builds
+the dense n x n matrix.
 
 Whether a map is an automorphism (det = +-1) is decided once and stored on
 the map, and preserves needs no determinant beyond that one: an
@@ -28,9 +33,9 @@ know the answer set it and skip the determinant: the identity is
 unimodular, ia_central has the identity abelianization, and a product
 multiplies determinants, so unimodular maps give a unimodular one (`endo`'s
 constructors do the same).  A map parsed from the wire knows nothing and
-takes its own determinant, unless `decompose` settles the question first:
-it row-reduces the input's block on the generators outside D, and a map
-fixing D has that block's determinant.
+decides for itself, by inspection or by its one determinant, unless
+`decompose` settles the question first: it row-reduces the input's block on
+the generators outside D, and a map fixing D has that block's determinant.
 
 A MoietyCertificate names a partition (fixed P, preserved Q) of the
 generators, and check_certificate decides whether a map fixes P pointwise
@@ -195,11 +200,15 @@ class GeneratorMap:
 
     def _block(self, sub: Sequence[int]) -> intmat.Matrix:
         """The abelianization restricted to rows and columns `sub`, in that
-        order, read off the images: a zero block takes each moved column's
-        degree-1 monomials on `sub`, and a 1 on the diagonal for each
-        unmoved one."""
+        order, as a dense matrix."""
+        return intmat.dense(self._rows(sub))
+
+    def _rows(self, sub: Sequence[int]) -> intmat.Rows:
+        """The block `_block(sub)` as sparse rows, {column: entry}, read off
+        the images: each moved column's degree-1 monomials on `sub`, and a 1
+        on the diagonal for each unmoved one."""
         pos = {g: k for k, g in enumerate(sub)}
-        rows = [[0] * len(sub) for _ in sub]
+        rows: intmat.Rows = [{} for _ in sub]
         for b, g in enumerate(sub):
             if g not in self.moved:
                 rows[b][b] = 1
@@ -207,7 +216,7 @@ class GeneratorMap:
             for m, v in self.stored[g].poly.items():
                 if len(m) == 1 and m[0] in pos:
                     rows[pos[m[0]]][b] = v
-        return tuple(tuple(r) for r in rows)
+        return rows
 
     def is_identity(self) -> bool:
         return not self.moved
@@ -215,7 +224,10 @@ class GeneratorMap:
     def is_automorphism(self) -> bool:
         # decided once per map, unless its constructor already knew
         if self._unimodular is None:
-            self._unimodular = intmat.det(self._block(sorted(self.moved))) in (1, -1)
+            rows = self._rows(sorted(self.moved))
+            self._unimodular = _is_signed_permutation(rows) or (
+                intmat.det(intmat.dense(rows)) in (1, -1)
+            )
         return self._unimodular
 
     def fixes_pointwise(self, subset: Iterable[int]) -> bool:
@@ -226,7 +238,8 @@ class GeneratorMap:
         if not self.is_automorphism():
             raise NotAutomorphism("preserves() is only defined for automorphisms")
         sub = frozenset(subset)
-        self.ctx.check_generators(sorted(sub))
+        if not sub <= self.ctx.generator_set():
+            self.ctx.check_generators(sorted(sub))  # raises
         # an unmoved generator's image is itself, inside <sub>.  Once every
         # moved one maps into <sub>, the abelianization is block triangular
         # with the sub block A on the diagonal, so det(A) divides det = +-1
@@ -259,6 +272,15 @@ class GeneratorMap:
         moved = self.moved
         if not moved:
             return a
+        if len(a.poly) == 2:
+            # x_b is 1 + X_b, and its image is the stored one; of the two
+            # keys, the constant monomial () is the empty one
+            k, w = a.poly
+            w = w or k
+            if len(w) == 1 and a.poly[w] == 1:
+                if w[0] in moved:
+                    return GroupElement(self.ctx, self.stored[w[0]].poly)
+                return GroupElement(self.ctx, a.poly)
         # unmoved monomials pass through (distinct keys, nonzero values);
         # collecting the moved ones in the same pass tests each key once
         out: Poly = {}
@@ -271,6 +293,20 @@ class GeneratorMap:
         for w, coeff in hits:
             _poly_add_into(out, self._word_image(w), coeff)
         return GroupElement(self.ctx, out)
+
+
+def _is_signed_permutation(rows: intmat.Rows) -> bool:
+    """True when every row holds one entry, +-1, and no two share a column:
+    such a block has determinant +-1 by inspection."""
+    cols = set()
+    for row in rows:
+        if len(row) != 1:
+            return False
+        ((c, v),) = row.items()
+        if v not in (1, -1) or c in cols:
+            return False
+        cols.add(c)
+    return True
 
 
 def identity_map(ctx: GroupContext) -> GeneratorMap:

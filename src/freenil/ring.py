@@ -30,8 +30,11 @@ lists (g, a) for each nonzero a, then (w, e) for each bracket: w is a
 Lyndon word (a tuple) and its power is the standard bracketing of w with the
 exponent on the last letter, [u, v]^e read as [u, v^e] down the right spine.
 `from_collected` rebuilds the polynomial from nested commutators of
-polynomials, caching each bracket power per parse; `lie.collect_word`
-computes the coordinates of an element.
+polynomials, caching each bracket power per parse.  A bracket of length c,
+the class, is central, so its power is 1 + e * (the bracket expansion of
+w): it is added in that closed form, with no commutator formed, from a
+bounded cache of expansions.  `lie.collect_word` computes the coordinates
+of an element.
 
 Left-normed commutators of generators also live here, in closed form:
 `central_offset` builds a product of weight-c commutator powers from their
@@ -435,7 +438,9 @@ def from_collected(
     The caller has checked them canonical and in range.  `cache` holds the
     bracket powers of one parse, shared by its calls.  A bracket power of
     length k with 2k > class multiplies by adding, as the product of two
-    such is dropped; the others are multiplied in, from the right.
+    such is dropped; the others are multiplied in, from the right.  At
+    length k = class the power is central, 1 + e * (bracket expansion of
+    w), and is added in that closed form.
     """
     cap = ctx.nilclass
     cache = {} if cache is None else cache
@@ -445,6 +450,9 @@ def from_collected(
     tail: Poly = {(): 1}
     low = []
     for w, e in coords[nletters:]:
+        if len(w) == cap:
+            _poly_add_into(tail, _lyndon_expansion(w), e)
+            continue
         t = _bracket_power(standard_bracketing(w), e, cap, cache)
         if 2 * len(w) > cap:
             _poly_add_into(tail, t)
@@ -455,6 +463,13 @@ def from_collected(
         tail = _poly_mul(t, tail, cap)
     poly = _poly_mul(_word_poly(cap, coords, 0, nletters), tail, cap)
     return GroupElement(ctx, poly, coords=coords)
+
+
+@lru_cache(maxsize=_LETTER_CACHE)
+def _lyndon_expansion(w: tuple[int, ...]) -> Poly:
+    # the bracket expansion of w's standard bracketing; bounded like the
+    # one-letter caches, and callers only read the dict
+    return bracket_expansion(standard_bracketing(w))
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from freenil.jsonio import dumps, map_payload
 from freenil.reader import parse_element, parse_map, parse_stored, parse_word
 from freenil.verifier import verify_payload
 
+from test_class_one_paths import NOT_A_PERMUTATION, NOT_AN_AUTOMORPHISM, SWAP
 from test_wire_fixtures import as_v3
 
 CLI = (sys.executable, "-m", "freenil.cli")
@@ -488,6 +489,25 @@ def test_verify_reports_a_factor_fixing_nothing_outside_d(tmp_path, fixed):
         msg.startswith("factor 0 (") and "fixes no generator outside D" in msg
         for msg in out["failures"]
     )
+
+
+@pytest.mark.parametrize(
+    "payload, ok, failures",
+    [
+        (
+            NOT_A_PERMUTATION,
+            False,
+            [NOT_AN_AUTOMORPHISM, "ordered product of factors differs from the input map"],
+        ),
+        (SWAP, True, []),
+    ],
+    ids=["x2-x3-x3", "swap"],
+)
+def test_verify_reads_a_permutation_factor_off_its_images(tmp_path, payload, ok, failures):
+    # the tag is not trusted: x_2 -> x_3, x_3 -> x_3 is no automorphism
+    status, _, out = run_cli(tmp_path, ["verify"], payload)
+    assert status == 0
+    assert out["ok"] is ok and out["failures"] == failures
 
 
 # one-letter words the reader must refuse as parse_word does, though a

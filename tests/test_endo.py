@@ -46,6 +46,7 @@ from freenil import (
 from freenil import endo, kernel, lie, ring
 from freenil.intmat import det, inverse_unimodular
 from matrix_oracle import matmul
+from test_intmat import _is_signed_permutation
 
 
 def rand_word(rng, n, max_len=6):
@@ -754,20 +755,32 @@ def _count_det(monkeypatch):
     return calls
 
 
-def test_is_automorphism_takes_one_determinant_per_map(monkeypatch):
+def _moved_block_is_signed_permutation(phi) -> bool:
+    # read off the dense abelianization, on the moved rows and columns
+    moved = sorted(phi.moved)
+    return _is_signed_permutation(
+        [[phi.matrix[r - 1][c - 1] for c in moved] for r in moved]
+    )
+
+
+def test_is_automorphism_takes_at_most_one_determinant_per_map(monkeypatch):
+    # a moved block that is a signed permutation is unimodular by
+    # inspection and takes none; any other block takes one
     maps = [GeneratorMap(phi.ctx, phi.images) for phi in _kernel_corpus()]
+    expected = [0 if _moved_block_is_signed_permutation(phi) else 1 for phi in maps]
+    assert 0 in expected and 1 in expected
     calls = _count_det(monkeypatch)
-    for phi in maps:
+    for phi, count in zip(maps, expected):
         calls.clear()
         first = phi.is_automorphism()
-        assert len(calls) == 1
+        assert len(calls) == count
         assert phi.is_automorphism() == first == (det(phi.matrix) in (1, -1))
-        assert len(calls) == 1
+        assert len(calls) == count
         if first:
             # preserves takes no determinant beyond the map's own
             phi.preserves(phi.ctx.generators())
             phi.preserves(sorted(phi.moved)[:1])
-            assert len(calls) == 1
+            assert len(calls) == count
 
 
 def test_constructors_that_know_unimodularity_take_no_determinant(monkeypatch):
@@ -805,11 +818,19 @@ def test_constructors_that_know_unimodularity_take_no_determinant(monkeypatch):
         # one unimodular factor says nothing about the product
         mixed = compose(ia_central(ctx, {ctx.rank: z}), phi)
         assert mixed.is_automorphism() == (det(mixed.matrix) in (1, -1))
-    # a map of unknown status still takes its determinant
+    # a map of unknown status still takes its determinant, unless its
+    # moved block is a signed permutation
     calls.clear()
-    phi = GeneratorMap(corpus[0].ctx, corpus[0].images)
+    dense = next(p for p in corpus if not _moved_block_is_signed_permutation(p))
+    phi = GeneratorMap(dense.ctx, dense.images)
     assert project(phi, 1).is_automorphism() == (det(phi.matrix) in (1, -1))
     assert len(calls) == 1
+    calls.clear()
+    ctx = corpus[0].ctx
+    phi = GeneratorMap(ctx, permutational(ctx, {1: 2, 2: 3, 3: 1}).images)
+    assert _moved_block_is_signed_permutation(phi)
+    assert project(phi, 1).is_automorphism()
+    assert not calls
     # at class 1 every factor, the shear included, is unimodular by
     # construction: once the input's own determinant is known, decomposing
     # it takes none

@@ -13,6 +13,7 @@ from freenil.errors import NotUnimodular
 from freenil.intmat import (
     RowMove,
     det,
+    dense,
     _is_identity,
     factor_unimodular,
     inverse_unimodular,
@@ -328,7 +329,7 @@ def _refusal(reduce, m):
 def test_sparse_reduction_emits_the_dense_moves():
     # the sparse reduce_to_identity against the dense one it replaced, on
     # every size 0..64: the same moves in the same order, and on singular and
-    # determinant +-2 inputs the same refusal
+    # determinant +-2 inputs the same refusal, from dense and sparse rows alike
     rng = random.Random(2023)
     dense_sizes = set(range(13)) | {16, 31, 64}
     refused = set()
@@ -337,7 +338,12 @@ def test_sparse_reduction_emits_the_dense_moves():
         if n in dense_sizes:
             cases.append(_dense_product(rng, n))
         for index, m in enumerate(cases):
+            rows = _sparse(m)
+            assert dense(rows) == m
             assert reduce_to_identity(m) == dense_reduce_to_identity(m)
+            assert reduce_to_identity(rows) == reduce_to_identity(m)
+            assert factor_unimodular(rows) == factor_unimodular(m)
+            assert rows == _sparse(m)  # the caller's rows are left alone
             # a refused dense block costs a near-full reduction on each side
             if n == 0 or (index == 2 and n > 16):
                 continue
@@ -355,6 +361,7 @@ def test_sparse_reduction_emits_the_dense_moves():
                 message = _refusal(dense_reduce_to_identity, bad)
                 assert message is not None
                 assert _refusal(reduce_to_identity, bad) == message
+                assert _refusal(reduce_to_identity, _sparse(bad)) == message
                 refused.add(message)
     assert refused == {"matrix is singular", "column gcd exceeds 1"}
 
