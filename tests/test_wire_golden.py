@@ -99,6 +99,22 @@ GOLDEN = {
         "square": "26ef03b91f18b3d6ce2d080e2ae17a331e3324f80f575557214e9ca4c1ed873f",
         "inverses": "9e01a74516cffc85f896dd0944934e8812efc06430244df6faa3c381ccae6ff2",
     },
+    # classes 5 and 6: three and four levels of central_beta factors, each
+    # lifted to the top class
+    (13, 5, 1): {
+        "map": "5eed06d3c1a8c4e27f90dd6a75cad4e71ed78de4f9464407711a60e15050b1a7",
+        "decomposition": "79cbaa0e571f10e042b4ee3ec2df52aca7f2524ed38c43755283a4cf481ab18b",
+        "report": "2981108af1a64f84c3e16167726aecc393f3cf230184abd35d023eaae26ae133",
+        "square": "569e4b35c0497e55d46b47739173f488b33293a34f201d397fc618b8f3f84ac3",
+        "inverses": "3a881e8451e302eb1473874ab350a5fadc190c18d4c745e24b1bafe8f5d70b42",
+    },
+    (15, 6, 1): {
+        "map": "9f88fefe765cbc6885d45e270a08e35af672a3c796633ad8c8acdb5479f34e9b",
+        "decomposition": "21e896cd5528cef476117c54f0eadfcf85905dd29938248db8836951ed361b4a",
+        "report": "91b5eb82d058a3e4c6b1408d68cd613124e8a6c1f1f39bafe6982b784dc9cbff",
+        "square": "7acd6c1f0010ed1a0612d5b2e04ffe052b89973c16e9a0e1f6c1e8116fa85b3a",
+        "inverses": "3984f3ac5ade3865f5d17a12c7f9516a10b7c4b395b240ec166da8881c6b1e1b",
+    },
 }
 
 # each cell's artifacts with every image in collected form spelled out as
