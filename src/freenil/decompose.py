@@ -10,23 +10,22 @@ nilpotency class:
             flip per -1 pivot), then two "shear" maps adding the
             D-translation parts over each half of E.
 
-  class c   lift the factors of one class down: at c = 2 the class-1 pieces,
-            built in place from the same words, are their own lifts; above,
-            project one class down, decompose recursively and lift each
-            factor (word reinterpretation plus a central correction pinning
-            D exactly).  Divide their product out of sigma in closed form
-            (no map is inverted), and split the remaining central piece
-            into 2(c+1) commuting maps beta_k, each avoiding one cell of a
-            partition of half of E — the avoided cell is the certificate's
-            fixed block.  A weight-c commutator mentions at most c distinct
-            generators, so with c+1 cells one is always clean: that
-            pigeonhole is checked at every assignment.
+  class c   the class-1 pieces, built once at class c from the same words:
+            they fix D, so each is its own lift.  Then, for k = 2..c, divide
+            the product so far out of sigma, both projected to class k, in
+            closed form (no map is inverted), split the central rest into
+            2(k+1) commuting maps beta_j, each avoiding one cell of a
+            partition of half of E (the certificate's fixed block), and lift
+            each beta c - k times (word reinterpretation plus a central
+            correction pinning D exactly).  A weight-k commutator mentions
+            at most k distinct generators, so with k+1 cells one is always
+            clean: that pigeonhole is checked at every assignment.
 
 Every level shares sigma's abelianization, so one row reduction of its
 block on E serves the whole call: it proves sigma unimodular (a map fixing D
 has that block's determinant), its moves are the class-1 pieces, and the
-same moves replayed give the inverse abelianization that divides the lifted
-product out at every class c >= 2.  No determinant is taken, no matrix is
+same moves replayed give the inverse abelianization that divides the
+product out at every level k >= 2.  No determinant is taken, no matrix is
 reduced twice, and above class 1 no class-1 map is built.
 
 The checker for the output lives in `verifier`, which does not import this
@@ -164,6 +163,12 @@ def _half_cert(
     return MoietyCertificate(fixed, ctx.generator_set() - fixed)
 
 
+def _d_rows(sigma: GeneratorMap, i: int, pinned: Sequence[int]) -> list[tuple[int, int]]:
+    # the D rows of sigma's abelianization column i; an unstored image has none
+    poly = sigma.stored[i].poly if i in sigma.stored else {}
+    return [(d, poly[(d,)]) for d in pinned if (d,) in poly]
+
+
 def _class_one_factors(
     sigma: GeneratorMap, fixed: frozenset[int], moves: Sequence[intmat.RowMove]
 ) -> list[Factor]:
@@ -183,9 +188,7 @@ def _class_one_factors(
     for own, other in ((free[:half], free[half:]), (free[half:], free[:half])):
         images = {}
         for i in own:
-            # the D rows of sigma's abelianization column i (none unstored)
-            col = sigma.stored[i].poly if i in sigma.stored else {}
-            pairs = [(d, col[(d,)]) for d in pinned if (d,) in col]
+            pairs = _d_rows(sigma, i, pinned)
             if pairs:
                 images[i] = from_word(ctx, Word(((i, 1), *pairs)))
         if not images:
@@ -296,9 +299,7 @@ def _inverse_substitution(
     # the columns of B^-1 and -S B^-1, gathered row by row of B^-1
     cols: list[dict[int, int]] = [{} for _ in free]
     for r, row in zip(free, binv):
-        # an image sigma does not store is x_r, with no D letter
-        poly = sigma.stored[r].poly if r in sigma.stored else {}
-        s_col = [(d, poly[(d,)]) for d in pinned if (d,) in poly]
+        s_col = _d_rows(sigma, r, pinned)
         for b, v in row.items():
             col = cols[b]
             col[r] = v
@@ -489,30 +490,27 @@ def decompose(sigma: GeneratorMap, fixed: Iterable[int] = ()) -> Decomposition:
     """Factor an automorphism fixing D into certified factors (see module
     docstring for the construction and ordering).  sigma's free block is
     reduced once, here, and every level reuses that reduction."""
-    c = sigma.ctx.nilclass
+    ctx = sigma.ctx
+    c = ctx.nilclass
     fixed, moves = _reduce_free_block(sigma, fixed, min_free=2 * (c + 1))
     if c == 1:
         return abelian_decompose(sigma, fixed, moves)
     subst = _inverse_substitution(sigma, fixed, moves)
-    factors = _decompose_level(sigma, fixed, moves, subst)
+    # every factor is built once, at class c, in output order; truncation is a
+    # ring homomorphism and commutes with word lifts, so level k reads the
+    # product of the factors so far by projection to class k
+    factors = _class_one_factors(sigma, fixed, moves)
+    product = ordered_product(ctx, [f.map for f in factors])
+    for k in range(2, c + 1):
+        top = k == c
+        # (product)^-1 o sigma at class k, in closed form; at k = 2 it refuses
+        # any difference below the center: the class-1 multiply-back check
+        p, s = (product, sigma) if top else (project(product, k), project(sigma, k))
+        alpha = _central_quotient(p, s, subst)
+        betas = central_decompose(alpha, fixed)
+        for _ in range(k, c):
+            betas = [lift_factor(f, fixed) for f in betas]
+        factors += betas
+        if not top and betas:
+            product = ordered_product(ctx, [product] + [f.map for f in betas])
     return Decomposition(sigma, fixed, tuple(factors))
-
-
-def _decompose_level(
-    sigma: GeneratorMap,
-    fixed: frozenset[int],
-    moves: Sequence[intmat.RowMove],
-    subst: Substitution,
-) -> list[Factor]:
-    c = sigma.ctx.nilclass
-    if c == 2:
-        # no class-1 map: _central_quotient refuses any difference of degree
-        # below 2, which is the class-1 multiply-back check
-        lifted = _class_one_factors(sigma, fixed, moves)
-    else:
-        below = _decompose_level(project(sigma, c - 1), fixed, moves, subst)
-        lifted = [lift_factor(f, fixed) for f in below]
-    # alpha = (lifted product)^-1 o sigma, central IA, in closed form
-    product = ordered_product(sigma.ctx, [f.map for f in lifted])
-    alpha = _central_quotient(product, sigma, subst)
-    return lifted + central_decompose(alpha, fixed)

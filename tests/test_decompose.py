@@ -655,22 +655,94 @@ def test_class_two_builds_the_class_one_pieces_in_place(monkeypatch):
         assert product_of(ctx, dec) == sigma
 
 
-def test_class_three_lifts_only_at_level_three(monkeypatch):
+def test_only_central_betas_are_lifted(monkeypatch):
+    # every factor is built once at the top class: lift_factor sees only the
+    # betas of the levels below and their lifts, a level-k beta is lifted
+    # exactly c - k times, and each class-1 piece is certified once
     engine = importlib.import_module("freenil.decompose")
-    original = engine.lift_factor
-    lifts = []
+    lift, split, certify = engine.lift_factor, engine.central_decompose, engine._certified
+    lifts = {}  # id of a beta or of a lift -> (the beta's level, lifts so far)
+    keep = []  # holds every recorded factor, so no id is reused
+    class_one = []
 
-    def recording(f, fixed):
-        lifted = original(f, fixed)
-        lifts.append((f.level, lifted.level))
+    def splitting(alpha, fixed):
+        betas = split(alpha, fixed)
+        keep.extend(betas)
+        lifts.update((id(f), (f.level, 0)) for f in betas)
+        return betas
+
+    def lifting(f, fixed):
+        assert f.tag == "central_beta" or f.origin == "central_beta"
+        level, count = lifts[id(f)]
+        lifted = lift(f, fixed)
+        keep.append(lifted)
+        lifts[id(lifted)] = (level, count + 1)
         return lifted
 
-    monkeypatch.setattr(engine, "lift_factor", recording)
-    ctx = GroupContext(10, 3)
-    sigma = random_automorphism(ctx, 7, 12, (1, 2))
-    dec = decompose(sigma, (1, 2))
-    assert lifts and set(lifts) == {(2, 3)}
-    assert len(lifts) == sum(f.tag == "lifted" for f in dec.factors)
+    def certifying(fixed, phi, cert, tag, level, **provenance):
+        if provenance.get("origin") not in (None, "central_beta"):
+            class_one.append(provenance["origin"])
+        return certify(fixed, phi, cert, tag, level, **provenance)
+
+    monkeypatch.setattr(engine, "central_decompose", splitting)
+    monkeypatch.setattr(engine, "lift_factor", lifting)
+    monkeypatch.setattr(engine, "_certified", certifying)
+    for n, c, fix, seed in ((10, 3, (1, 2), 7), (12, 4, (1, 2), 3), (13, 5, (1,), 1)):
+        ctx = GroupContext(n, c)
+        sigma = random_automorphism(ctx, seed, 12, fix)
+        lifts.clear()
+        keep.clear()
+        class_one.clear()
+        dec = decompose(sigma, fix)
+        betas = [lifts[id(f)] for f in dec.factors if id(f) in lifts]
+        assert all(count == c - level for level, count in betas)
+        assert {level for level, _ in betas} == set(range(2, c + 1))
+        assert class_one == [f.origin for f in dec.factors[: len(class_one)]]
+        assert len(betas) + len(class_one) == len(dec.factors)
+
+
+def _recursive_factors(sigma, fixed, moves, subst):
+    # the construction decompose made before its one loop: project sigma one
+    # class down, decompose it there and lift every factor back, down to
+    # class 2, which builds the class-1 pieces in place
+    engine = importlib.import_module("freenil.decompose")
+    c = sigma.ctx.nilclass
+    if c == 2:
+        lifted = engine._class_one_factors(sigma, fixed, moves)
+    else:
+        below = _recursive_factors(project(sigma, c - 1), fixed, moves, subst)
+        lifted = [lift_factor(f, fixed) for f in below]
+    product = ordered_product(sigma.ctx, [f.map for f in lifted])
+    alpha = engine._central_quotient(product, sigma, subst)
+    return lifted + central_decompose(alpha, fixed)
+
+
+def _same_factors(old, new):
+    assert len(old) == len(new)
+    for a, b in zip(old, new):
+        assert (a.tag, a.level, a.origin, a.part, a.side) == (
+            b.tag, b.level, b.origin, b.part, b.side
+        )
+        assert a.certificate == b.certificate
+        assert a.map == b.map
+        assert {i: img.word for i, img in a.map.stored.items()} == {
+            i: img.word for i, img in b.map.stored.items()
+        }
+
+
+@pytest.mark.parametrize("c", [3, 4, 5])
+@pytest.mark.parametrize("fix", [(1,), (1, 2)])
+def test_decompose_builds_what_the_recursion_built(c, fix):
+    # each factor of the one loop, built once at the top class, is the one
+    # the level-by-level recursion lifted up to it, in the same place
+    engine = importlib.import_module("freenil.decompose")
+    ctx = GroupContext(2 * (c + 1) + len(fix) + 1, c)
+    for seed in (1, 2):
+        sigma = random_automorphism(ctx, seed, 12, fix)
+        fixed, moves = engine._reduce_free_block(sigma, fix, 2 * (c + 1))
+        subst = engine._inverse_substitution(sigma, fixed, moves)
+        old = _recursive_factors(sigma, fixed, moves, subst)
+        _same_factors(old, decompose(sigma, fix).factors)
 
 
 @pytest.mark.parametrize("n, fix", [(8, (1,)), (10, (1, 2)), (32, (1,))])
@@ -684,18 +756,8 @@ def test_class_two_pieces_are_the_lifts_of_the_class_one_factors(n, fix):
         below = abelian_decompose(project(sigma, 1), fix).factors
         old = [lift_factor(f, fix) for f in below]
         factors = decompose(sigma, fix).factors
-        new, rest = factors[: len(old)], factors[len(old) :]
-        assert len(new) == len(old)
-        assert all(f.tag == "central_beta" for f in rest)
-        for a, b in zip(old, new):
-            assert (a.tag, a.level, a.origin, a.part, a.side) == (
-                b.tag, b.level, b.origin, b.part, b.side
-            )
-            assert a.certificate == b.certificate
-            assert a.map == b.map
-            assert {i: img.word for i, img in a.map.stored.items()} == {
-                i: img.word for i, img in b.map.stored.items()
-            }
+        assert all(f.tag == "central_beta" for f in factors[len(old) :])
+        _same_factors(old, factors[: len(old)])
 
 
 def test_a_broken_class_one_stage_is_still_refused(monkeypatch):
