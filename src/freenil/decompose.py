@@ -15,11 +15,13 @@ nilpotency class:
             the product so far out of sigma, both projected to class k, in
             closed form (no map is inverted), split the central rest into
             2(k+1) commuting maps beta_j, each avoiding one cell of a
-            partition of half of E (the certificate's fixed block), and lift
-            each beta c - k times (word reinterpretation plus a central
-            correction pinning D exactly).  A weight-k commutator mentions
-            at most k distinct generators, so with k+1 cells one is always
-            clean: that pigeonhole is checked at every assignment.
+            partition of half of E (the certificate's fixed block).  Below
+            the top, each beta becomes one class-c factor, its image words
+            read at class c: that map projects onto beta, and it moves no
+            generator of D, so nothing is lifted and nothing corrected.  A
+            weight-k commutator mentions at most k distinct generators, so
+            with k+1 cells one is always clean: that pigeonhole is checked
+            at every assignment.
 
 Every level shares sigma's abelianization, so one row reduction of its
 block on E serves the whole call: it proves sigma unimodular (a map fixing D
@@ -249,6 +251,9 @@ def lift_factor(f: Factor, fixed: Iterable[int]) -> Factor:
     carried over unchanged and rechecked; a factor whose D-image words
     smuggle letters from outside the preserved block can break it, which is
     reported rather than repaired.
+
+    Part of the public contract; `decompose` builds every factor at its top
+    class and calls neither this nor `lift_words`.
     """
     fixed = frozenset(fixed)
     sigma0 = lift_words(f.map)
@@ -439,6 +444,32 @@ def central_decompose(alpha: GeneratorMap, fixed: Iterable[int]) -> list[Factor]
     return factors
 
 
+def _top_class_beta(
+    ctx: GroupContext, beta: Factor, fixed: frozenset[int]
+) -> Factor:
+    """A level-k beta as the class-c factor that projects onto it: each
+    image's word, x_g followed by its terms' left-normed letters, read at
+    class c.  Truncation is a ring homomorphism, so the map induces beta at
+    class k, and c - k one-class lifts (`lift_factor`) would re-read the
+    same word into the same map.  A beta stores images of
+    free generators only, so no D correction arises; `_certified` still
+    checks that D is fixed, and rechecks the certificate once, at class c.
+    """
+    images = {i: from_word(ctx, img.word) for i, img in beta.map.stored.items()}
+    # a word's exponent sums survive: the abelianization stays the identity
+    phi = GeneratorMap._sparse(ctx, images, unimodular=True)
+    return _certified(
+        fixed,
+        phi,
+        beta.certificate,
+        "lifted",
+        ctx.nilclass,
+        origin=beta.tag,
+        part=beta.part,
+        side=beta.side,
+    )
+
+
 # ---------------------------------------------------------------------------
 # the full induction
 
@@ -508,9 +539,9 @@ def decompose(sigma: GeneratorMap, fixed: Iterable[int] = ()) -> Decomposition:
         p, s = (product, sigma) if top else (project(product, k), project(sigma, k))
         alpha = _central_quotient(p, s, subst)
         betas = central_decompose(alpha, fixed)
-        for _ in range(k, c):
-            betas = [lift_factor(f, fixed) for f in betas]
+        if not top:
+            betas = [_top_class_beta(ctx, f, fixed) for f in betas]
+            if betas:
+                product = ordered_product(ctx, [product] + [f.map for f in betas])
         factors += betas
-        if not top and betas:
-            product = ordered_product(ctx, [product] + [f.map for f in betas])
     return Decomposition(sigma, fixed, tuple(factors))

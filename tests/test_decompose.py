@@ -655,50 +655,58 @@ def test_class_two_builds_the_class_one_pieces_in_place(monkeypatch):
         assert product_of(ctx, dec) == sigma
 
 
-def test_only_central_betas_are_lifted(monkeypatch):
-    # every factor is built once at the top class: lift_factor sees only the
-    # betas of the levels below and their lifts, a level-k beta is lifted
-    # exactly c - k times, and each class-1 piece is certified once
+def test_each_lower_beta_is_built_once_at_the_top_class(monkeypatch):
+    # nothing is lifted: a level-k beta becomes exactly one class-c factor,
+    # certified once, at class c, that projects onto it
     engine = importlib.import_module("freenil.decompose")
-    lift, split, certify = engine.lift_factor, engine.central_decompose, engine._certified
-    lifts = {}  # id of a beta or of a lift -> (the beta's level, lifts so far)
-    keep = []  # holds every recorded factor, so no id is reused
-    class_one = []
+    endo = importlib.import_module("freenil.endo")
+    split, certify = engine.central_decompose, engine._certified
+    lifts = []
+    for module, name in (
+        (engine, "lift_factor"), (engine, "lift_words"), (endo, "lift_words")
+    ):
+        _counting(monkeypatch, module, name, lifts)
+    betas, certified = [], []
 
     def splitting(alpha, fixed):
-        betas = split(alpha, fixed)
-        keep.extend(betas)
-        lifts.update((id(f), (f.level, 0)) for f in betas)
-        return betas
-
-    def lifting(f, fixed):
-        assert f.tag == "central_beta" or f.origin == "central_beta"
-        level, count = lifts[id(f)]
-        lifted = lift(f, fixed)
-        keep.append(lifted)
-        lifts[id(lifted)] = (level, count + 1)
-        return lifted
+        found = split(alpha, fixed)
+        betas.extend(found)
+        return found
 
     def certifying(fixed, phi, cert, tag, level, **provenance):
-        if provenance.get("origin") not in (None, "central_beta"):
-            class_one.append(provenance["origin"])
+        certified.append((tag, level, provenance.get("origin")))
         return certify(fixed, phi, cert, tag, level, **provenance)
 
     monkeypatch.setattr(engine, "central_decompose", splitting)
-    monkeypatch.setattr(engine, "lift_factor", lifting)
     monkeypatch.setattr(engine, "_certified", certifying)
-    for n, c, fix, seed in ((10, 3, (1, 2), 7), (12, 4, (1, 2), 3), (13, 5, (1,), 1)):
+    cells = ((10, 3, (1, 2), 7), (12, 4, (1, 2), 3), (13, 5, (1,), 1), (15, 6, (1,), 1))
+    for n, c, fix, seed in cells:
         ctx = GroupContext(n, c)
         sigma = random_automorphism(ctx, seed, 12, fix)
-        lifts.clear()
-        keep.clear()
-        class_one.clear()
+        betas.clear()
+        certified.clear()
         dec = decompose(sigma, fix)
-        betas = [lifts[id(f)] for f in dec.factors if id(f) in lifts]
-        assert all(count == c - level for level, count in betas)
-        assert {level for level, _ in betas} == set(range(2, c + 1))
-        assert class_one == [f.origin for f in dec.factors[: len(class_one)]]
-        assert len(betas) + len(class_one) == len(dec.factors)
+        assert lifts == []
+        lower = [beta for beta in betas if beta.level < c]
+        assert {beta.level for beta in lower} == set(range(2, c))
+        # the betas close the factor list, in the order they were split off,
+        # after the class-1 pieces
+        cut = len(dec.factors) - len(betas)
+        assert all(f.origin != "central_beta" for f in dec.factors[:cut])
+        for beta, f in zip(betas, dec.factors[cut:]):
+            if beta.level == c:
+                assert f is beta
+                continue
+            assert (f.tag, f.level, f.origin) == ("lifted", c, "central_beta")
+            assert (f.part, f.side, f.certificate) == (
+                beta.part, beta.side, beta.certificate
+            )
+            assert project(f.map, beta.level) == beta.map
+        # each factor is certified once, and each lower beta once more, at
+        # its own level inside the central stage
+        assert certified.count(("lifted", c, "central_beta")) == len(lower)
+        assert len(certified) == len(dec.factors) + len(lower)
+        assert product_of(ctx, dec) == sigma
 
 
 def _recursive_factors(sigma, fixed, moves, subst):
@@ -730,7 +738,7 @@ def _same_factors(old, new):
         }
 
 
-@pytest.mark.parametrize("c", [3, 4, 5])
+@pytest.mark.parametrize("c", [3, 4, 5, 6])
 @pytest.mark.parametrize("fix", [(1,), (1, 2)])
 def test_decompose_builds_what_the_recursion_built(c, fix):
     # each factor of the one loop, built once at the top class, is the one
