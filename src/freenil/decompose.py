@@ -12,16 +12,17 @@ nilpotency class:
 
   class c   the class-1 pieces, built once at class c from the same words:
             they fix D, so each is its own lift.  Then, for k = 2..c, divide
-            the product so far out of sigma, both projected to class k, in
-            closed form (no map is inverted), split the central rest into
-            2(k+1) commuting maps beta_j, each avoiding one cell of a
-            partition of half of E (the certificate's fixed block).  Below
-            the top, each beta becomes one class-c factor, its image words
-            read at class c: that map projects onto beta, and it moves no
-            generator of D, so nothing is lifted and nothing corrected.  A
-            weight-k commutator mentions at most k distinct generators, so
-            with k+1 cells one is always clean: that pigeonhole is checked
-            at every assignment.
+            the product so far out of sigma at class k, in closed form, read
+            off the degree-k part of their class-c images (no map is
+            projected or inverted), split the central rest into 2(k+1)
+            commuting maps beta_j, each avoiding one cell of a partition of
+            half of E (the certificate's fixed block).  Below the top, each
+            beta becomes one class-c factor, its image words read at class
+            c: that map projects onto beta, and it moves no generator of D,
+            so nothing is lifted and nothing corrected.  A weight-k
+            commutator mentions at most k distinct generators, so with k+1
+            cells one is always clean: that pigeonhole is checked at every
+            assignment.
 
 Every level shares sigma's abelianization, so one row reduction of its
 block on E serves the whole call: it proves sigma unimodular (a map fixing D
@@ -45,7 +46,6 @@ from .endo import (
     inversion,
     lift_words,
     permutational,
-    project,
     transvection,
 )
 from .errors import (
@@ -315,41 +315,44 @@ def _inverse_substitution(
 
 
 def _central_quotient(
-    p: GeneratorMap, sigma: GeneratorMap, subst: Substitution
+    p: GeneratorMap, sigma: GeneratorMap, subst: Substitution, k: int
 ) -> GeneratorMap:
-    """P^-1 o sigma for an automorphism P that agrees with sigma modulo the
-    center, in closed form, without inverting or multiplying maps.
+    """P^-1 o sigma at class k, for an automorphism P that agrees with sigma
+    modulo gamma_k, in closed form, without projecting, inverting or
+    multiplying maps; P and sigma stay at their own class c >= k.
 
-    sigma(x_i) = P(x_i) * w_i with w_i central, and in the truncated ring
-    P(x_i) * (1 + h) = P(x_i) + h, so h_i is the difference of the two image
-    polynomials; a term of degree below c in it means P does not agree with
+    At class k, sigma(x_i) = P(x_i) * w_i with w_i central, and in the
+    truncated ring P(x_i) * (1 + h) = P(x_i) + h, so h_i is the degree-k
+    part of the difference of the two class-c image polynomials: truncation
+    is a ring homomorphism, so that is the difference of the two truncated
+    images.  A term of degree below k in it means P does not agree with
     sigma, which is refused.  P^-1 acts on the center through its inverse
     abelianization alone, which is sigma's, so P^-1(w_i) = 1 + L(h_i) for
     the substitution L = `subst` of that inverse, and the quotient sends
     x_i to x_i * (1 + L(h_i)).  Only the generators P or sigma moves can
     have an offset.
     """
-    ctx = sigma.ctx
-    c = ctx.nilclass
+    ctx = GroupContext(sigma.ctx.rank, k)
     offsets = {}
     for i in sorted(p.moved | sigma.moved):
         h = dict(sigma(i).poly)
         _poly_add_into(h, p(i).poly, -1)
-        if any(len(m) < c for m in h):
+        if any(len(m) < k for m in h):
             raise NotCentralIA(
                 f"image of generator {i} is not central modulo the lifted product"
             )
+        h = {m: v for m, v in h.items() if len(m) == k}
         if not h:
             continue
         z = {(): 1}
-        for m, k in h.items():
-            terms = {(): k}
+        for m, v in h.items():
+            terms = {(): v}
             for j in m:
                 lin = subst.get(j)
                 if lin is None:
-                    terms = {t + (j,): v for t, v in terms.items()}
+                    terms = {t + (j,): x for t, x in terms.items()}
                 else:
-                    terms = {t + (r,): v * e for t, v in terms.items() for r, e in lin}
+                    terms = {t + (r,): x * e for t, x in terms.items() for r, e in lin}
             _poly_add_into(z, terms)
         offsets[i] = GroupElement(ctx, z)
     return ia_central(ctx, offsets)
@@ -394,12 +397,14 @@ def central_decompose(alpha: GeneratorMap, fixed: Iterable[int]) -> list[Factor]
             # an unmoved generator has the identity offset
             if g not in alpha.moved:
                 continue
-            w = mul(inv(generator(ctx, g)), alpha(g))
-            if lcs_weight(w) < c:
+            # alpha(g) = x_g * w with w central exactly when its polynomial
+            # is 1 + X_g + (terms of degree c), and then w is 1 + those terms
+            poly = dict(alpha(g).poly)
+            if poly.pop((g,), 0) != 1 or any(0 < len(m) < c for m in poly):
                 raise NotCentralIA(
                     f"image of generator {g} is not central modulo the identity"
                 )
-            for term in central_factorize(w):
+            for term in central_factorize(GroupElement(ctx, poly)):
                 mentioned = set(term.generators)
                 k = next(
                     (k for k in range(c + 1) if mentioned.isdisjoint(cells[k])),
@@ -529,17 +534,15 @@ def decompose(sigma: GeneratorMap, fixed: Iterable[int] = ()) -> Decomposition:
     subst = _inverse_substitution(sigma, fixed, moves)
     # every factor is built once, at class c, in output order; truncation is a
     # ring homomorphism and commutes with word lifts, so level k reads the
-    # product of the factors so far by projection to class k
+    # product of the factors so far off the degree-k part of its class-c images
     factors = _class_one_factors(sigma, fixed, moves)
     product = ordered_product(ctx, [f.map for f in factors])
     for k in range(2, c + 1):
-        top = k == c
         # (product)^-1 o sigma at class k, in closed form; at k = 2 it refuses
         # any difference below the center: the class-1 multiply-back check
-        p, s = (product, sigma) if top else (project(product, k), project(sigma, k))
-        alpha = _central_quotient(p, s, subst)
+        alpha = _central_quotient(product, sigma, subst, k)
         betas = central_decompose(alpha, fixed)
-        if not top:
+        if k < c:
             betas = [_top_class_beta(ctx, f, fixed) for f in betas]
             if betas:
                 product = ordered_product(ctx, [product] + [f.map for f in betas])

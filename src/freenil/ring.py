@@ -47,11 +47,12 @@ touches the Lyndon elimination in `lie`, which builds on these expansions.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 from .context import GroupContext, Record, check_same_context
-from .errors import BadClass, IndexOutOfRange, NotCentral
+from .errors import BadClass, IndexOutOfRange, MalformedInput, NotCentral
 
 Monomial = tuple[int, ...]
 Poly = dict  # Monomial -> int, zero coefficients absent
@@ -64,12 +65,20 @@ BracketTree = Union[int, tuple]
 # ---------------------------------------------------------------------------
 # words
 
+def _as_int(x, what: str) -> int:
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise MalformedInput(f"{what} must be an integer") from None
+
+
 class Word(Record):
     """Free group word as a tuple of (generator, exponent) pairs.
 
     Construction freely reduces: adjacent pairs on the same generator merge,
     zero exponents vanish.  Exponents are arbitrary integers, so x^1000 is a
-    single pair.
+    single pair.  Indices and exponents must be integers (`operator.index`);
+    a float or a string is refused, never rounded or parsed.
     """
 
     __slots__ = ("letters",)
@@ -79,9 +88,9 @@ class Word(Record):
         stack: list[tuple[int, int]] = []
         for gen, exp in letters:
             if type(gen) is not int:
-                gen = int(gen)
+                gen = _as_int(gen, "generator index")
             if type(exp) is not int:
-                exp = int(exp)
+                exp = _as_int(exp, "exponent")
             if gen < 1:
                 raise IndexOutOfRange(f"generator index {gen} is not >= 1")
             if exp == 0:
@@ -340,9 +349,30 @@ def power(a: GroupElement, k: int) -> GroupElement:
     return GroupElement(a.ctx, result, word)
 
 
+def _comm_poly(a: Poly, b: Poly, cap: int) -> Poly:
+    """The commutator a^-1 b^-1 a b of two units as 1 + (ba)^-1 (ab - ba):
+    ab - ba starts at degree d, so (ba)^-1 is needed to degree cap - d."""
+    d = _poly_mul(a, b, cap)
+    ba = _poly_mul(b, a, cap)
+    _poly_add_into(d, ba, -1)
+    out: Poly = {(): 1}
+    if d:
+        room = cap - min(map(len, d))
+        if room:
+            low = {m: c for m, c in ba.items() if len(m) <= room}
+            d = _poly_mul(_poly_inv(low, room), d, cap)
+        _poly_add_into(out, d)
+    return out
+
+
 def comm(a: GroupElement, b: GroupElement) -> GroupElement:
-    """Group commutator a^-1 b^-1 a b."""
-    return mul(mul(inv(a), inv(b)), mul(a, b))
+    """Group commutator a^-1 b^-1 a b (`_comm_poly`), spelled by that word,
+    freely reduced, when both operands have words."""
+    check_same_context(a.ctx, b.ctx)
+    word = None
+    if a.word is not None and b.word is not None:
+        word = a.word.inverse() * b.word.inverse() * a.word * b.word
+    return GroupElement(a.ctx, _comm_poly(a.poly, b.poly, a.ctx.nilclass), word)
 
 
 def lcs_weight(a: GroupElement):
@@ -395,22 +425,6 @@ def standard_bracketing(word: tuple[int, ...]) -> BracketTree:
         if word[i:] < word[split:]:
             split = i
     return (standard_bracketing(word[:split]), standard_bracketing(word[split:]))
-
-
-def _comm_poly(a: Poly, b: Poly, cap: int) -> Poly:
-    """The commutator a^-1 b^-1 a b of two units as 1 + (ba)^-1 (ab - ba):
-    ab - ba starts at degree d, so (ba)^-1 is needed to degree cap - d."""
-    d = _poly_mul(a, b, cap)
-    ba = _poly_mul(b, a, cap)
-    _poly_add_into(d, ba, -1)
-    out: Poly = {(): 1}
-    if d:
-        room = cap - min(map(len, d))
-        if room:
-            low = {m: c for m, c in ba.items() if len(m) <= room}
-            d = _poly_mul(_poly_inv(low, room), d, cap)
-        _poly_add_into(out, d)
-    return out
 
 
 def _bracket_power(tree: BracketTree, e: int, cap: int, cache: dict) -> Poly:

@@ -367,16 +367,20 @@ def _substitution_of(m, gens):
 
 def test_central_quotient_is_the_inverse_composed_with_sigma(monkeypatch):
     # decompose divides the lifted product P out of sigma in closed form; at
-    # every level the result is the map invert(P) o sigma, and every level
-    # gets the one substitution built from sigma's single reduction
+    # every level k the result is the map invert(P) o sigma at class k, and
+    # every level gets the one substitution built from sigma's single
+    # reduction
     engine = importlib.import_module("freenil.decompose")
     original = engine._central_quotient
     seen, substs = [], []
 
-    def checking(p, sigma, subst):
-        alpha = original(p, sigma, subst)
-        assert alpha == compose(invert(p), sigma)
-        seen.append((sigma.ctx.nilclass, len(alpha.moved)))
+    def checking(p, sigma, subst, k):
+        alpha = original(p, sigma, subst, k)
+        if k < sigma.ctx.nilclass:
+            assert alpha == compose(invert(project(p, k)), project(sigma, k))
+        else:
+            assert alpha == compose(invert(p), sigma)
+        seen.append((k, len(alpha.moved)))
         substs.append(subst)
         return alpha
 
@@ -437,7 +441,7 @@ def test_central_quotient_refuses_a_product_that_differs_below_the_center():
         (transvection(ctx, 3, 4, 1), identity_map(ctx)),
     ):
         with pytest.raises(NotCentralIA):
-            engine._central_quotient(p, sigma, _substitution(engine, sigma))
+            engine._central_quotient(p, sigma, _substitution(engine, sigma), 3)
     # a central difference is divided out: P^-1 o (P o beta) = beta
     beta = ia_central(ctx, {5: left_normed_element(ctx, (1, 2, 6), -1)})
     p = ordered_product(
@@ -445,10 +449,10 @@ def test_central_quotient_refuses_a_product_that_differs_below_the_center():
         [transvection(ctx, 1, 2, 1), inversion(ctx, 6), permutational(ctx, {2: 6, 6: 2})],
     )
     sigma = compose(p, beta)
-    assert engine._central_quotient(p, sigma, _substitution(engine, sigma)) == beta
+    assert engine._central_quotient(p, sigma, _substitution(engine, sigma), 3) == beta
     # an offset can sit where sigma moves nothing
     sigma = identity_map(ctx)
-    assert engine._central_quotient(beta, sigma, _substitution(engine, sigma)) == invert(beta)
+    assert engine._central_quotient(beta, sigma, _substitution(engine, sigma), 3) == invert(beta)
 
 
 def test_central_decompose_class_and_rank_guards():
@@ -586,9 +590,9 @@ def _counting(monkeypatch, module, name, calls):
 
 def test_central_decompose_works_on_moved_generators_only(monkeypatch):
     # within decompose, alpha = P^-1 o sigma is built by ia_central and known
-    # to be unimodular, so the central stage takes no determinant, and it
-    # multiplies and factorizes at the generators alpha moves, never at the
-    # ones it fixes
+    # to be unimodular, so the central stage takes no determinant; it reads
+    # each offset off alpha's image polynomial, with no ring product, and
+    # factorizes at the generators alpha moves, never at the ones it fixes
     from freenil import intmat
 
     engine = importlib.import_module("freenil.decompose")
@@ -596,6 +600,7 @@ def test_central_decompose_works_on_moved_generators_only(monkeypatch):
     for module, name in (
         (intmat, "det"),
         (engine, "mul"),
+        (engine, "inv"),
         (engine, "central_factorize"),
     ):
         _counting(monkeypatch, module, name, calls)
@@ -615,7 +620,7 @@ def test_central_decompose_works_on_moved_generators_only(monkeypatch):
         assert product_of(ctx, decompose(sigma, (1, 2))) == sigma
     assert len(seen) == 9
     for moved, free, stage_calls in seen:
-        assert stage_calls == ["central_factorize"] * moved + ["mul"] * moved
+        assert stage_calls == ["central_factorize"] * moved
     assert any(moved < free for moved, free, _ in seen)
 
 
@@ -642,8 +647,10 @@ def test_class_two_builds_the_class_one_pieces_in_place(monkeypatch):
     # at class 2 nothing goes through class 1: no projection, no class-1
     # decomposition, no lift, and each factor is certified exactly once
     engine = importlib.import_module("freenil.decompose")
+    endo = importlib.import_module("freenil.endo")
     calls = []
-    for name in ("project", "lift_factor", "abelian_decompose", "_certified"):
+    _counting(monkeypatch, endo, "project", calls)
+    for name in ("lift_factor", "abelian_decompose", "_certified"):
         _counting(monkeypatch, engine, name, calls)
     for n, fix, seed in ((10, (1,), 1), (32, (1,), 1), (12, (1, 2), 3)):
         ctx = GroupContext(n, 2)
@@ -709,6 +716,33 @@ def test_each_lower_beta_is_built_once_at_the_top_class(monkeypatch):
         assert product_of(ctx, dec) == sigma
 
 
+def test_decompose_projects_no_map(monkeypatch):
+    # every level reads the product so far and sigma off their class-c
+    # images: no map is projected and no element truncated, wherever the
+    # package holds a reference to either function
+    calls = []
+    for name, module in (("project", "freenil.endo"), ("truncate_class", "freenil.ring")):
+        original = getattr(importlib.import_module(module), name)
+        for holder in list(sys.modules.values()):
+            if holder is not None and holder.__name__.startswith("freenil") and (
+                getattr(holder, name, None) is original
+            ):
+                _counting(monkeypatch, holder, name, calls)
+    cells = (
+        (10, 2, (1,), 1), (10, 3, (1, 2), 7), (12, 4, (1, 2), 3),
+        (13, 5, (1,), 1), (15, 6, (1,), 1),
+    )
+    for n, c, fix, seed in cells:
+        ctx = GroupContext(n, c)
+        sigma = random_automorphism(ctx, seed, 12, fix)
+        dec = decompose(sigma, fix)
+        assert calls == []
+        assert product_of(ctx, dec) == sigma
+    # the spies see a direct call
+    importlib.import_module("freenil.endo").project(sigma, 2)
+    assert "project" in calls and "truncate_class" in calls
+
+
 def _recursive_factors(sigma, fixed, moves, subst):
     # the construction decompose made before its one loop: project sigma one
     # class down, decompose it there and lift every factor back, down to
@@ -721,7 +755,7 @@ def _recursive_factors(sigma, fixed, moves, subst):
         below = _recursive_factors(project(sigma, c - 1), fixed, moves, subst)
         lifted = [lift_factor(f, fixed) for f in below]
     product = ordered_product(sigma.ctx, [f.map for f in lifted])
-    alpha = engine._central_quotient(product, sigma, subst)
+    alpha = engine._central_quotient(product, sigma, subst, c)
     return lifted + central_decompose(alpha, fixed)
 
 

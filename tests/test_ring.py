@@ -160,6 +160,57 @@ def test_context_mismatch():
         mul(generator(C32, 1), generator(C33, 1))
 
 
+def test_word_refuses_values_that_are_not_integers():
+    # a float or a string is refused with the reader's messages, never
+    # rounded or parsed
+    for letters, message in (
+        ([(1.9, 1)], "generator index must be an integer"),
+        ([(2, 0.5)], "exponent must be an integer"),
+        ([("2", 1)], "generator index must be an integer"),
+    ):
+        with pytest.raises(MalformedInput) as info:
+            Word(letters)
+        assert str(info.value) == message
+    with pytest.raises(MalformedInput):
+        from_word(GroupContext(3, 2), Word([(1.9, 2.7)]))
+
+    # int subclasses and values with __index__ still pass, as exact ints
+    class Two:
+        def __index__(self):
+            return 2
+
+    w = Word([(True, 2), (Two(), Two())])
+    assert w == Word([(1, 2), (2, 2)])
+    assert all(type(g) is int and type(e) is int for g, e in w.letters)
+
+
+def _random_word(rng, n):
+    return Word(
+        [(rng.randrange(1, n + 1), rng.choice((-2, -1, 1, 2))) for _ in range(rng.randrange(3))]
+    )
+
+
+def test_comm_is_the_product_of_its_four_factors():
+    # comm builds a^-1 b^-1 a b in closed form; it is the product form in
+    # polynomial and in word, and word-less when an operand has no word
+    rng = random.Random(2718)
+    for n, c in ((4, 2), (5, 3), (4, 4), (6, 5), (5, 6)):
+        ctx = GroupContext(n, c)
+        for _ in range(40):
+            a = from_word(ctx, _random_word(rng, n))
+            b = from_word(ctx, _random_word(rng, n))
+            want = mul(mul(inv(a), inv(b)), mul(a, b))
+            got = comm(a, b)
+            assert got == want and got.word == want.word
+            bare = GroupElement(ctx, dict(a.poly))
+            for x, y in ((bare, b), (b, bare)):
+                got = comm(x, y)
+                assert got == mul(mul(inv(x), inv(y)), mul(x, y))
+                assert got.word is None
+    with pytest.raises(ContextMismatch):
+        comm(generator(C32, 1), generator(C33, 1))
+
+
 def test_truncate_class_bounds():
     a = generator(C32, 1)
     for bad in (0, 2, 3):
