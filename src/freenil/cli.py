@@ -66,9 +66,21 @@ def _ctx(args) -> GroupContext:
     return GroupContext(args.rank, args.nilclass)
 
 
+def _int(text: str) -> int:
+    """An optional sign and ASCII digits, spaces around them allowed: int()
+    alone also reads 1_0 as 10 and every Unicode decimal digit."""
+    digits = text.strip().lstrip("+-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)  # and refuses more than one sign
+
+
+_int.__name__ = "int"  # argparse's refusal says "invalid int value", as before
+
+
 def _fix(args) -> frozenset[int]:
     try:
-        idx = [int(tok) for tok in args.fix.split(",")] if args.fix.strip() else []
+        idx = [_int(tok) for tok in args.fix.split(",")] if args.fix.strip() else []
     except ValueError:
         raise MalformedInput("--fix must be comma separated integers") from None
     if any(i < 1 for i in idx):
@@ -141,15 +153,15 @@ def _cmd_verify(args) -> Any:
 _GROUP, _IN, _OUT, _SEED, _FIX = (
     argparse.ArgumentParser(add_help=False) for _ in range(5)
 )
-_GROUP.add_argument("--rank", type=int, help="number of generators")
-_GROUP.add_argument("--class", dest="nilclass", type=int, help="nilpotency class")
+_GROUP.add_argument("--rank", type=_int, help="number of generators")
+_GROUP.add_argument("--class", dest="nilclass", type=_int, help="nilpotency class")
 _IN.add_argument("--in", dest="infile", default="-", metavar="FILE")
 _OUT.add_argument("--out", dest="outfile", default="-", metavar="FILE")
 _OUT.add_argument("--pretty", action="store_true", help="indent the output")
 _SEED.add_argument(
-    "--seed", type=int, required=True, help="integer in 0..2^64-1 (splitmix64 state)"
+    "--seed", type=_int, required=True, help="integer in 0..2^64-1 (splitmix64 state)"
 )
-_SEED.add_argument("--length", type=int, default=10, help="number of elementary moves")
+_SEED.add_argument("--length", type=_int, default=10, help="number of elementary moves")
 _FIX.add_argument(
     "--fix", default="", help="comma separated generator indices to pin, e.g. 1,2"
 )

@@ -91,14 +91,21 @@ def _certified(
     phi: GeneratorMap,
     cert: MoietyCertificate,
     tag: str,
-    level: int,
     **provenance,
 ) -> Factor:
     if not check_certificate(phi, cert):
         raise CertificateInvalid(f"{tag} factor fails its certificate")
     if not phi.fixes_pointwise(fixed):
         raise CertificateInvalid(f"{tag} factor moves the pinned set")
-    return Factor(phi, cert, tag, level, **provenance)
+    return Factor(phi, cert, tag, **provenance)
+
+
+def _lifted(fixed: frozenset[int], phi: GeneratorMap, f: Factor) -> Factor:
+    """phi, certified as a lift of f: f's certificate and provenance."""
+    origin = f.origin or f.tag
+    return _certified(
+        fixed, phi, f.certificate, "lifted", origin=origin, part=f.part, side=f.side
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +209,10 @@ def _class_one_factors(
             frozenset(other), ctx.generator_set() - frozenset(other)
         )
         pieces.append((shear, "shear", cert))
-    c = ctx.nilclass
+    if ctx.nilclass == 1:
+        return [_certified(fixed, phi, cert, tag) for phi, tag, cert in pieces]
     return [
-        _certified(fixed, phi, cert, tag, 1)
-        if c == 1
-        else _certified(fixed, phi, cert, "lifted", c, origin=tag)
-        for phi, tag, cert in pieces
+        _certified(fixed, phi, cert, "lifted", origin=tag) for phi, tag, cert in pieces
     ]
 
 
@@ -266,16 +271,7 @@ def lift_factor(f: Factor, fixed: Iterable[int]) -> Factor:
             raise CertificateInvalid(f"factor moves pinned generator {d}")
         undo[d] = inv(z)
     lifted = compose(ia_central(ctx, undo), sigma0) if undo else sigma0
-    return _certified(
-        fixed,
-        lifted,
-        f.certificate,
-        "lifted",
-        ctx.nilclass,
-        origin=f.origin or f.tag,
-        part=f.part,
-        side=f.side,
-    )
+    return _lifted(fixed, lifted, f)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +436,6 @@ def central_decompose(alpha: GeneratorMap, fixed: Iterable[int]) -> list[Factor]
                     beta,
                     cert,
                     "central_beta",
-                    c,
                     part=k + 1,
                     side=side,
                     offsets=tuple(offsets),
@@ -463,16 +458,7 @@ def _top_class_beta(
     images = {i: from_word(ctx, img.word) for i, img in beta.map.stored.items()}
     # a word's exponent sums survive: the abelianization stays the identity
     phi = GeneratorMap._sparse(ctx, images, unimodular=True)
-    return _certified(
-        fixed,
-        phi,
-        beta.certificate,
-        "lifted",
-        ctx.nilclass,
-        origin=beta.tag,
-        part=beta.part,
-        side=beta.side,
-    )
+    return _lifted(fixed, phi, beta)
 
 
 # ---------------------------------------------------------------------------

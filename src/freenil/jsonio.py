@@ -31,11 +31,11 @@ word version 4 wrote.  Element payloads stay words (`lie.word_of`).
 
 Nothing the reader can derive is written.  A certificate holds its fixed
 block alone: check_certificate accepts only a partition of 1..rank, so the
-preserved block is the rest.  A factor has no level: decompose emits every
-factor at the decomposition's class.  The writer refuses a decomposition
-that breaks either rule (PartitionInvalid, BadClass) rather than write one
-that reads back as another.  Version 3 wrote both keys, and version 4
-spelled every image out as a word.
+preserved block is the rest.  A factor has no level: its class is its
+map's class.  The writer refuses a certificate that is no such partition
+(PartitionInvalid) or a factor map from another context (ContextMismatch)
+rather than write one that reads back as another.  Version 3 wrote both
+keys, and version 4 spelled every image out as a word.
 
 Reading lives in `reader`, which the verifier uses without this module.
 `verify` is here because it writes a decomposition before it checks it.
@@ -48,10 +48,11 @@ import sys
 from typing import Any
 
 from .context import GroupContext
-from .errors import BadClass, MalformedInput
+from .errors import MalformedInput
 from .kernel import GeneratorMap, MoietyCertificate, check_partition
 from .lie import collect_word, word_of
 from .records import TAGS, Decomposition, Factor, VerifyReport
+from .reader import _check_factor_context
 from .ring import GroupElement, LeftNormedTerm, Word
 from .verifier import verify_payload
 
@@ -156,13 +157,11 @@ def offsets_payload(offsets) -> list:
 # factors and decompositions
 
 def factor_payload(ctx: GroupContext, f: Factor) -> dict:
-    """The factor without what the reader derives; a factor whose
-    certificate or level cannot be derived back is refused."""
+    """The factor without what the reader derives.  A certificate that
+    cannot be derived back is refused, and a map outside ctx is refused as
+    the reader refuses it."""
     check_partition(ctx, f.certificate)
-    if f.level != ctx.nilclass:
-        raise BadClass(
-            f"factor level {f.level} is not the decomposition's class {ctx.nilclass}"
-        )
+    _check_factor_context(ctx, f.map)
     if f.offsets is not None:
         out = {"offsets": offsets_payload(f.offsets)}
     else:
@@ -193,8 +192,8 @@ def verify(dec: Decomposition) -> VerifyReport:
     Writing it raises, before any check, for what the wire cannot carry: a
     certificate whose blocks do not partition 1..rank with the preserved
     block nonempty (PartitionInvalid, with check_certificate's message), or
-    a factor whose level is not the input's class (BadClass).  `decompose`
-    never makes either."""
+    a factor map from another context than the input's (ContextMismatch):
+    a factor's class is its map's class.  `decompose` never makes either."""
     return verify_payload(decomposition_payload(dec))
 
 

@@ -11,14 +11,14 @@ central_beta factors and a "map" in every other one; version 3 has a
 map from version 3 on, or a "stored" list before it, is refused.  Version
 4 drops what a reader can derive: a certificate holds its "fixed" block
 alone, in strictly increasing order, and its preserved block is the rest of
-1..rank; a factor has no "level", which is the decomposition's class.
-Either key in a version 4 payload is unknown.  The decomposition's own
-"fixed" list, the pinned set D, strictly increases from version 4 on too;
-earlier versions read both lists in any order.  Version 5 is version 4
-with images in collected form (below).  Offsets are
-rebuilt in closed form by `ring.central_offset`.  Any integer combination of
-weight-c terms is a central group element, so a parsed factor is a genuine
-map whatever its terms say.
+1..rank; a factor has no "level": its class is its map's, the
+decomposition's.  Either key in a version 4 payload is unknown.  The
+decomposition's own "fixed" list, the pinned set D, strictly increases from
+version 4 on too; earlier versions read both lists in any order.  Version 5
+is version 4 with images in collected form (below).  Offsets are rebuilt in
+closed form by `ring.central_offset`.  Any integer combination of weight-c
+terms is a central group element, so a parsed factor is a genuine map
+whatever its terms say.
 
 An image, in a map or a "stored" list, is a word or, from version 5 on
 and in any map read alone, in collected form: a list with a bracket entry
@@ -34,7 +34,8 @@ one.  Every other word is parsed, so each refusal is unchanged.
 The provenance keys are read as the schema documents them: "origin" only on
 lifted factors, "part" and "side" only on central_beta factors and on lifted
 factors of central_beta origin, and "level" (before version 4) at most the
-decomposition's class.
+decomposition's class, then dropped.  A key that is present is checked,
+even when its value is null.
 
 Structural violations raise MalformedInput; out-of-range generator indices
 and mismatched contexts surface as their own domain errors so callers can
@@ -290,6 +291,15 @@ def parse_offsets(ctx: GroupContext, obj: Any) -> tuple[GeneratorMap, tuple]:
 # ---------------------------------------------------------------------------
 # factors and decompositions
 
+def _check_factor_context(ctx: GroupContext, phi: GeneratorMap) -> None:
+    # a factor's class is its map's; the writer refuses the same maps
+    if phi.ctx != ctx:
+        raise ContextMismatch(
+            f"factor map lives in {phi.ctx.rank}/{phi.ctx.nilclass}, "
+            f"decomposition in {ctx.rank}/{ctx.nilclass}"
+        )
+
+
 def parse_factor(
     ctx: GroupContext, obj: Any, version: int, cache: Optional[dict] = None
 ) -> Factor:
@@ -311,11 +321,7 @@ def parse_factor(
         if version >= 3:
             raise MalformedInput(f"version {version} factors carry stored, not map")
         phi = _parse_map(obj["map"], None)
-        if phi.ctx != ctx:
-            raise ContextMismatch(
-                f"factor map lives in {phi.ctx.rank}/{phi.ctx.nilclass}, "
-                f"decomposition in {ctx.rank}/{ctx.nilclass}"
-            )
+        _check_factor_context(ctx, phi)
     elif "stored" in obj:
         if version < 3:
             raise MalformedInput("stored needs a version 3 decomposition")
@@ -326,19 +332,17 @@ def parse_factor(
         raise MalformedInput(f"only central_beta factors carry offsets, not {tag!r}")
     else:
         phi, offsets = parse_offsets(ctx, obj["offsets"])
+    # a rule applies when its key is present: null is not read as absent
     origin = obj.get("origin")
-    if origin is not None and origin not in TAGS:
+    if "origin" in obj and origin not in TAGS:
         raise MalformedInput(f"unknown origin tag {origin!r}")
-    part = obj.get("part")
     side = obj.get("side")
-    if side is not None and side not in ("F", "G"):
+    if "side" in obj and side not in ("F", "G"):
         raise MalformedInput("side must be 'F' or 'G'")
     cert = parse_certificate(ctx, obj["certificate"], version)
-    # every factor decompose emits is at the top class: version 4 says so
-    # by leaving the key out
+    # a factor's class is its map's: a version 3 level is checked, then dropped
     level = _need_int(obj["level"], "level") if version < 4 else ctx.nilclass
-    if part is not None:
-        part = _need_int(part, "part")
+    part = _need_int(obj["part"], "part") if "part" in obj else None
     if level < 1 or (part is not None and part < 1):
         raise MalformedInput("level and part must be at least 1")
     if level > ctx.nilclass:
@@ -351,9 +355,7 @@ def parse_factor(
         raise MalformedInput(
             "only central_beta factors and their lifts carry part and side"
         )
-    return Factor(
-        phi, cert, tag, level, origin=origin, part=part, side=side, offsets=offsets
-    )
+    return Factor(phi, cert, tag, origin=origin, part=part, side=side, offsets=offsets)
 
 
 VERSIONS = (1, 2, 3, 4, 5)  # decomposition versions parse_decomposition reads

@@ -23,11 +23,10 @@ Offsets = tuple[tuple[int, tuple[LeftNormedTerm, ...]], ...]
 class Factor(Record):
     """One certified piece of a decomposition."""
 
-    __slots__ = ("map", "certificate", "tag", "level", "origin", "part", "side", "offsets")
+    __slots__ = ("map", "certificate", "tag", "origin", "part", "side", "offsets")
     map: GeneratorMap
     certificate: MoietyCertificate
     tag: str
-    level: int  # nilpotency class at which the factor was emitted
     origin: Optional[str]  # pre-lift tag, for lifted factors
     part: Optional[int]  # which avoided cell, for central_beta
     side: Optional[str]  # which half of E the cells partition
@@ -39,7 +38,6 @@ class Factor(Record):
         map: GeneratorMap,
         certificate: MoietyCertificate,
         tag: str,
-        level: int,
         origin: Optional[str] = None,
         part: Optional[int] = None,
         side: Optional[str] = None,
@@ -48,7 +46,6 @@ class Factor(Record):
         object.__setattr__(self, "map", map)
         object.__setattr__(self, "certificate", certificate)
         object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "level", level)
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "part", part)
         object.__setattr__(self, "side", side)

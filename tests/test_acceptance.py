@@ -334,7 +334,7 @@ def test_criterion_8_central_stage_factors_commute():
         tail = [
             k
             for k, f in enumerate(rec.dec.factors)
-            if f.tag == "central_beta" and f.level == rec.ctx.nilclass
+            if f.tag == "central_beta"
         ]
         if len(tail) < 2:
             continue

@@ -407,10 +407,31 @@ def test_unwritable_output_file_exits_2(tmp_path, capsys):
             assert out["message"].startswith("cannot write --out file: ")
 
 
-def test_bad_fix_list_exits_2(tmp_path):
-    phi = map_payload(identity_map(GroupContext(8, 1)))
-    code, _, out = run_cli(tmp_path, ["decompose", "--fix", "1,x"], phi)
-    assert code == 2 and out["error"] == "MalformedInput"
+@pytest.mark.parametrize("fix", ["1,x", "1_0", "\u0661"], ids=["1,x", "1_0", "arabic-indic-1"])
+def test_bad_fix_list_exits_2(tmp_path, fix):
+    # int() alone would read 1_0 as 10 and an Arabic-Indic digit as 1
+    phi = map_payload(identity_map(GroupContext(12, 1)))
+    code, _, out = run_cli(tmp_path, ["decompose", "--fix", fix], phi)
+    assert code == 2 and out == {
+        "error": "MalformedInput",
+        "message": "--fix must be comma separated integers",
+    }
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--seed", "1_0"), ("--length", "1_0"), ("--rank", "\u0666"), ("--class", "\u0662")],
+)
+def test_integer_flags_take_a_sign_and_ascii_digits_only(capsys, flag, value):
+    argv = {"--rank": "6", "--class": "2", "--seed": "1", "--length": "3", flag: value}
+    with pytest.raises(SystemExit) as info:
+        main(["random-aut", *(x for item in argv.items() for x in item)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and f"argument {flag}: invalid int value" in err
+    # spaces around the digits and a sign still read
+    argv[flag] = " +3 " if flag != "--class" else " 2 "
+    assert main(["random-aut", *(x for item in argv.items() for x in item)]) == 0
 
 
 def test_decompose_domain_errors_exit_1(tmp_path):
@@ -444,6 +465,9 @@ def test_decompose_domain_errors_exit_1(tmp_path):
         ({"part": 0}, 2, "MalformedInput"),
         ({"side": "F"}, 2, "MalformedInput"),
         ({"level": 3}, 2, "MalformedInput"),
+        ({"origin": None}, 2, "MalformedInput"),
+        ({"part": None}, 2, "MalformedInput"),
+        ({"side": None}, 2, "MalformedInput"),
     ],
 )
 def test_verify_refuses_out_of_contract_decompositions(tmp_path, edit, code, error):

@@ -74,7 +74,7 @@ def test_translation_only_map_is_a_single_shear():
     dec = abelian_decompose(sigma, (1,))
     assert len(dec.factors) == 1
     f = dec.factors[0]
-    assert f.tag == "shear" and f.level == 1
+    assert f.tag == "shear" and f.map.ctx.nilclass == 1
     assert f.map == sigma
     assert f.certificate.fixed == {4}
     assert verify(dec).ok
@@ -226,7 +226,7 @@ def test_lift_factor_corrects_dirty_words_on_pinned_set():
     assert base.fixes_pointwise((1,))
     cert = MoietyCertificate(frozenset({2, 5, 6}), frozenset({1, 3, 4}))
     assert check_certificate(base, cert)
-    f = Factor(base, cert, "shear", 2)
+    f = Factor(base, cert, "shear")
     lifted = lift_factor(f, (1,))
     assert lifted.map.fixes_pointwise((1,))  # exact, not just modulo center
     assert project(lifted.map, 2) == base
@@ -245,7 +245,7 @@ def test_lift_factor_reports_unliftable_certificate():
     cert = MoietyCertificate(frozenset({3, 4}), frozenset({1, 2}))
     assert check_certificate(base, cert)  # fine at class 1
     with pytest.raises(CertificateInvalid):
-        lift_factor(Factor(base, cert, "elementary_abelian", 1), ())
+        lift_factor(Factor(base, cert, "elementary_abelian"), ())
 
 
 def test_lift_factor_refuses_a_factor_that_moves_the_pinned_set():
@@ -253,13 +253,13 @@ def test_lift_factor_refuses_a_factor_that_moves_the_pinned_set():
     # only right when every offset at D is central
     low = GroupContext(8, 1)
     cert = MoietyCertificate(frozenset({5, 6, 7, 8}), frozenset({1, 2, 3, 4}))
-    slipping = Factor(transvection(low, 1, 2, 1), cert, "elementary_abelian", 1)
+    slipping = Factor(transvection(low, 1, 2, 1), cert, "elementary_abelian")
     with pytest.raises(CertificateInvalid):
         lift_factor(slipping, (1,))
     mid = GroupContext(8, 2)
     shallow = ia_central(mid, {1: left_normed_element(mid, (2, 3), 1)})
     with pytest.raises(CertificateInvalid):
-        lift_factor(Factor(shallow, cert, "lifted", 2), (1,))
+        lift_factor(Factor(shallow, cert, "lifted"), (1,))
 
 
 def test_central_ia_inverse_is_the_negated_offsets():
@@ -483,7 +483,7 @@ def _check_round_trips(seed, cells):
             assert rep.min_fixed_block is None or rep.min_fixed_block >= 1
             assert product_of(ctx, dec) == sigma
             # every factor is re-emitted at the top class by the lift chain
-            assert all(f.level == c for f in dec.factors)
+            assert all(f.map.ctx.nilclass == c for f in dec.factors)
 
 
 def test_decompose_round_trip_various_cells():
@@ -680,9 +680,9 @@ def test_each_lower_beta_is_built_once_at_the_top_class(monkeypatch):
         betas.extend(found)
         return found
 
-    def certifying(fixed, phi, cert, tag, level, **provenance):
-        certified.append((tag, level, provenance.get("origin")))
-        return certify(fixed, phi, cert, tag, level, **provenance)
+    def certifying(fixed, phi, cert, tag, **provenance):
+        certified.append((tag, phi.ctx.nilclass, provenance.get("origin")))
+        return certify(fixed, phi, cert, tag, **provenance)
 
     monkeypatch.setattr(engine, "central_decompose", splitting)
     monkeypatch.setattr(engine, "_certified", certifying)
@@ -694,21 +694,21 @@ def test_each_lower_beta_is_built_once_at_the_top_class(monkeypatch):
         certified.clear()
         dec = decompose(sigma, fix)
         assert lifts == []
-        lower = [beta for beta in betas if beta.level < c]
-        assert {beta.level for beta in lower} == set(range(2, c))
+        lower = [beta for beta in betas if beta.map.ctx.nilclass < c]
+        assert {beta.map.ctx.nilclass for beta in lower} == set(range(2, c))
         # the betas close the factor list, in the order they were split off,
         # after the class-1 pieces
         cut = len(dec.factors) - len(betas)
         assert all(f.origin != "central_beta" for f in dec.factors[:cut])
         for beta, f in zip(betas, dec.factors[cut:]):
-            if beta.level == c:
+            if beta.map.ctx.nilclass == c:
                 assert f is beta
                 continue
-            assert (f.tag, f.level, f.origin) == ("lifted", c, "central_beta")
+            assert (f.tag, f.map.ctx.nilclass, f.origin) == ("lifted", c, "central_beta")
             assert (f.part, f.side, f.certificate) == (
                 beta.part, beta.side, beta.certificate
             )
-            assert project(f.map, beta.level) == beta.map
+            assert project(f.map, beta.map.ctx.nilclass) == beta.map
         # each factor is certified once, and each lower beta once more, at
         # its own level inside the central stage
         assert certified.count(("lifted", c, "central_beta")) == len(lower)
@@ -762,8 +762,8 @@ def _recursive_factors(sigma, fixed, moves, subst):
 def _same_factors(old, new):
     assert len(old) == len(new)
     for a, b in zip(old, new):
-        assert (a.tag, a.level, a.origin, a.part, a.side) == (
-            b.tag, b.level, b.origin, b.part, b.side
+        assert (a.tag, a.map.ctx.nilclass, a.origin, a.part, a.side) == (
+            b.tag, b.map.ctx.nilclass, b.origin, b.part, b.side
         )
         assert a.certificate == b.certificate
         assert a.map == b.map
@@ -834,7 +834,7 @@ def test_decompose_factor_provenance():
     for f in dec.factors:
         if f.tag == "lifted":
             assert f.origin in {"elementary_abelian", "shear", "permutation", "sign"}
-            assert f.level == 2
+            assert f.map.ctx.nilclass == 2
         else:
             assert f.tag == "central_beta"
             assert f.side in ("F", "G") and f.part >= 1
@@ -988,7 +988,7 @@ def test_verify_names_the_least_generator_leaving_the_preserved_block():
     phi = compose(transvection(ctx, 2, 5, 1), transvection(ctx, 3, 6, 1))
     cert = MoietyCertificate(frozenset({5, 6, 7, 8}), frozenset({1, 2, 3, 4}))
     assert not check_certificate(phi, cert)
-    dec = Decomposition(phi, frozenset(), (Factor(phi, cert, "shear", 2),))
+    dec = Decomposition(phi, frozenset(), (Factor(phi, cert, "shear"),))
     rep = verify_payload(decomposition_payload(dec))
     assert rep.failures == (
         "factor 0 (shear): preserved block: image of generator 2 leaves it",
@@ -1031,7 +1031,6 @@ def test_verify_never_raises_on_moved_pinned_generator():
                 transvection(ctx, 1, 2, 1),
                 MoietyCertificate(frozenset({5, 6, 7, 8}), frozenset({1, 2, 3, 4})),
                 "shear",
-                2,
             ),
         ),
     )
@@ -1127,6 +1126,30 @@ def test_verify_refuses_provenance_keys_outside_their_factors(tag, edit, message
         f.update(edit)
     with pytest.raises(MalformedInput, match=message):
         verify_payload(payload)
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("origin", "unknown origin tag None"),
+        ("part", "part must be an integer"),
+        ("side", "side must be 'F' or 'G'"),
+    ],
+)
+@pytest.mark.parametrize("index", [0, -1], ids=["first", "last"])
+def test_verify_refuses_a_null_provenance_value(key, message, index):
+    # a key that is present is checked: null is not read as its absence.
+    # Each of these used to verify as ok: true
+    from freenil import MalformedInput, verify_payload
+    from freenil.jsonio import decomposition_payload
+
+    sigma = random_automorphism(GroupContext(8, 2), 4041, 10, (1,))
+    payload = decomposition_payload(decompose(sigma, (1,)))
+    assert [payload["factors"][i]["tag"] for i in (0, -1)] == ["lifted", "central_beta"]
+    payload["factors"][index][key] = None
+    with pytest.raises(MalformedInput) as info:
+        verify_payload(payload)
+    assert str(info.value) == message
 
 
 def test_ordered_product_empty_is_identity():

@@ -186,13 +186,12 @@ def test_construction_by_keyword_and_defaults():
 
 
 def test_factor_provenance_keys_default_to_none():
-    bare = Factor(BETA.map, BETA.certificate, "shear", 2)
+    bare = Factor(BETA.map, BETA.certificate, "shear")
     assert (bare.origin, bare.part, bare.side, bare.offsets) == (None,) * 4
     built = Factor(
         map=BETA.map,
         certificate=BETA.certificate,
         tag=BETA.tag,
-        level=BETA.level,
         origin=BETA.origin,
         part=BETA.part,
         side=BETA.side,
@@ -300,7 +299,7 @@ def test_factor_and_decomposition_repr_name_every_field():
     text = repr(BETA)
     assert text.startswith("Factor(map=<GeneratorMap n=8 c=2 ")
     assert text.endswith(
-        f"tag='central_beta', level=2, origin=None, part={BETA.part!r}, "
+        f"tag='central_beta', origin=None, part={BETA.part!r}, "
         f"side={BETA.side!r}, offsets={BETA.offsets!r})"
     )
     assert repr(DEC).startswith("Decomposition(input=<GeneratorMap n=8 c=2 ")

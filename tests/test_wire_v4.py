@@ -3,8 +3,8 @@
 A version 4 certificate holds its "fixed" block alone, as strictly
 increasing positive generator indices; its preserved block is the rest of
 1..rank, the only partner check_certificate accepts.  A factor carries no
-"level": every factor `decompose` emits is at the decomposition's class, and
-the reader sets it so.  The decomposition's own "fixed" list, the pinned
+"level": a factor's class is its map's class, and the reader builds every
+factor map in the decomposition's context.  The decomposition's own "fixed" list, the pinned
 set D, strictly increases as well.  These tests pin that a version 4 payload
 verifies exactly as its version 3 form (`as_v3`) does, that the keys version
 4 leaves out are refused in it, that a fixed block that is not a proper
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freenil import (
-    BadClass,
+    ContextMismatch,
     Decomposition,
     Factor,
     GroupContext,
@@ -61,7 +61,7 @@ def _report(payload) -> str:
 
 def test_v4_payload_reads_the_derived_keys(v4_text):
     dec = parse_decomposition(loads(v4_text))
-    assert all(f.level == 3 for f in dec.factors)
+    assert all(f.map.ctx.nilclass == 3 for f in dec.factors)
     everything = frozenset(range(1, 13))
     for f in dec.factors:
         assert f.certificate.preserved == everything - f.certificate.fixed
@@ -201,10 +201,10 @@ def test_a_fixed_block_that_is_no_proper_subset_is_a_failed_factor(v4_text, edit
 # ---------------------------------------------------------------------------
 # the writer writes only what reads back as the same decomposition
 
-def _decomposition(cert, level):
+def _decomposition(cert):
     ctx = GroupContext(8, 2)
     phi = transvection(ctx, 2, 3, 1)
-    return Decomposition(phi, frozenset(), (Factor(phi, cert, "shear", level),))
+    return Decomposition(phi, frozenset(), (Factor(phi, cert, "shear"),))
 
 
 @pytest.mark.parametrize(
@@ -217,16 +217,35 @@ def _decomposition(cert, level):
     ids=["short", "overlap", "empty"],
 )
 def test_writer_refuses_a_preserved_block_it_cannot_derive(fixed, preserved):
-    dec = _decomposition(MoietyCertificate(fixed, preserved), 2)
+    dec = _decomposition(MoietyCertificate(fixed, preserved))
     for write in (decomposition_payload, verify):
         with pytest.raises(PartitionInvalid, match=_PARTITION):
             write(dec)
 
 
-@pytest.mark.parametrize("level", [1, 3])
-def test_writer_refuses_a_level_other_than_the_class(level):
-    dec = _decomposition(MoietyCertificate({4, 5, 6, 7, 8}, {1, 2, 3}), level)
+@pytest.mark.parametrize(
+    "rank, nilclass", [(8, 2), (9, 3)], ids=["class-2", "rank-9"]
+)
+def test_writer_refuses_a_factor_map_from_another_context(rank, nilclass):
+    # a factor's class is its map's: a class-2 map in a class-3
+    # decomposition would be written as words and read back at class 3
+    cert = MoietyCertificate({5, 6, 7, 8}, {1, 2, 3, 4})
+    sigma = transvection(GroupContext(8, 3), 3, 4, 1)
+    factor = Factor(transvection(GroupContext(rank, nilclass), 3, 4, 1), cert, "shear")
+    dec = Decomposition(sigma, frozenset(), (factor,))
+    message = f"factor map lives in {rank}/{nilclass}, decomposition in 8/3"
     for write in (decomposition_payload, verify):
-        with pytest.raises(BadClass, match=f"factor level {level} is not"):
+        with pytest.raises(ContextMismatch, match=message):
             write(dec)
-    assert verify(_decomposition(MoietyCertificate({4, 5, 6, 7, 8}, {1, 2, 3}), 2)).ok
+    assert verify(Decomposition(sigma, frozenset(), (Factor(sigma, cert, "shear"),))).ok
+
+
+def test_a_v3_level_below_the_class_reads_and_verifies_as_its_payload(v4_text):
+    # the level is checked, then dropped: the factor maps live at the class
+    payload = as_v3(loads(v4_text))
+    for factor in payload["factors"]:
+        factor["level"] = 2
+    dec = parse_decomposition(payload)
+    assert all(f.map.ctx.nilclass == 3 for f in dec.factors)
+    assert verify(dec) == verify_payload(payload)
+    assert verify(dec).ok
