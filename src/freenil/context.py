@@ -12,7 +12,12 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import ContextMismatch, IndexOutOfRange, MalformedInput
+from .errors import BadClass, ContextMismatch, IndexOutOfRange, MalformedInput
+
+# the largest nilpotency class a context accepts: at class c the inverse of
+# one letter already carries c + 1 polynomial terms, so a huge class would
+# exhaust memory before any other check could refuse it
+MAX_CLASS = 64
 
 
 class Record:
@@ -58,7 +63,8 @@ class GroupContext(Record):
     """Free nilpotent group on `rank` generators, nilpotency class `nilclass`.
 
     All elements and maps carry one of these; operations on operands from
-    different contexts refuse to mix them.
+    different contexts refuse to mix them.  The class is at most MAX_CLASS
+    (BadClass).
     """
 
     __slots__ = ("rank", "nilclass")
@@ -68,6 +74,10 @@ class GroupContext(Record):
     def __init__(self, rank: int, nilclass: int):
         if rank < 1 or nilclass < 1:
             raise MalformedInput("rank and class must be at least 1")
+        if nilclass > MAX_CLASS:
+            raise BadClass(
+                f"class {nilclass} exceeds {MAX_CLASS}, the largest class supported"
+            )
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "nilclass", nilclass)
 

@@ -66,7 +66,7 @@ from .kernel import (
     ordered_product,
 )
 from .lie import central_factorize
-from .records import Decomposition, Factor
+from .records import Decomposition, Factor, Offsets
 from .ring import (
     GroupElement,
     LeftNormedTerm,
@@ -100,11 +100,24 @@ def _certified(
     return Factor(phi, cert, tag, **provenance)
 
 
-def _lifted(fixed: frozenset[int], phi: GeneratorMap, f: Factor) -> Factor:
-    """phi, certified as a lift of f: f's certificate and provenance."""
+def _lifted(
+    fixed: frozenset[int],
+    phi: GeneratorMap,
+    f: Factor,
+    offsets: Optional[Offsets] = None,
+) -> Factor:
+    """phi, certified as a lift of f: f's certificate and provenance, and
+    the terms phi is built from, when the caller gives them."""
     origin = f.origin or f.tag
     return _certified(
-        fixed, phi, f.certificate, "lifted", origin=origin, part=f.part, side=f.side
+        fixed,
+        phi,
+        f.certificate,
+        "lifted",
+        origin=origin,
+        part=f.part,
+        side=f.side,
+        offsets=offsets,
     )
 
 
@@ -454,11 +467,13 @@ def _top_class_beta(
     same word into the same map.  A beta stores images of
     free generators only, so no D correction arises; `_certified` still
     checks that D is fixed, and rechecks the certificate once, at class c.
+    The factor keeps beta's terms as its `offsets`: the wire carries those
+    and the reader spells the same words from them.
     """
     images = {i: from_word(ctx, img.word) for i, img in beta.map.stored.items()}
     # a word's exponent sums survive: the abelianization stays the identity
     phi = GeneratorMap._sparse(ctx, images, unimodular=True)
-    return _lifted(fixed, phi, beta)
+    return _lifted(fixed, phi, beta, beta.offsets)
 
 
 # ---------------------------------------------------------------------------

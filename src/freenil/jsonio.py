@@ -8,7 +8,7 @@ Every format has a fixed key order and integer-only numerics:
   map             {"rank", "class", "images"}      one IMAGE per generator
   certificate     {"fixed"}                        sorted generator indices
   term            {"comm", "exp"}                  left-normed commutator
-  offsets         [[g, [TERM, ...]], ...]          x_g -> x_g * prod of terms
+  offsets         [[g, [[[b1..bk], e], ...]], ...] x_g -> x_g * prod of terms
   stored          [[g, IMAGE], ...]                x_g -> IMAGE, g increasing
   factor          {"stored" | "offsets", "certificate", "tag"}
                   (+ provenance keys)
@@ -16,12 +16,15 @@ Every format has a fixed key order and integer-only numerics:
   report          {"ok", "factors", "min_fixed_block", "max_coefficient",
                    "failures"}
 
-Decompositions are written as version 5.  A factor lists only the images
+Decompositions are written as version 6.  A factor lists only the images
 its map stores ("stored"): every generator it leaves out maps to itself, so
 a factor that moves two of n generators costs two images on the wire, not
-n.  A central_beta factor that keeps its terms (as `decompose` makes them)
-carries "offsets" instead.  The input map stays dense, one image per
-generator.
+n.  A factor that keeps its terms carries "offsets" instead: a central_beta
+factor, and a lifted factor that `decompose` builds at the top class from
+a lower-level beta, which ships that beta's terms.  Inside offsets each
+term is the pair [[b1, .., bk], e] that stands for the <term> object
+{"comm": [b1, .., bk], "exp": e}; `central-factorize` still prints the
+objects.  The input map stays dense, one image per generator.
 
 An image is written as its provenance word when it has one, else in
 collected form (`ring`, "Collected coordinates"): the coordinates it was
@@ -35,7 +38,8 @@ preserved block is the rest.  A factor has no level: its class is its
 map's class.  The writer refuses a certificate that is no such partition
 (PartitionInvalid) or a factor map from another context (ContextMismatch)
 rather than write one that reads back as another.  Version 3 wrote both
-keys, and version 4 spelled every image out as a word.
+keys, version 4 spelled every image out as a word, and version 5 wrote
+every lifted factor as stored words and every term as an object.
 
 Reading lives in `reader`, which the verifier uses without this module.
 `verify` is here because it writes a decomposition before it checks it.
@@ -150,7 +154,10 @@ def term_payload(t: LeftNormedTerm) -> dict:
 
 
 def offsets_payload(offsets) -> list:
-    return [[g, [term_payload(t) for t in terms]] for g, terms in offsets]
+    # each term as the pair [[b1, .., bk], e] that stands for its <term>
+    return [
+        [g, [[list(t.generators), t.exponent] for t in terms]] for g, terms in offsets
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +186,7 @@ def factor_payload(ctx: GroupContext, f: Factor) -> dict:
 
 def decomposition_payload(dec: Decomposition) -> dict:
     return {
-        "version": 5,
+        "version": 6,
         "input": map_payload(dec.input),
         "fixed": sorted(dec.fixed),
         "factors": [factor_payload(dec.input.ctx, f) for f in dec.factors],
@@ -221,7 +228,7 @@ SCHEMAS: dict[str, Any] = {
     "element": {"word": "<word>"},
     "map": {
         "rank": "int>=1",
-        "class": "int>=1",
+        "class": "int, 1..64",
         "images": "[<image>; one per generator, in index order]",
     },
     "certificate": {
@@ -233,13 +240,19 @@ SCHEMAS: dict[str, Any] = {
         "comm": "[int>=1 x>=2]  left-normed commutator letters [x_b1, .., x_bk]",
         "exp": "int!=0  power of the commutator",
     },
-    "offsets": "[[g:int, [<term>, ...]], ...]  x_g -> x_g * product of its terms, "
-    "every term of length exactly class; each g at most once, in 1..rank",
+    "offsets": "[[g:int, [[[b1, .., bk], e:int!=0], ...]], ...]  x_g -> x_g * "
+    "product of its terms, each pair the <term> {\"comm\": [b1, .., bk], "
+    "\"exp\": e}, every b in 1..rank; of weight k exactly the class in "
+    "central_beta factors, and 2<=k<=class in lifted factors of central_beta "
+    "origin, whose images are rebuilt as x_g followed by the terms' letters; "
+    "each g at most once, in 1..rank.  Before version 6 every term is a "
+    "<term> object",
     "stored": "[[g:int, <image>], ...]  x_g -> image, g strictly increasing in "
     "1..rank; every generator not listed maps to itself",
     "factor": {
-        "stored": "<stored>  (or offsets, in central_beta factors)",
-        "offsets?": "<offsets>  central_beta factors, in place of stored",
+        "stored": "<stored>  (or offsets, in central_beta factors and their lifts)",
+        "offsets?": "<offsets>  central_beta factors, and lifted factors of "
+        "central_beta origin, in place of stored",
         "certificate": "<certificate>",
         "tag": "one of %s" % (list(TAGS),),
         "origin?": "pre-lift tag (lifted factors only)",
@@ -249,7 +262,9 @@ SCHEMAS: dict[str, Any] = {
         "central_beta origin)",
     },
     "decomposition": {
-        "version": "5; read also: 4, where every <image> is a <word>, "
+        "version": "6; read also: 5, where <offsets> terms are <term> objects "
+        "and only central_beta factors carry offsets, 4, where every <image> is "
+        "a <word>, "
         "3, where certificates also carry preserved "
         "and factors carry level (int>=1, at most the class), 2, where "
         "factors carry <map> in place of stored, and 1 (no version key), "

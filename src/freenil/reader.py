@@ -4,7 +4,7 @@ The formats are listed in `jsonio`, which writes them, and `freenil
 --schema` prints them.  This module parses them: the verifier needs it and
 the map kernel, never the writer or the engine.
 
-Decompositions of versions 1 to 5 are read.  Version 1 has no "version"
+Decompositions of versions 1 to 6 are read.  Version 1 has no "version"
 key and a dense "map" in every factor; version 2 allows "offsets" in
 central_beta factors and a "map" in every other one; version 3 has a
 "stored" list of the images a factor's map stores, or "offsets".  A factor
@@ -15,10 +15,18 @@ alone, in strictly increasing order, and its preserved block is the rest of
 decomposition's.  Either key in a version 4 payload is unknown.  The
 decomposition's own "fixed" list, the pinned set D, strictly increases from
 version 4 on too; earlier versions read both lists in any order.  Version 5
-is version 4 with images in collected form (below).  Offsets are rebuilt in
-closed form by `ring.central_offset`.  Any integer combination of weight-c
-terms is a central group element, so a parsed factor is a genuine map
-whatever its terms say.
+is version 4 with images in collected form (below).  Version 6 writes each
+offsets term as a pair [[b1, .., bk], e] in place of the {"comm", "exp"}
+object (each form is refused in the other's versions), and lets a lifted
+factor of central_beta origin carry offsets, terms of weight 2..class.
+
+A central_beta factor's offsets are rebuilt in closed form by
+`ring.central_offset`; any integer combination of weight-c terms is a
+central group element.  A lifted factor's image is x_g followed by its
+terms' left-normed letters (`ring._left_normed_letters`), read once by
+`from_word`; every term has weight at least 2, so the map has the identity
+abelianization.  Either way a parsed factor is a genuine automorphism
+whatever its terms say, built by ring code alone.
 
 An image, in a map or a "stored" list, is a word or, from version 5 on
 and in any map read alone, in collected form: a list with a bracket entry
@@ -55,6 +63,7 @@ from .ring import (
     GroupElement,
     LeftNormedTerm,
     Word,
+    _left_normed_letters,
     central_offset,
     from_collected,
     from_word,
@@ -261,31 +270,71 @@ def parse_certificate(ctx: GroupContext, obj: Any, version: int) -> MoietyCertif
     return MoietyCertificate(fixed, ctx.generator_set() - fixed)
 
 
-def parse_term(obj: Any) -> LeftNormedTerm:
-    obj = _need_keys(obj, "term", ("comm", "exp"))
-    gens = [_need_int(g, "commutator entry") for g in _need_list(obj["comm"], "comm")]
+def parse_term(obj: Any, version: int = 5) -> LeftNormedTerm:
+    """A <term> object {"comm", "exp"}, or from version 6 on (inside
+    offsets) the pair [[b1, .., bk], exp] that stands for it."""
+    if version < 6:
+        obj = _need_keys(obj, "term", ("comm", "exp"))
+        comm, exp = obj["comm"], obj["exp"]
+    elif type(obj) is list and len(obj) == 2 and type(obj[0]) is list:
+        comm, exp = obj
+    else:
+        raise MalformedInput("terms must be [[b1, .., bk], exp] pairs")
+    gens = [_need_int(g, "commutator entry") for g in _need_list(comm, "comm")]
     if len(gens) < 2 or any(g < 1 for g in gens):
         raise MalformedInput("comm must list at least two positive generator indices")
-    exp = _need_int(obj["exp"], "exp")
+    exp = _need_int(exp, "exp")
     if exp == 0:
         raise MalformedInput("exp must be nonzero")
     return LeftNormedTerm(tuple(gens), exp)
 
 
-def parse_offsets(ctx: GroupContext, obj: Any) -> tuple[GeneratorMap, tuple]:
-    """The central IA map x_g -> x_g * prod of terms, and the offsets read."""
-    assignment, offsets = {}, []
+def _lifted_image(ctx: GroupContext, g: int, terms: tuple) -> GroupElement:
+    # x_g followed by each term's left-normed letters, read once at the class
+    ctx.check_generators((g,))
+    letters = [(g, 1)]
+    for t in terms:
+        seq = t.generators
+        if len(seq) > ctx.nilclass:
+            raise MalformedInput(
+                f"term {list(seq)} has weight {len(seq)}, "
+                f"above the class {ctx.nilclass}"
+            )
+        ctx.check_generators(seq)
+        letters += _left_normed_letters(seq, t.exponent)
+    return from_word(ctx, Word(letters))
+
+
+def parse_offsets(
+    ctx: GroupContext, obj: Any, version: int = 5, lifted: bool = False
+) -> tuple[GeneratorMap, tuple]:
+    """The IA map x_g -> x_g * prod of terms, and the offsets read.
+
+    A central_beta factor's terms have weight exactly the class and its map
+    is rebuilt in closed form (`central_offset`).  A lifted factor's terms
+    (`lifted`, version 6 on) have weight 2..class: each image is x_g
+    followed by its terms' left-normed letters, read once by from_word.
+    Every term has weight at least 2, so either map has the identity
+    abelianization and is an automorphism."""
+    parsed, offsets = {}, []
     for item in _need_list(obj, "offsets"):
         item = _need_list(item, "offset")
         if len(item) != 2:
             raise MalformedInput("offsets must be [generator, [term, ...]] pairs")
         g = _need_int(item[0], "offset generator")
-        if g in assignment:
+        if g in parsed:
             raise MalformedInput(f"offsets name generator {g} twice")
-        terms = tuple(parse_term(t) for t in _need_list(item[1], "offset terms"))
-        assignment[g] = central_offset(ctx, terms)
+        terms = tuple(
+            parse_term(t, version) for t in _need_list(item[1], "offset terms")
+        )
         offsets.append((g, terms))
-    return ia_central(ctx, assignment), tuple(offsets)
+        if lifted:
+            parsed[g] = _lifted_image(ctx, g, terms)
+        else:
+            parsed[g] = central_offset(ctx, terms)
+    if lifted:
+        return GeneratorMap._sparse(ctx, parsed, unimodular=True), tuple(offsets)
+    return ia_central(ctx, parsed), tuple(offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +377,21 @@ def parse_factor(
         phi = parse_stored(ctx, obj["stored"], cache)
     elif version < 2:
         raise MalformedInput("offsets need a version 2 decomposition")
-    elif tag != "central_beta":
+    elif tag == "central_beta":
+        phi, offsets = parse_offsets(ctx, obj["offsets"], version)
+    elif version < 6:
         raise MalformedInput(f"only central_beta factors carry offsets, not {tag!r}")
+    elif tag != "lifted":
+        raise MalformedInput(
+            f"only central_beta factors and their lifts carry offsets, not {tag!r}"
+        )
+    elif obj.get("origin") != "central_beta":
+        raise MalformedInput(
+            "a lifted factor carries offsets only of origin central_beta, not "
+            f"{obj.get('origin')!r}"
+        )
     else:
-        phi, offsets = parse_offsets(ctx, obj["offsets"])
+        phi, offsets = parse_offsets(ctx, obj["offsets"], version, lifted=True)
     # a rule applies when its key is present: null is not read as absent
     origin = obj.get("origin")
     if "origin" in obj and origin not in TAGS:
@@ -358,7 +418,7 @@ def parse_factor(
     return Factor(phi, cert, tag, origin=origin, part=part, side=side, offsets=offsets)
 
 
-VERSIONS = (1, 2, 3, 4, 5)  # decomposition versions parse_decomposition reads
+VERSIONS = (1, 2, 3, 4, 5, 6)  # decomposition versions parse_decomposition reads
 
 
 def parse_decomposition(obj: Any) -> Decomposition:

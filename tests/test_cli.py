@@ -304,6 +304,40 @@ def test_nonpositive_rank_exits_2(tmp_path):
     ) + "\n"
 
 
+def test_a_class_above_64_exits_1(tmp_path):
+    argv = ["random-aut", "--rank", "4", "--class", "65", "--seed", "1"]
+    code, raw, _ = run_cli(tmp_path, argv)
+    assert code == 1
+    message = "class 65 exceeds 64, the largest class supported"
+    assert raw == dumps({"error": "BadClass", "message": message})
+    # the rank is checked first: --rank 0 --class 99 stays malformed input
+    argv = ["weight", "--rank", "0", "--class", "99"]
+    code, _, out = run_cli(tmp_path, argv, {"word": []})
+    assert code == 2 and out["error"] == "MalformedInput"
+
+
+def test_is_aut_refuses_a_huge_class_under_a_memory_cap():
+    # this input once built class + 1 polynomial terms for x_1^-1 and ended
+    # in a MemoryError traceback; the address-space cap makes a regression
+    # fail here instead of exhausting the machine's memory
+    resource = pytest.importorskip("resource")
+    cap = 1 << 28  # 256 MiB of address space
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    stdin = b'{"rank":2,"class":100000000,"images":[[[1,-1]],[[2,1]]]}'
+    proc = subprocess.run(
+        [*CLI, "is-aut"], input=stdin, capture_output=True, preexec_fn=limit, timeout=60
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == b""
+    assert json.loads(proc.stdout) == {
+        "error": "BadClass",
+        "message": "class 100000000 exceeds 64, the largest class supported",
+    }
+
+
 def test_bad_envelope_key_exits_2(tmp_path):
     empty = {"word": []}
     for payload, message in (

@@ -131,7 +131,8 @@ def test_verifier_runs_on_the_core_alone():
     # a stub package stands in for freenil, so __init__ (which imports
     # everything) never runs; verifying every committed payload must load
     # exactly the core and give each fixture its pinned report, the version
-    # 5 goldens included, whose collected images the core rebuilds itself
+    # 5 goldens included, whose collected images the core rebuilds itself,
+    # and the version 6 ones, whose lifted pieces it builds from their terms
     code = (
         "import json, sys, types\n"
         "from pathlib import Path\n"
@@ -156,8 +157,9 @@ def test_verifier_runs_on_the_core_alone():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert set(out["loaded"]) == CORE
-    assert len(out["reports"]) == len(FIXTURES) == 24
+    assert len(out["reports"]) == len(FIXTURES) == 29
     assert sum(version == "v5" for version, _ in FIXTURES) == 5
+    assert sum(version == "v6" for version, _ in FIXTURES) == 5
     for version, cell in FIXTURES:
         path = fixture_path(version, cell)
         fields = out["reports"][f"{version}/{path.name}"]

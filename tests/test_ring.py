@@ -140,6 +140,20 @@ def test_nonpositive_rank_or_class_is_malformed_input():
             GroupContext(rank, nilclass)
 
 
+def test_a_class_above_64_is_bad_class():
+    # x_1^-1 alone carries class + 1 terms, so 10**8 would exhaust memory
+    for nilclass in (65, 10**8):
+        with pytest.raises(BadClass) as info:
+            GroupContext(2, nilclass)
+        assert str(info.value) == (
+            f"class {nilclass} exceeds 64, the largest class supported"
+        )
+    assert GroupContext(2, 64).nilclass == 64
+    # a rank below 1 is still malformed input first
+    with pytest.raises(MalformedInput, match="rank and class must be at least 1"):
+        GroupContext(0, 99)
+
+
 def test_check_generators_reports_the_first_bad_index_in_order():
     ctx = GroupContext(3, 2)
     ctx.check_generators(())

@@ -3,15 +3,18 @@
 tests/data/ holds one payload per golden cell in each wire format the writer
 has produced: v1 (dense maps), v2 (central factors as Lie terms, class >= 2
 only), v3 (each factor as the images it stores), v4 (v3 without the
-derivable certificate "preserved" and factor "level") and v5 (v4 with each
-collected word as its collected coordinates).  The payloads of a cell are
-the same decomposition, so they verify to the same report.  Both tables
-were pinned when the v3 payloads were written, and the v4 and v5 payloads
-joined under the same reports; the decomposition of a cell may change
-since, these bytes and reports may not.  `as_v4` spells a version 5
-payload back into words, and `as_v3` rebuilds the version 3 payload of a
-version 4 or 5 one, for tests that compare with the older bytes or tamper
-with the keys later versions leave out.
+derivable certificate "preserved" and factor "level"), v5 (v4 with each
+collected word as its collected coordinates) and v6 (v5 with each lifted
+central piece as the terms of its lower-level beta, and every offsets term
+as a pair [[b1, .., bk], e]).  The payloads of a cell are the same
+decomposition, so they verify to the same report.  Both tables were pinned
+when the v3 payloads were written, and the v4, v5 and v6 payloads joined
+under the same reports; the decomposition of a cell may change since,
+these bytes and reports may not.  `as_v5` rebuilds the version 5 payload
+of a version 6 one, `as_v4` spells a version 5 or 6 payload back into
+words, and `as_v3` rebuilds the version 3 payload of a version 4, 5 or 6
+one, for tests that compare with the older bytes or tamper with the keys
+later versions leave out.
 """
 
 import copy
@@ -20,9 +23,11 @@ from pathlib import Path
 
 import pytest
 
-from freenil import verify_payload
+from freenil import GroupContext, LeftNormedTerm, ia_central, verify_payload
 from freenil.cli import main
-from freenil.jsonio import dumps, loads, report_payload
+from freenil.jsonio import dumps, loads, report_payload, word_payload
+from freenil.reader import parse_decomposition
+from freenil.ring import central_offset
 from freenil.lie import spell
 
 DATA = Path(__file__).parent / "data"
@@ -53,6 +58,11 @@ FIXTURES = {
     ("v5", (9, 3, 0)): "ae14c1fc6519c3bbe2b332f589a89275bfbf40a9d3c006e660e06b73c244c658",
     ("v5", (12, 3, 2)): "f9f571a4d982df93cc34da4fd45ce0aa84db12d08b8b9a649767f7db3488a563",
     ("v5", (12, 4, 2)): "c5a22522a1ca28b264396e39586311bc2cc77df84b9475be08b7a8217ca2187b",
+    ("v6", (10, 1, 2)): "c7479a945f1798e2f1ecfa2a746dcf14b3f88f0787023a00bdebdb800a5e3376",
+    ("v6", (10, 2, 1)): "15386ed1047588ee442da603d2886009e29707420071a5cec3dc9ecac7c3ac2e",
+    ("v6", (9, 3, 0)): "bcf5c4652998c00cc4411f86332cd76b1a0e46361ff02af343ecd1cb0558e925",
+    ("v6", (12, 3, 2)): "ab5091e5ba576b985fc163bcc0d49fc2b8921d640453d88abbb4e93a02216ab4",
+    ("v6", (12, 4, 2)): "ac59b268906d919fd8d7649b63667199e57392ccec6cf8636ac8252e0e01a33c",
 }
 
 # cell -> SHA-256 of the compact report every payload of the cell verifies to
@@ -87,11 +97,47 @@ def spelled_map(payload: dict) -> dict:
     return {**payload, "images": [spelled(w) for w in payload["images"]]}
 
 
+def as_v5(payload: dict) -> dict:
+    """The version 5 form of a version 6 payload, as a fresh tree.  A lifted
+    factor's offsets, the terms of its level-k beta, become the stored
+    words version 5 wrote: those of the images of
+    ia_central(GroupContext(rank, k), {g: central_offset(ctx_k, terms)}).
+    Every other offsets term, a pair [[b1, .., bk], e], becomes the object
+    {"comm": [b1, .., bk], "exp": e}."""
+    rank = payload["input"]["rank"]
+    factors = []
+    for factor in copy.deepcopy(payload["factors"]):
+        offsets = factor.get("offsets")
+        if offsets is not None and factor["tag"] == "lifted":
+            k = len(offsets[0][1][0][0])  # a beta's terms share their weight
+            ctx = GroupContext(rank, k)
+            beta = ia_central(
+                ctx,
+                {
+                    g: central_offset(
+                        ctx, [LeftNormedTerm(tuple(b), e) for b, e in terms]
+                    )
+                    for g, terms in offsets
+                },
+            )
+            stored = [[g, word_payload(beta(g).word)] for g in sorted(beta.stored)]
+            factor = {
+                ("stored" if key == "offsets" else key): value
+                for key, value in {**factor, "offsets": stored}.items()
+            }
+        elif offsets is not None:
+            factor["offsets"] = [
+                [g, [{"comm": b, "exp": e} for b, e in terms]] for g, terms in offsets
+            ]
+        factors.append(factor)
+    return {**copy.deepcopy(payload), "version": 5, "factors": factors}
+
+
 def as_v4(payload: dict) -> dict:
-    """The version 4 form of a version 5 payload, as a fresh tree: every
-    image in collected form, in the input map and in the factors' stored
-    lists, spelled out as its collected word."""
-    payload = copy.deepcopy(payload)
+    """The version 4 form of a version 5 or 6 payload (`as_v5` first), as a
+    fresh tree: every image in collected form, in the input map and in the
+    factors' stored lists, spelled out as its collected word."""
+    payload = as_v5(payload) if payload["version"] == 6 else copy.deepcopy(payload)
     for factor in payload["factors"]:
         if "stored" in factor:
             factor["stored"] = [[g, spelled(w)] for g, w in factor["stored"]]
@@ -104,10 +150,10 @@ def as_v4(payload: dict) -> dict:
 
 
 def as_v3(payload: dict) -> dict:
-    """The version 3 form of a version 4 or 5 payload, as a fresh tree: each
-    certificate gets back its preserved block (the rest of 1..rank) and
+    """The version 3 form of a version 4, 5 or 6 payload, as a fresh tree:
+    each certificate gets back its preserved block (the rest of 1..rank) and
     each factor its level (the class), in version 3 key order."""
-    payload = copy.deepcopy(as_v4(payload) if payload["version"] == 5 else payload)
+    payload = copy.deepcopy(as_v4(payload) if payload["version"] >= 5 else payload)
     rank, nilclass = payload["input"]["rank"], payload["input"]["class"]
     factors = []
     for factor in payload["factors"]:
@@ -170,3 +216,25 @@ def test_v5_fixture_spells_back_to_the_v4_fixture(cell):
     assert dumps(as_v4(v5)) == v4
     collected = [w for w in v5["input"]["images"] if any(type(h) is list for h, _ in w)]
     assert bool(collected) == (cell[1] > 1)
+
+
+@pytest.mark.parametrize("cell", sorted(REPORTS))
+def test_v6_fixture_is_the_v5_fixture_with_lifted_pieces_as_terms(cell):
+    # the v5 fixture spells some lifted images in collected form, which
+    # as_v5 writes as words, so the v6 one is compared through as_v4
+    v6 = loads(fixture_path("v6", cell).read_text(encoding="utf-8"))
+    assert v6["version"] == 6
+    v4 = fixture_path("v4", cell).read_text(encoding="utf-8")
+    assert dumps(as_v4(v6)) == v4
+    lifted = [
+        f
+        for f in v6["factors"]
+        if f["tag"] == "lifted" and f.get("origin") == "central_beta"
+    ]
+    assert all("offsets" in f for f in lifted)
+    assert bool(lifted) == (cell[1] > 2)
+    v5 = loads(fixture_path("v5", cell).read_text(encoding="utf-8"))
+    got = parse_decomposition(v6)
+    assert [f.map for f in got.factors] == [
+        f.map for f in parse_decomposition(v5).factors
+    ]

@@ -17,7 +17,11 @@ a CHANGES.md entry that says why the bytes moved.  Version 5 wrote every
 image without a provenance word in collected form, which moved the map,
 decomposition, square and inverses digests of the cells with brackets; the
 V4 tables keep the older digests, and the same artifacts spelled back into
-words (`spelled_map`, `as_v4`) must still give them.
+words (`spelled_map`, `as_v4`) must still give them.  Version 6 wrote the
+lifted central pieces as their terms and every offsets term as a pair,
+which moved every decomposition digest (its "version" key changed too) and
+no other; V5_DECOMPOSITION keeps the older ones, which `as_v5` must still
+give.
 """
 
 import hashlib
@@ -41,7 +45,7 @@ from freenil.jsonio import (
     report_payload,
 )
 
-from test_wire_fixtures import as_v3, as_v4, spelled_map
+from test_wire_fixtures import as_v3, as_v4, as_v5, spelled_map
 
 SEED = 20261018
 MOVES = 12
@@ -50,35 +54,35 @@ MOVES = 12
 GOLDEN = {
     (10, 1, 2): {
         "map": "1a824b713bb95a364a1e0c06c07c7eb0d0b0dda10cb008c11279e54b90cf4f14",
-        "decomposition": "80caf24e3fd8c37bc94c25cd8b373c4378706c2121da83268b24775f505a2abc",
+        "decomposition": "06f91077894d0e5d2b7f548cdad4c7696c4c6c893388201fec4c95e14d553d86",
         "report": "395e1880dd6ad539f209803b868cb663b5ddb8871ce6b9a1e7266c8a18443b7a",
         "square": "c19977fa022bbc182c286e984543cd84fef70bc90e6b37171be05e5dd53e6da2",
         "inverses": "3992dc99cba6f2ff77df793301c7ee4bb31a038b5fa2a6f137efa5d65cbe2a8d",
     },
     (10, 2, 1): {
         "map": "8a8cf85a9c566bfcbe2102d26b39c7e89f587cc4f9545a7ed0402600b0b3fcfb",
-        "decomposition": "4f017e44e36c40ebf96556eca3a2712cb34d37f5e745c91dc131b7b0991dd671",
+        "decomposition": "4184fb2d9ba7d02c34792dbd2f90495e31308be3481f832ae572bcee2ad6724a",
         "report": "53ffde0b37dc629012c15688c3afbc95633b16372b55e50e7f3d8f2ecc81004c",
         "square": "4d83c9a2b9950b1ac07349ca5e0616aef4da6f175482b5ef3b3b05bf072d7928",
         "inverses": "9c8a375d97f5a14ea0f5ca9dd534c507bf7d9a9faed8f20a966f9a1e4eeeb067",
     },
     (9, 3, 0): {
         "map": "3acee36a7d7726b396a1f770526c1f908077b813852495d2b012f06c0881beeb",
-        "decomposition": "917acda3bfc0c3dfbc9160c1c9d25aa7adf4761cf0c3fb427894ea429ae1a8b5",
+        "decomposition": "3c9ad4ffee1c61152166140aaf750ac4582dff4d0aecf3891d6b9c742123db22",
         "report": "bdbf0a6b01a4986b789b32699c17f8e3a90b1c11520001aa1c3ce7fa69a50335",
         "square": "6ae836e7b837930dabc9fcfee8b1aabbc6a62ef8213e5e64b82fcda984a1ab4e",
         "inverses": "c7a5dc4e1dacbd3f575f5581c14af46a5ac21b4fe85da3d568e02a70da237f68",
     },
     (12, 3, 2): {
         "map": "168af7d3fb70e359788449764c6498b5c8e75a9dddbec8a82946883de8691e1b",
-        "decomposition": "e429dedb60db78c871da065e2c63e151f0a1d8127cba653537e184cba473ed10",
+        "decomposition": "407459fd6db8f6449b9816a9a212eb16e29ef189bce52f81a06f6061a7d876b4",
         "report": "962ae7c90ad338264a9118bebe8f30fa5ca61ef9b600f19a4a4ae9aca23e93fa",
         "square": "ccf1f21ac93d0ea6ea6e2ff80a8378e79afc63bf8f615d3f6211fae5a3457e5e",
         "inverses": "65edc88ef2e78427046db39c351735f4bfa1483388f93ce333bc5759c54dfcea",
     },
     (12, 4, 2): {
         "map": "fd9e363d6b0987b7904cc4c4dbee627b04a5d5724fb2f0a1ee7bc2cb39c318a2",
-        "decomposition": "9421a41585e74188ec0a7da61851e6926d14be4a8a88115a29469a0c1de9ed3f",
+        "decomposition": "aa1cb73741179f64a832e73a0d05ecf7e94869de99c0d3676fb1eb446d53b850",
         "report": "962ae7c90ad338264a9118bebe8f30fa5ca61ef9b600f19a4a4ae9aca23e93fa",
         "square": "646b6a87f6dd6a2cad0872e58164d8e97a87d78091c1d5fd4b697991abf295a8",
         "inverses": "8be1e7a7d7efab94bac01c1db438f765f48c5ca60d6facb29bd3c1a1968a53f3",
@@ -87,14 +91,14 @@ GOLDEN = {
     # and a 63 x 63 free block
     (32, 2, 1): {
         "map": "2b7a9dd63b84948cbe242b7e14e7c30a187d502d1218face563b09e6de4e4079",
-        "decomposition": "fb283c2ff8f2bc54260bd92d5343fdfc0ea25bc49e2f38700b35c0b0ec41c07e",
+        "decomposition": "cdafe76129a16d461100acdfe94294bbe12ad0a7d841ed2dd007fa63f600042a",
         "report": "c41cfed685a6575dc4927ba1e7dfde786d390a5adcf81ddf893758fe6d249cd2",
         "square": "5ced32dbc7c02410edc211ddbf931cf05c41b506f6ff2cd930b0944704163cd2",
         "inverses": "70ac6a64e8b14a30a543b116ffabd07c2e439e053bf2e061100c634f368eadd5",
     },
     (64, 2, 1): {
         "map": "0fcea0bff8764627d75535b1171c5ef3e3fe4b4b99ffaf2d6b001b316c47211b",
-        "decomposition": "ab666b83e4dee04863da314552a151adcdfd4ba96cae7bc71d3e1c39086cdfe8",
+        "decomposition": "3f4e932bc7ccae24a25d15fe79080520bb9e05716f79f450be60afd19492a446",
         "report": "3b4b72bbcaeba6c6e9b02557d69a638b91db69169bca72ae5ad3cbbb076f30c5",
         "square": "26ef03b91f18b3d6ce2d080e2ae17a331e3324f80f575557214e9ca4c1ed873f",
         "inverses": "9e01a74516cffc85f896dd0944934e8812efc06430244df6faa3c381ccae6ff2",
@@ -103,14 +107,14 @@ GOLDEN = {
     # lifted to the top class
     (13, 5, 1): {
         "map": "5eed06d3c1a8c4e27f90dd6a75cad4e71ed78de4f9464407711a60e15050b1a7",
-        "decomposition": "79cbaa0e571f10e042b4ee3ec2df52aca7f2524ed38c43755283a4cf481ab18b",
+        "decomposition": "13e02e68de65bf6111830a2aae0eeba455c2e822bbad4243e5a60d80eb6ed8a7",
         "report": "2981108af1a64f84c3e16167726aecc393f3cf230184abd35d023eaae26ae133",
         "square": "569e4b35c0497e55d46b47739173f488b33293a34f201d397fc618b8f3f84ac3",
         "inverses": "3a881e8451e302eb1473874ab350a5fadc190c18d4c745e24b1bafe8f5d70b42",
     },
     (15, 6, 1): {
         "map": "9f88fefe765cbc6885d45e270a08e35af672a3c796633ad8c8acdb5479f34e9b",
-        "decomposition": "21e896cd5528cef476117c54f0eadfcf85905dd29938248db8836951ed361b4a",
+        "decomposition": "0b90fb1fe151a6acbdf6a37394e1d5bda31bf0bb9b56b9c637b964c91c2db6e1",
         "report": "91b5eb82d058a3e4c6b1408d68cd613124e8a6c1f1f39bafe6982b784dc9cbff",
         "square": "7acd6c1f0010ed1a0612d5b2e04ffe052b89973c16e9a0e1f6c1e8116fa85b3a",
         "inverses": "3984f3ac5ade3865f5d17a12c7f9516a10b7c4b395b240ec166da8881c6b1e1b",
@@ -153,8 +157,22 @@ V4_GOLDEN = {
     },
 }
 
+# each cell's "decomposition" digest as the version 5 writer made it, which
+# as_v5 rebuilds from the version 6 payload
+V5_DECOMPOSITION = {
+    (10, 1, 2): "80caf24e3fd8c37bc94c25cd8b373c4378706c2121da83268b24775f505a2abc",
+    (10, 2, 1): "4f017e44e36c40ebf96556eca3a2712cb34d37f5e745c91dc131b7b0991dd671",
+    (9, 3, 0): "917acda3bfc0c3dfbc9160c1c9d25aa7adf4761cf0c3fb427894ea429ae1a8b5",
+    (12, 3, 2): "e429dedb60db78c871da065e2c63e151f0a1d8127cba653537e184cba473ed10",
+    (12, 4, 2): "9421a41585e74188ec0a7da61851e6926d14be4a8a88115a29469a0c1de9ed3f",
+    (32, 2, 1): "fb283c2ff8f2bc54260bd92d5343fdfc0ea25bc49e2f38700b35c0b0ec41c07e",
+    (64, 2, 1): "ab666b83e4dee04863da314552a151adcdfd4ba96cae7bc71d3e1c39086cdfe8",
+    (13, 5, 1): "79cbaa0e571f10e042b4ee3ec2df52aca7f2524ed38c43755283a4cf481ab18b",
+    (15, 6, 1): "21e896cd5528cef476117c54f0eadfcf85905dd29938248db8836951ed361b4a",
+}
+
 # each cell's "decomposition" digest as the version 3 writer made it, which
-# as_v3 rebuilds from the version 5 payload
+# as_v3 rebuilds from the version 6 payload
 V3_DECOMPOSITION = {
     (10, 1, 2): "a4499a44624bd5ff8625c137f581bff1b5b7b6fb05cfa91ad54d148fd231297e",
     (10, 2, 1): "213891dba4c0a8d0252b4a3921348d0ba842e5dc5ffd27f2f1517b3f71860107",
@@ -257,10 +275,17 @@ def test_v5_artifacts_spell_back_to_the_v4_bytes(cell):
     assert got == V4_GOLDEN[cell]
 
 
+@pytest.mark.parametrize("cell", sorted(V5_DECOMPOSITION))
+def test_v6_decomposition_rebuilds_the_v5_bytes(cell):
+    payload = _artifacts(*cell)["decomposition"]
+    assert payload["version"] == 6
+    assert _digest(as_v5(payload)) == V5_DECOMPOSITION[cell]
+
+
 @pytest.mark.parametrize("cell", sorted(V3_DECOMPOSITION))
 def test_v4_decomposition_rebuilds_the_v3_bytes(cell):
     payload = _artifacts(*cell)["decomposition"]
-    assert payload["version"] == 5
+    assert payload["version"] == 6
     assert _digest(as_v3(payload)) == V3_DECOMPOSITION[cell]
 
 

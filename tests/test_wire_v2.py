@@ -201,7 +201,7 @@ def test_refuses_offsets_without_version_2(v2_text):
             verify_payload(payload)
 
 
-@pytest.mark.parametrize("version", [0, 6, "2", True, None])
+@pytest.mark.parametrize("version", [0, 7, "2", True, None])
 def test_refuses_an_unknown_version(v2_text, version):
     payload = loads(v2_text)
     payload["version"] = version

@@ -43,7 +43,7 @@ from freenil.jsonio import (
 )
 from freenil.reader import parse_map, parse_stored, parse_word
 
-from test_wire_fixtures import as_v4, fixture_path, spelled
+from test_wire_fixtures import as_v4, as_v5, fixture_path, spelled
 
 def _has_bracket(image) -> bool:
     return any(type(head) is list for head, _ in image)
@@ -93,7 +93,7 @@ def test_v5_verifies_as_its_v4_form(c):
     ctx = GroupContext(2 * (c + 1) + 2, c)
     for seed in range(3):
         sigma = random_automorphism(ctx, seed, 6, (1,))
-        payload = decomposition_payload(decompose(sigma, (1,)))
+        payload = as_v5(decomposition_payload(decompose(sigma, (1,))))
         assert payload["version"] == 5
         report = _report(payload)
         assert loads(report)["ok"] and _report(as_v4(payload)) == report
