@@ -9,13 +9,14 @@ the stored images only, so its cost follows the number of generators a map
 moves, not the rank.
 
 Applying a map to an element substitutes X_i -> (image of x_i) - 1 into every
-monomial, which is exactly the ring extension of the group homomorphism.  The
-substitution is organized around three facts that keep the common cases
-cheap: a generator x_b (polynomial 1 + X_b) goes to its stored image as it
-stands, a monomial none of whose letters is moved passes through unchanged,
-and the substituted slots and their partial products are shared through one
-per-map memo keyed by monomial suffixes (only below the top degree, where
-entries stay small).
+monomial, which is exactly the ring extension of the group homomorphism.  It
+walks the monomials as a trie, by first letter: p = p_0 + sum_i X_i q_i, where
+p_0, the monomials with no moved letter, passes through unchanged, and each
+q_i is substituted one degree lower and then multiplied once by the image of
+X_i (or prefixed with X_i, if x_i is unmoved).  So monomials sharing a prefix
+share its product, like terms are summed before they are multiplied, and a
+map keeps no state for it.  A generator x_b (polynomial 1 + X_b) goes to its
+stored image as it stands.
 
 Determinants work on the moved block.  The abelianization column of an
 unmoved generator is a unit vector, so det(M) is the determinant of the
@@ -110,7 +111,6 @@ class GeneratorMap:
         for i, img in images.items():
             self._put(i, img)
         self.moved = frozenset(self.moved)
-        self._table: dict[tuple[int, ...], Poly] = {}
         self._unimodular = unimodular
 
     def _put(self, i: int, img: GroupElement) -> None:
@@ -135,7 +135,8 @@ class GeneratorMap:
 
         A private running product is updated in place: each step substitutes
         it into the few images the next (typically sparse) factor stores and
-        classifies only those, while its other images carry over untouched.
+        classifies only those, while its other images carry over untouched;
+        apply keeps nothing between calls, so updating in place is safe.
         A carried image may keep its word, or stay stored though no longer
         moved; apply reads neither, so the cleanup of both is done once, at
         the end, on every image the last factor did not store: a moved one
@@ -147,13 +148,11 @@ class GeneratorMap:
         acc.ctx = first.ctx
         acc.stored = dict(first.stored)
         acc.moved = set(first.moved)
-        acc._table = {}
         acc._unimodular = first._unimodular
         for psi in maps[1:]:
             images = {i: acc.apply(img) for i, img in psi.stored.items()}
             for i, img in images.items():
                 acc._put(i, img)
-            acc._table = {}
             acc._unimodular = True if acc._unimodular and psi._unimodular else None
         for i in acc.stored.keys() - maps[-1].stored.keys():
             img = acc.stored[i]
@@ -248,23 +247,28 @@ class GeneratorMap:
 
     # -- substitution engine ------------------------------------------------
 
-    def _word_image(self, w: tuple[int, ...]) -> Poly:
-        got = self._table.get(w)
-        if got is not None:
-            return got
-        if self.moved.isdisjoint(w):
-            out: Poly = {w: 1}
-        elif len(w) == 1:
-            # the slot X_i -> (image of x_i) - 1, possibly empty (an
-            # endomorphism sending x_i to 1)
-            out = {m: c for m, c in self.stored[w[0]].poly.items() if m}
-        else:
-            head = self._word_image(w[:1])
-            out = _poly_mul(head, self._word_image(w[1:]), self.ctx.nilclass)
-        if len(w) < self.ctx.nilclass:
-            # top-degree products are recomputed rather than cached: they are
-            # the numerous ones, and each costs a single short multiplication
-            self._table[w] = out
+    def _substitute(self, p: Poly, cap: int) -> Poly:
+        """p, of degree at most cap, with X_i -> Y_i = (image of x_i) - 1 for
+        each moved i, over the trie p = p_0 + sum_i X_i q_i (module
+        docstring).  Y_i is truncated to cap first: _poly_mul returns it as it
+        stands when the substituted q_i is a scalar.  Y_i may be empty (an
+        endomorphism sending x_i to 1)."""
+        moved = self.moved
+        out: Poly = {}
+        tails: dict[int, Poly] = {}
+        for w, coeff in p.items():
+            if moved.isdisjoint(w):
+                out[w] = coeff
+            else:
+                tails.setdefault(w[0], {})[w[1:]] = coeff
+        for i, q in tails.items():
+            sub = self._substitute(q, cap - 1)
+            if i in moved:
+                y = {m: c for m, c in self.stored[i].poly.items() if 0 < len(m) <= cap}
+                sub = _poly_mul(y, sub, cap)
+            else:
+                sub = {(i,) + m: c for m, c in sub.items()}
+            _poly_add_into(out, sub)
         return out
 
     def apply(self, a: GroupElement) -> GroupElement:
@@ -281,18 +285,7 @@ class GeneratorMap:
                 if w[0] in moved:
                     return GroupElement(self.ctx, self.stored[w[0]].poly)
                 return GroupElement(self.ctx, a.poly)
-        # unmoved monomials pass through (distinct keys, nonzero values);
-        # collecting the moved ones in the same pass tests each key once
-        out: Poly = {}
-        hits = []
-        for w, coeff in a.poly.items():
-            if moved.isdisjoint(w):
-                out[w] = coeff
-            else:
-                hits.append((w, coeff))
-        for w, coeff in hits:
-            _poly_add_into(out, self._word_image(w), coeff)
-        return GroupElement(self.ctx, out)
+        return GroupElement(self.ctx, self._substitute(a.poly, self.ctx.nilclass))
 
 
 def _is_signed_permutation(rows: intmat.Rows) -> bool:

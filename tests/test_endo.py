@@ -1,5 +1,6 @@
 """Generator maps: substitution, composition, inversion, certificates."""
 
+import copy
 import random
 
 import pytest
@@ -71,6 +72,24 @@ def rand_aut(rng, ctx, fix=(), length=10):
 # ---------------------------------------------------------------------------
 # the substitution engine against word rewriting
 
+def _apply_by_words(phi, v):
+    # the oracle: substitute each letter's image word and read the result
+    substituted = Word(())
+    for g, e in v.letters:
+        substituted = substituted * (word_of(phi(g)) ** e)
+    return from_word(phi.ctx, substituted)
+
+
+def _rand_sparse_endo(rng, ctx):
+    # moves a proper subset of the generators, so that an unmoved letter
+    # can prefix a moved one in a monomial; an image may be the empty word
+    moving = rng.sample(range(1, ctx.rank + 1), rng.randrange(1, ctx.rank))
+    images = [generator(ctx, i) for i in ctx.generators()]
+    for i in moving:
+        images[i - 1] = from_word(ctx, rand_word(rng, ctx.rank, max_len=4))
+    return GeneratorMap(ctx, images)
+
+
 def test_apply_agrees_with_word_substitution():
     rng = random.Random(140)
     for n, c in ((3, 3), (4, 2)):
@@ -78,10 +97,26 @@ def test_apply_agrees_with_word_substitution():
         for _ in range(100):
             phi = rand_endo(rng, ctx)
             v = rand_word(rng, n)
-            substituted = Word(())
-            for g, e in v.letters:
-                substituted = substituted * (word_of(phi(g)) ** e)
-            assert phi.apply(from_word(ctx, v)) == from_word(ctx, substituted)
+            assert phi.apply(from_word(ctx, v)) == _apply_by_words(phi, v)
+    for c in range(2, 7):
+        ctx = GroupContext(3, c)
+        # x_1 -> 1, and x_3 -> x_3 x_2^-1: Y_3 has terms up to degree c, so
+        # in X_2 X_3 (x_2 unmoved) it must be truncated to degree c - 1
+        to_one = GeneratorMap(
+            ctx,
+            [
+                from_word(ctx, Word(())),
+                generator(ctx, 2),
+                from_word(ctx, Word(((3, 1), (2, -1)))),
+            ],
+        )
+        maps = [to_one] + [_rand_sparse_endo(rng, ctx) for _ in range(40)]
+        for phi in maps:
+            state = {k: copy.copy(v) for k, v in vars(phi).items()}
+            for v in (Word(((2, 1), (3, 1))), rand_word(rng, 3, max_len=4)):
+                assert phi.apply(from_word(ctx, v)) == _apply_by_words(phi, v)
+            # apply keeps no state on the map
+            assert vars(phi) == state
 
 
 def test_identity_map_applies_as_identity():
@@ -152,11 +187,16 @@ def test_invert_transvection_is_negated_transvection():
 
 def test_invert_round_trips_with_bounded_rounds():
     rng = random.Random(145)
+    maps = []
     for _ in range(60):
         n = rng.randrange(2, 7)
         c = rng.randrange(1, 4)
-        ctx = GroupContext(n, c)
-        phi = rand_aut(rng, ctx)
+        maps.append(rand_aut(rng, GroupContext(n, c)))
+    # above class 3, where every round applies maps of many monomials
+    for n, c in ((5, 4), (4, 5), (3, 6)):
+        maps += [rand_aut(rng, GroupContext(n, c), length=8) for _ in range(4)]
+    for phi in maps:
+        c = phi.ctx.nilclass
         psi, rounds = invert_with_rounds(phi)
         assert rounds <= c
         assert compose(phi, psi).is_identity()
