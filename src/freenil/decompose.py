@@ -17,12 +17,12 @@ nilpotency class:
             projected or inverted), split the central rest into 2(k+1)
             commuting maps beta_j, each avoiding one cell of a partition of
             half of E (the certificate's fixed block).  Below the top, each
-            beta becomes one class-c factor, its image words read at class
-            c: that map projects onto beta, and it moves no generator of D,
-            so nothing is lifted and nothing corrected.  A weight-k
-            commutator mentions at most k distinct generators, so with k+1
-            cells one is always clean: that pigeonhole is checked at every
-            assignment.
+            beta becomes one class-c factor, its images rebuilt at class c
+            from its terms: that map projects onto beta, and it moves no
+            generator of D, so nothing is lifted and nothing corrected.  A
+            weight-k commutator mentions at most k distinct generators, so
+            with k+1 cells one is always clean: that pigeonhole is checked
+            at every assignment.
 
 Every level shares sigma's abelianization, so one row reduction of its
 block on E serves the whole call: it proves sigma unimodular (a map fixing D
@@ -72,13 +72,13 @@ from .ring import (
     LeftNormedTerm,
     Word,
     _poly_add_into,
-    central_offset,
     from_word,
     generator,
     inv,
     lcs_weight,
     mul,
     occurs,
+    offset_image,
 )
 
 # perfbench/ reads TAGS and verify_payload off this module
@@ -386,9 +386,9 @@ def central_decompose(alpha: GeneratorMap, fixed: Iterable[int]) -> list[Factor]
     mentions at most c distinct generators), then the same with F and G
     swapped.  All emitted maps are central IA, hence commute pairwise.
 
-    Each beta offset is built in closed form from its cell's left-normed
-    terms (`central_offset`), and the factor keeps those terms as `offsets`
-    for the wire format.
+    Each beta image is built from its cell's left-normed terms
+    (`ring.offset_image`, in closed form at this weight), and the factor
+    keeps those terms as `offsets` for the wire format.
     """
     ctx = alpha.ctx
     c = ctx.nilclass
@@ -425,19 +425,19 @@ def central_decompose(alpha: GeneratorMap, fixed: Iterable[int]) -> list[Factor]
                     )
                 cell_terms[k].setdefault(g, []).append(term)
         for k in range(c + 1):
-            assignment, offsets = {}, []
+            images, offsets = {}, []
             for g, terms in cell_terms[k].items():
-                z = central_offset(ctx, terms)
-                if not z.is_identity():
-                    assignment[g] = z
+                img = offset_image(ctx, g, terms)
+                # terms that cancel leave x_g, which is no offset
+                if len(img.poly) > 2:
+                    images[g] = img
                     offsets.append((g, tuple(terms)))
-            if not assignment:
+            if not images:
                 continue
-            beta = ia_central(ctx, assignment)
+            beta = GeneratorMap._sparse(ctx, images, unimodular=True)
             used = set()
-            for g, z in assignment.items():
-                used.add(g)
-                used.update(occurs(z))
+            for img in images.values():
+                used.update(occurs(img))
             spares = [e for e in cells_source if e not in cells[k] and e not in used]
             pinned_block = frozenset(cells[k]) | frozenset(spares)
             cert = MoietyCertificate(
@@ -460,18 +460,18 @@ def central_decompose(alpha: GeneratorMap, fixed: Iterable[int]) -> list[Factor]
 def _top_class_beta(
     ctx: GroupContext, beta: Factor, fixed: frozenset[int]
 ) -> Factor:
-    """A level-k beta as the class-c factor that projects onto it: each
-    image's word, x_g followed by its terms' left-normed letters, read at
-    class c.  Truncation is a ring homomorphism, so the map induces beta at
-    class k, and c - k one-class lifts (`lift_factor`) would re-read the
-    same word into the same map.  A beta stores images of
-    free generators only, so no D correction arises; `_certified` still
-    checks that D is fixed, and rechecks the certificate once, at class c.
-    The factor keeps beta's terms as its `offsets`: the wire carries those
-    and the reader spells the same words from them.
+    """A level-k beta as the class-c factor that projects onto it: its
+    images rebuilt at class c from beta's terms (`ring.offset_image`), with
+    the words beta's images have.  Truncation is a ring homomorphism, so
+    the map induces beta at class k, and c - k one-class lifts
+    (`lift_factor`) would re-read those words into the same map.  A beta
+    stores images of free generators only, so no D correction arises;
+    `_certified` still checks that D is fixed, and rechecks the certificate
+    once, at class c.  The factor keeps beta's terms as its `offsets`: the
+    wire carries those and the reader rebuilds the same images from them.
     """
-    images = {i: from_word(ctx, img.word) for i, img in beta.map.stored.items()}
-    # a word's exponent sums survive: the abelianization stays the identity
+    images = {g: offset_image(ctx, g, terms) for g, terms in beta.offsets}
+    # every term has weight >= 2: the abelianization stays the identity
     phi = GeneratorMap._sparse(ctx, images, unimodular=True)
     return _lifted(fixed, phi, beta, beta.offsets)
 

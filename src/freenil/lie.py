@@ -23,8 +23,8 @@ Bracket trees are nested pairs with int leaves: 3 is a leaf, (1, (2, 3)) is
 a^-1 b^-1 a b is [U, V] = UV - VU.  Expanding a tree in the word basis
 (`bracket_expansion`), Lyndon words' standard bracketings, the polynomials
 of collected coordinates (`from_collected`), the left-normed term record
-`LeftNormedTerm` and the closed-form product of central terms
-(`central_offset`) live in `ring`, since the wire reader needs them and
+`LeftNormedTerm` and the image of an IA map built from such terms
+(`offset_image`) live in `ring`, since the wire reader needs them and
 nothing else here.
 """
 

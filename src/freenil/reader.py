@@ -20,13 +20,11 @@ offsets term as a pair [[b1, .., bk], e] in place of the {"comm", "exp"}
 object (each form is refused in the other's versions), and lets a lifted
 factor of central_beta origin carry offsets, terms of weight 2..class.
 
-A central_beta factor's offsets are rebuilt in closed form by
-`ring.central_offset`; any integer combination of weight-c terms is a
-central group element.  A lifted factor's image is x_g followed by its
-terms' left-normed letters (`ring._left_normed_letters`), read once by
-`from_word`; every term has weight at least 2, so the map has the identity
-abelianization.  Either way a parsed factor is a genuine automorphism
-whatever its terms say, built by ring code alone.
+Both offsets forms are rebuilt by `ring.offset_image`, the function the
+engine builds them with: x_g times its terms, a weight-c term in closed
+form.  Every term has weight at least 2, so the map has the identity
+abelianization: a parsed factor is a genuine automorphism whatever its
+terms say, built by ring code alone.
 
 An image, in a map or a "stored" list, is a word or, from version 5 on
 and in any map read alone, in collected form: a list with a bracket entry
@@ -55,20 +53,19 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from .context import GroupContext
-from .errors import ContextMismatch, MalformedInput
-from .kernel import GeneratorMap, MoietyCertificate, ia_central
+from .errors import ContextMismatch, IndexOutOfRange, MalformedInput, NotCentral
+from .kernel import GeneratorMap, MoietyCertificate
 from .records import TAGS, Decomposition, Factor
 from .ring import (
     Collected,
     GroupElement,
     LeftNormedTerm,
     Word,
-    _left_normed_letters,
-    central_offset,
     from_collected,
     from_word,
     is_lyndon,
     letter,
+    offset_image,
 )
 
 
@@ -289,34 +286,16 @@ def parse_term(obj: Any, version: int = 5) -> LeftNormedTerm:
     return LeftNormedTerm(tuple(gens), exp)
 
 
-def _lifted_image(ctx: GroupContext, g: int, terms: tuple) -> GroupElement:
-    # x_g followed by each term's left-normed letters, read once at the class
-    ctx.check_generators((g,))
-    letters = [(g, 1)]
-    for t in terms:
-        seq = t.generators
-        if len(seq) > ctx.nilclass:
-            raise MalformedInput(
-                f"term {list(seq)} has weight {len(seq)}, "
-                f"above the class {ctx.nilclass}"
-            )
-        ctx.check_generators(seq)
-        letters += _left_normed_letters(seq, t.exponent)
-    return from_word(ctx, Word(letters))
-
-
 def parse_offsets(
     ctx: GroupContext, obj: Any, version: int = 5, lifted: bool = False
 ) -> tuple[GeneratorMap, tuple]:
-    """The IA map x_g -> x_g * prod of terms, and the offsets read.
-
-    A central_beta factor's terms have weight exactly the class and its map
-    is rebuilt in closed form (`central_offset`).  A lifted factor's terms
-    (`lifted`, version 6 on) have weight 2..class: each image is x_g
-    followed by its terms' left-normed letters, read once by from_word.
+    """The IA map x_g -> x_g * prod of terms (`ring.offset_image`), and the
+    offsets read.  A central_beta factor's terms have weight exactly the
+    class; a lifted factor's (`lifted`, version 6 on) have weight 2..class.
     Every term has weight at least 2, so either map has the identity
     abelianization and is an automorphism."""
-    parsed, offsets = {}, []
+    c = ctx.nilclass
+    parsed = {}
     for item in _need_list(obj, "offsets"):
         item = _need_list(item, "offset")
         if len(item) != 2:
@@ -327,14 +306,27 @@ def parse_offsets(
         terms = tuple(
             parse_term(t, version) for t in _need_list(item[1], "offset terms")
         )
-        offsets.append((g, terms))
         if lifted:
-            parsed[g] = _lifted_image(ctx, g, terms)
-        else:
-            parsed[g] = central_offset(ctx, terms)
-    if lifted:
-        return GeneratorMap._sparse(ctx, parsed, unimodular=True), tuple(offsets)
-    return ia_central(ctx, parsed), tuple(offsets)
+            ctx.check_generators((g,))
+        for seq in (t.generators for t in terms):
+            if lifted:
+                if len(seq) > c:
+                    raise MalformedInput(
+                        f"term {list(seq)} has weight {len(seq)}, above the class {c}"
+                    )
+                ctx.check_generators(seq)
+            elif len(seq) != c:
+                raise NotCentral(
+                    f"term {list(seq)} has weight {len(seq)}; "
+                    f"central terms need weight {c} >= 2"
+                )
+            elif not all(1 <= b <= ctx.rank for b in seq):
+                raise IndexOutOfRange(f"term {list(seq)} leaves generators 1..{ctx.rank}")
+        parsed[g] = terms
+    # a central_beta factor's generators are checked after all its terms
+    ctx.check_generators(parsed)
+    images = {g: offset_image(ctx, g, terms) for g, terms in parsed.items()}
+    return GeneratorMap._sparse(ctx, images, unimodular=True), tuple(parsed.items())
 
 
 # ---------------------------------------------------------------------------

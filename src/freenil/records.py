@@ -30,8 +30,8 @@ class Factor(Record):
     origin: Optional[str]  # pre-lift tag, for lifted factors
     part: Optional[int]  # which avoided cell, for central_beta
     side: Optional[str]  # which half of E the cells partition
-    # (g, terms) per moved generator, x_g -> x_g * prod of terms: on a
-    # central_beta factor, terms of weight class; on a lifted factor that
+    # (g, terms) per moved generator, x_g -> ring.offset_image(ctx, g, terms):
+    # on a central_beta factor, terms of weight class; on a lifted factor that
     # decompose builds from a level-k beta, that beta's terms, of weight k
     offsets: Optional[Offsets]
 

@@ -36,12 +36,13 @@ w): it is added in that closed form, with no commutator formed, from a
 bounded cache of expansions.  `lie.collect_word` computes the coordinates
 of an element.
 
-Left-normed commutators of generators also live here, in closed form:
-`central_offset` builds a product of weight-c commutator powers from their
-bracket expansions alone, with no group product formed.  That, with the
-Lyndon words and standard bracketings that collected coordinates name, is
-all the wire reader needs of commutators, so reading a decomposition never
-touches the Lyndon elimination in `lie`, which builds on these expansions.
+Left-normed commutators of generators also live here: `offset_image`
+builds the image x_g * prod [x_b1, x_b2^e, .., x_bk] of an IA map for the
+engine and the wire reader alike, from bracket expansions and cached
+commutator polynomials, with no word read back.  That and the Lyndon words
+that collected coordinates name are all the wire reader needs of
+commutators, so reading a decomposition never touches the Lyndon
+elimination in `lie`, which builds on these expansions.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 from .context import GroupContext, Record, check_same_context
-from .errors import BadClass, IndexOutOfRange, MalformedInput, NotCentral
+from .errors import BadClass, IndexOutOfRange, MalformedInput
 
 Monomial = tuple[int, ...]
 Poly = dict  # Monomial -> int, zero coefficients absent
@@ -543,27 +544,32 @@ def _left_normed_expansion(seq: tuple[int, ...]) -> Poly:
     return bracket_expansion(tree)
 
 
-def central_offset(ctx: GroupContext, terms: Sequence[LeftNormedTerm]) -> GroupElement:
-    """Product of the weight-c commutator powers `terms`, in closed form.
+@lru_cache(maxsize=_LETTER_CACHE)
+def _left_normed_poly(seq: tuple[int, ...], e: int, cap: int) -> Poly:
+    # [x_{b1}, x_{b2}^e, x_{b3}, .., x_{bk}], k >= 2, over its cached prefix;
+    # bounded like the one-letter caches, and callers only read the dict
+    if len(seq) == 2:
+        return _comm_poly(_genpow_poly(seq[0], 1, cap), _genpow_poly(seq[1], e, cap), cap)
+    return _comm_poly(_left_normed_poly(seq[:-1], e, cap), _genpow_poly(seq[-1], 1, cap), cap)
 
-    In class c such a product is central with polynomial
-    1 + sum of e * bracket(b1, .., bc), so it is read off the left-normed
-    bracket expansions; no group product is formed.  The element also
-    carries the word lie.left_normed_element spells for each term,
-    concatenated and freely reduced once, so it equals the product of
-    left_normed_element pieces in polynomial and in word letters.
-    """
+
+def offset_image(ctx: GroupContext, g: int, terms: Sequence[LeftNormedTerm]) -> GroupElement:
+    """x_g times the left-normed commutator powers `terms`, in order: the
+    image of x_g under x_g -> x_g * prod [x_b1, x_b2^e, .., x_bk].  A
+    weight-c term is central and is added in closed form, 1 + e * (its
+    bracket expansion); a lighter one is multiplied in from its cached
+    commutator polynomial.  The word is x_g and every term's left-normed
+    letters, freely reduced once, so the element equals generator(ctx, g)
+    times the lie.left_normed_element pieces, in polynomial and in word.
+    The caller has checked every index in 1..rank and weight in 2..c."""
     c = ctx.nilclass
-    poly: Poly = {(): 1}
-    letters: list[tuple[int, int]] = []
+    poly: Poly = {(): 1, (g,): 1}
+    letters = [(g, 1)]
     for t in terms:
-        seq = t.generators
-        if len(seq) != c or c < 2:
-            raise NotCentral(
-                f"term {list(seq)} has weight {len(seq)}; central terms need weight {c} >= 2"
-            )
-        if not all(1 <= b <= ctx.rank for b in seq):
-            raise IndexOutOfRange(f"term {list(seq)} leaves generators 1..{ctx.rank}")
-        _poly_add_into(poly, _left_normed_expansion(seq), t.exponent)
-        letters.extend(_left_normed_letters(seq, t.exponent))
+        seq, e = t.generators, t.exponent
+        if len(seq) == c:
+            _poly_add_into(poly, _left_normed_expansion(seq), e)
+        else:
+            poly = _poly_mul(poly, _left_normed_poly(seq, e, c), c)
+        letters += _left_normed_letters(seq, e)
     return GroupElement(ctx, poly, Word(letters))

@@ -19,15 +19,23 @@ later versions leave out.
 
 import copy
 import hashlib
+from functools import reduce
 from pathlib import Path
 
 import pytest
 
-from freenil import GroupContext, LeftNormedTerm, ia_central, verify_payload
+from freenil import (
+    GroupContext,
+    GroupElement,
+    ia_central,
+    identity,
+    left_normed_element,
+    mul,
+    verify_payload,
+)
 from freenil.cli import main
 from freenil.jsonio import dumps, loads, report_payload, word_payload
 from freenil.reader import parse_decomposition
-from freenil.ring import central_offset
 from freenil.lie import spell
 
 DATA = Path(__file__).parent / "data"
@@ -97,11 +105,20 @@ def spelled_map(payload: dict) -> dict:
     return {**payload, "images": [spelled(w) for w in payload["images"]]}
 
 
+def term_product(ctx: GroupContext, terms) -> GroupElement:
+    """The product of the left-normed commutator powers `terms`, pairs
+    (generators, exponent), taken piece by piece with `left_normed_element`
+    and `mul`: a spelling that shares no code with `ring.offset_image`
+    beyond the ring's product, for tests that check what it builds."""
+    pieces = (left_normed_element(ctx, tuple(b), e) for b, e in terms)
+    return reduce(mul, pieces, identity(ctx))
+
+
 def as_v5(payload: dict) -> dict:
     """The version 5 form of a version 6 payload, as a fresh tree.  A lifted
     factor's offsets, the terms of its level-k beta, become the stored
     words version 5 wrote: those of the images of
-    ia_central(GroupContext(rank, k), {g: central_offset(ctx_k, terms)}).
+    ia_central(GroupContext(rank, k), {g: term_product(ctx_k, terms)}).
     Every other offsets term, a pair [[b1, .., bk], e], becomes the object
     {"comm": [b1, .., bk], "exp": e}."""
     rank = payload["input"]["rank"]
@@ -112,13 +129,7 @@ def as_v5(payload: dict) -> dict:
             k = len(offsets[0][1][0][0])  # a beta's terms share their weight
             ctx = GroupContext(rank, k)
             beta = ia_central(
-                ctx,
-                {
-                    g: central_offset(
-                        ctx, [LeftNormedTerm(tuple(b), e) for b, e in terms]
-                    )
-                    for g, terms in offsets
-                },
+                ctx, {g: term_product(ctx, terms) for g, terms in offsets}
             )
             stored = [[g, word_payload(beta(g).word)] for g in sorted(beta.stored)]
             factor = {

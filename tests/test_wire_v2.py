@@ -1,8 +1,8 @@
 """Version 2 decomposition payloads: central_beta factors as Lie terms.
 
 A central_beta factor x_g -> x_g * prod [x_b1, .., x_bc]^e is written as its
-left-normed terms ("offsets") and rebuilt in closed form by
-`ring.central_offset`.  These tests pin that the closed form equals the
+left-normed terms ("offsets") and rebuilt by `ring.offset_image`, the
+central terms in closed form.  These tests pin that the builder equals the
 product of commutator words it replaces, that the format before it
 (version 1, committed under tests/data/v1/) still verifies to the pinned
 report bytes, that version 2 (committed under tests/data/v2/) differs from
@@ -13,7 +13,6 @@ named error.
 import hashlib
 import json
 import random
-from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -25,16 +24,15 @@ from freenil import (
     NotCentral,
     generator,
     ia_central,
-    left_normed_element,
     mul,
     verify_payload,
 )
 from freenil.cli import main
 from freenil.jsonio import dumps, loads, report_payload
-from freenil.reader import parse_map
-from freenil.ring import LeftNormedTerm, central_offset
+from freenil.reader import parse_map, parse_offsets
+from freenil.ring import LeftNormedTerm, offset_image
 
-from test_wire_fixtures import REPORTS
+from test_wire_fixtures import REPORTS, term_product
 
 DATA = Path(__file__).parent / "data"
 CELLS = [cell for cell in sorted(REPORTS) if cell[1] >= 2]
@@ -49,39 +47,47 @@ def _digest(text: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the closed form against the commutator words it replaces
+# the builder against the commutator words it replaces
 
 @pytest.mark.parametrize("nilclass", [2, 3, 4, 5, 6])
 def test_closed_form_equals_product_of_commutator_words(nilclass):
+    # offset_image against x_g times the left_normed_element pieces: central
+    # terms alone, with small exponents, then terms of mixed weight 2..class
+    # in one image, with exponents +-1, +-2 and one above 2^64
     rng = random.Random(800 + nilclass)
     rank = 5 if nilclass >= 5 else 7
     ctx = GroupContext(rank, nilclass)
-    for _ in range(6):
-        terms = [
-            LeftNormedTerm(
-                tuple(rng.randrange(1, rank + 1) for _ in range(nilclass)),
-                rng.choice((-3, -2, -1, 1, 2, 3)),
+    seen_exponents, seen_weights = set(), set()
+    for mixed in [False] * 6 + [True] * 6:
+        exponents = (-2, -1, 1, 2, 2**64 + 1) if mixed else (-3, -2, -1, 1, 2, 3)
+        terms = []
+        for _ in range(rng.randrange(1, 5)):
+            weight = rng.randrange(2, nilclass + 1) if mixed else nilclass
+            terms.append(
+                LeftNormedTerm(
+                    tuple(rng.randrange(1, rank + 1) for _ in range(weight)),
+                    rng.choice(exponents),
+                )
             )
-            for _ in range(rng.randrange(1, 5))
-        ]
-        pieces = [left_normed_element(ctx, t.generators, t.exponent) for t in terms]
-        built = reduce(mul, pieces)
-        closed = central_offset(ctx, terms)
-        assert closed.poly == built.poly
-        assert closed.word.letters == built.word.letters
-        # and as the image ia_central makes of it
         g = rng.randrange(1, rank + 1)
-        image = ia_central(ctx, {g: closed})(g)
-        word_built = mul(generator(ctx, g), built)
-        assert (image.poly, image.word) == (word_built.poly, word_built.word)
+        pairs = [(t.generators, t.exponent) for t in terms]
+        built = mul(generator(ctx, g), term_product(ctx, pairs))
+        image = offset_image(ctx, g, terms)
+        assert image.poly == built.poly
+        assert image.word.letters == built.word.letters
+        if mixed:
+            seen_exponents.update(t.exponent for t in terms)
+            seen_weights.add(frozenset(len(t.generators) for t in terms))
+    assert seen_exponents == set(exponents)
+    assert nilclass == 2 or max(map(len, seen_weights)) >= 2  # mixed weights
 
 
 def test_closed_form_refuses_terms_off_the_centre():
     ctx = GroupContext(4, 3)
     with pytest.raises(NotCentral):
-        central_offset(ctx, [LeftNormedTerm((1, 2), 1)])
+        parse_offsets(ctx, [[1, [[[1, 2], 1]]]], version=6)
     with pytest.raises(IndexOutOfRange):
-        central_offset(ctx, [LeftNormedTerm((1, 2, 5), 1)])
+        parse_offsets(ctx, [[1, [[[1, 2, 5], 1]]]], version=6)
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +129,9 @@ def test_v2_payload_matches_v1_outside_central_bodies(cell):
         }
         # the offsets rebuild the very images the v1 words spell
         rebuilt = {
-            g: ia_central(ctx, {g: central_offset(ctx, [
-                LeftNormedTerm(tuple(t["comm"]), t["exp"]) for t in terms
-            ])})(g).poly
+            g: ia_central(
+                ctx, {g: term_product(ctx, [(t["comm"], t["exp"]) for t in terms])}
+            )(g).poly
             for g, terms in got["offsets"]
         }
         v1_map = parse_map(was["map"])

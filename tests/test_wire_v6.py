@@ -3,12 +3,13 @@
 Below the top class, `decompose` builds each level-k central_beta as one
 class-c lifted factor; version 6 writes that factor as its beta's offsets,
 terms of weight k, in place of the stored words, and the reader rebuilds
-each image as x_g followed by its terms' left-normed letters, read once at
-the class.  Inside offsets every term is the pair [[b1, .., bk], e].  These
-tests pin that writing and reading are inverse at classes 1 to 6, that the
-rebuilt images are the ones the engine built, and that every refusal is a
-documented envelope, from the reader and from the CLI plain and under
-python -O; version 5 reads neither pairs nor lifted offsets.
+each image from them as the engine does (`ring.offset_image`).  Inside
+offsets every term is the pair [[b1, .., bk], e].  These tests pin that
+writing and reading are inverse at classes 1 to 6, that the rebuilt images
+are the ones the engine built and the ones the beta's words give at the
+class, and that every refusal is a documented envelope, from the reader and
+from the CLI plain and under python -O; version 5 reads neither pairs nor
+lifted offsets.
 """
 
 import json
@@ -20,7 +21,6 @@ import pytest
 from freenil import (
     GroupContext,
     IndexOutOfRange,
-    LeftNormedTerm,
     MalformedInput,
     NotCentral,
     decompose,
@@ -31,9 +31,8 @@ from freenil import (
 )
 from freenil.jsonio import decomposition_payload, dumps, loads
 from freenil.reader import parse_decomposition
-from freenil.ring import central_offset
 
-from test_wire_fixtures import as_v5, fixture_path
+from test_wire_fixtures import as_v5, fixture_path, term_product
 from test_wire_v5 import _DRIVER
 
 
@@ -79,13 +78,17 @@ def test_lifted_betas_rebuild_the_images_the_engine_built(c):
             if f not in _lifted_betas(dec):
                 continue
             seen += 1
-            # the engine's construction: the level-k beta's image words,
-            # read at class c
+            # another route: the level-k beta built piece by piece, its
+            # image words read at class c
             k = len(f.offsets[0][1][0].generators)
             assert 2 <= k < c
             ctx_k = GroupContext(f.map.ctx.rank, k)
             beta = ia_central(
-                ctx_k, {g: central_offset(ctx_k, terms) for g, terms in f.offsets}
+                ctx_k,
+                {
+                    g: term_product(ctx_k, [(t.generators, t.exponent) for t in terms])
+                    for g, terms in f.offsets
+                },
             )
             assert got.map.moved == f.map.moved == beta.moved
             for g in beta.moved:
@@ -101,9 +104,7 @@ def test_a_lifted_term_may_have_the_weight_of_the_class():
     payload["factors"][LIFTED]["offsets"] = [[10, [[[2, 3, 2, 3], 1]]]]
     phi = parse_decomposition(payload).factors[LIFTED].map
     ctx = phi.ctx
-    assert phi(10) == ia_central(
-        ctx, {10: central_offset(ctx, [LeftNormedTerm((2, 3, 2, 3), 1)])}
-    )(10)
+    assert phi(10) == ia_central(ctx, {10: term_product(ctx, [((2, 3, 2, 3), 1)])})(10)
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +176,10 @@ ROWS = {
     "below-the-class-in-a-central-beta": (
         _with_term(BETA, [[2, 3], 1]), "NotCentral", 1,
         "term [2, 3] has weight 2; central terms need weight 4 >= 2",
+    ),
+    "letter-above-the-rank-in-a-central-beta": (
+        _with_term(BETA, [[2, 3, 2, 13], -1]), R, 1,
+        "term [2, 3, 2, 13] leaves generators 1..12",
     ),
     "zero-exponent": (_with_term(LIFTED, [[2, 3], 0]), M, 2, "exp must be nonzero"),
     "bool-exponent": (_with_term(LIFTED, [[2, 3], True]), M, 2, "exp must be an integer"),
