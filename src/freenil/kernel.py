@@ -250,9 +250,9 @@ class GeneratorMap:
     def _substitute(self, p: Poly, cap: int) -> Poly:
         """p, of degree at most cap, with X_i -> Y_i = (image of x_i) - 1 for
         each moved i, over the trie p = p_0 + sum_i X_i q_i (module
-        docstring).  Y_i is truncated to cap first: _poly_mul returns it as it
-        stands when the substituted q_i is a scalar.  Y_i may be empty (an
-        endomorphism sending x_i to 1)."""
+        docstring).  Y_i is truncated to cap first; a scalar q_i = s adds
+        s * Y_i straight into the result, with no substitution and no
+        product.  Y_i may be empty (an endomorphism sending x_i to 1)."""
         moved = self.moved
         out: Poly = {}
         tails: dict[int, Poly] = {}
@@ -262,13 +262,15 @@ class GeneratorMap:
             else:
                 tails.setdefault(w[0], {})[w[1:]] = coeff
         for i, q in tails.items():
-            sub = self._substitute(q, cap - 1)
-            if i in moved:
-                y = {m: c for m, c in self.stored[i].poly.items() if 0 < len(m) <= cap}
-                sub = _poly_mul(y, sub, cap)
+            if i not in moved:
+                sub = self._substitute(q, cap - 1)
+                _poly_add_into(out, {(i,) + m: c for m, c in sub.items()})
+                continue
+            y = {m: c for m, c in self.stored[i].poly.items() if 0 < len(m) <= cap}
+            if len(q) == 1 and () in q:
+                _poly_add_into(out, y, q[()])
             else:
-                sub = {(i,) + m: c for m, c in sub.items()}
-            _poly_add_into(out, sub)
+                _poly_add_into(out, _poly_mul(y, self._substitute(q, cap - 1), cap))
         return out
 
     def apply(self, a: GroupElement) -> GroupElement:

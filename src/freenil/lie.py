@@ -25,7 +25,9 @@ a^-1 b^-1 a b is [U, V] = UV - VU.  Expanding a tree in the word basis
 of collected coordinates (`from_collected`), the left-normed term record
 `LeftNormedTerm` and the image of an IA map built from such terms
 (`offset_image`) live in `ring`, since the wire reader needs them and
-nothing else here.
+nothing else here.  So does the one route for bracket powers (`ring`,
+"Bracket powers"): `collect_word` divides out its polynomials, and `spell`
+and `left_normed_element` write their words with its speller.
 """
 
 from __future__ import annotations
@@ -41,11 +43,13 @@ from .ring import (
     LeftNormedTerm,
     Poly,
     Word,
-    _bracket_power,
-    _left_normed_letters,
+    _left_normed_tree,
     _poly_add_into,
     _poly_inv,
     _poly_mul,
+    _power_letters,
+    _power_poly,
+    _power_tree,
     _word_poly,
     bracket_expansion,
     comm,
@@ -185,8 +189,8 @@ def left_normed_element(ctx: GroupContext, seq: tuple[int, ...], exponent: int) 
     The exponent rides on the innermost right slot: [u, v]^e and [u, v^e]
     agree modulo weight > k, and exactly at weight k = nilclass, so the word
     stays short no matter how large the exponent is.  The polynomial comes
-    from group commutators of word-less generators, the word from
-    _left_normed_letters.
+    from group commutators of word-less generators, the word from the
+    power tree's letters (`ring._power_letters`), as offset_image spells it.
     """
     x = [GroupElement(ctx, generator(ctx, b).poly) for b in seq]
     if len(x) == 1:
@@ -195,7 +199,8 @@ def left_normed_element(ctx: GroupContext, seq: tuple[int, ...], exponent: int) 
         acc = comm(x[0], power(x[1], exponent))
         for b in x[2:]:
             acc = comm(acc, b)
-    return GroupElement(ctx, acc.poly, Word(_left_normed_letters(seq, exponent)))
+    word = Word(_power_letters(_left_normed_tree(seq, exponent)))
+    return GroupElement(ctx, acc.poly, word)
 
 
 def central_factorize(w: GroupElement) -> list[LeftNormedTerm]:
@@ -218,31 +223,19 @@ def central_factorize(w: GroupElement) -> list[LeftNormedTerm]:
     return [LeftNormedTerm(seq, acc[seq]) for seq in sorted(acc) if len(seq) < 2 or seq[0] != seq[1]]
 
 
-def _tree_power_pairs(tree: BracketTree, e: int) -> list[tuple[int, int]]:
-    # group word of the bracket power of `tree` (the exponent on its last leaf)
-    if isinstance(tree, int):
-        return [(tree, e)]
-    wl = _tree_power_pairs(tree[0], 1)
-    wr = _tree_power_pairs(tree[1], e)
-    inv_l = [(g, -x) for g, x in reversed(wl)]
-    inv_r = [(g, -x) for g, x in reversed(wr)]
-    return inv_l + inv_r + wl + wr
-
-
 def collect_word(a: GroupElement) -> Collected:
     """The collected word of a: its coordinates over the Lyndon basis.
 
     Peels the abelian part, then for each weight k = 2..c reads the degree-k
     part (a Lie element for genuine group elements), converts it to Lyndon
     coordinates, and divides out their bracket powers (`ring`, "Collected
-    coordinates").  Once 2k > c what is
+    coordinates"), built by `ring._power_poly`.  Once 2k > c what is
     left is 1 plus the sum of its bracket powers less 1, so they are
     subtracted.  The result depends only on the polynomial, so it is a
     deterministic serialization for elements without provenance.
     """
     ctx = a.ctx
     cap = ctx.nilclass
-    cache: dict = {}  # bracket powers, shared by the layers
     poly = a.poly
     coords: list = [(g, poly[(g,)]) for g in ctx.generators() if (g,) in poly]
     back = [(g, -e) for g, e in reversed(coords)]
@@ -255,7 +248,7 @@ def collect_word(a: GroupElement) -> Collected:
         powers = []
         for w in sorted(layer):
             coords.append((w, layer[w]))
-            powers.append(_bracket_power(_lyndon_row(w)[0], layer[w], cap, cache))
+            powers.append(_power_poly(_power_tree(_lyndon_row(w)[0], layer[w]), cap))
         if 2 * k > cap:
             for t in powers:
                 _poly_add_into(r, t, -1)
@@ -272,13 +265,14 @@ def collect_word(a: GroupElement) -> Collected:
 
 def spell(coords: Collected) -> Word:
     """The group word of collected coordinates: each letter power, then each
-    bracket power spelled by its standard bracketing, freely reduced."""
+    bracket power's power tree spelled by `ring._power_letters`, freely
+    reduced."""
     letters: list[tuple[int, int]] = []
     for w, e in coords:
         if type(w) is int:
             letters.append((w, e))
         else:
-            letters.extend(_tree_power_pairs(standard_bracketing(w), e))
+            letters.extend(_power_letters(_power_tree(standard_bracketing(w), e)))
     return Word(letters)
 
 

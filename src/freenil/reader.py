@@ -29,9 +29,9 @@ terms say, built by ring code alone.
 An image, in a map or a "stored" list, is a word or, from version 5 on
 and in any map read alone, in collected form: a list with a bracket entry
 [[w1..wk], e], which must be canonical (`parse_collected`), so every
-element has one encoding.  `ring.from_collected` rebuilds it with one
-cache of bracket powers per parse, and the element keeps its coordinates.
-Before version 5 such a list is refused as a word, as it always was.
+element has one encoding.  `ring.from_collected` rebuilds it, and the
+element keeps its coordinates.  Before version 5 such a list is refused
+as a word, as it always was.
 
 A valid one-letter image [[g, e]] is not parsed: it becomes
 `ring.letter`'s shared element, equal in polynomial and word to the parsed
@@ -50,7 +50,7 @@ tell "not even the right shape" from "well-formed but invalid here".
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from .context import GroupContext
 from .errors import ContextMismatch, IndexOutOfRange, MalformedInput, NotCentral
@@ -158,13 +158,13 @@ def parse_collected(ctx: GroupContext, obj: Any) -> Collected:
     return tuple(coords)
 
 
-def _image(ctx: GroupContext, w: Any, cache: Optional[dict]) -> GroupElement:
+def _image(ctx: GroupContext, w: Any, collected: bool) -> GroupElement:
     """The element the JSON image w stands for in ctx.  A list with a
-    bracket entry is in collected form when `cache` (the parse's bracket
-    cache) is given, and refused as a word when it is None (payloads before
-    version 5).  A valid one-letter word [[g, e]] becomes the shared
-    ring.letter, with no parsing; every other word, and so every refusal,
-    takes from_word(ctx, parse_word(w))."""
+    bracket entry is in collected form when `collected` is true, and
+    refused as a word when it is false (payloads before version 5).  A
+    valid one-letter word [[g, e]] becomes the shared ring.letter, with no
+    parsing; every other word, and so every refusal, takes
+    from_word(ctx, parse_word(w))."""
     if type(w) is list:
         if len(w) == 1:
             item = w[0]
@@ -172,10 +172,10 @@ def _image(ctx: GroupContext, w: Any, cache: Optional[dict]) -> GroupElement:
                 g, e = item
                 if type(g) is int and type(e) is int and e and 1 <= g <= ctx.rank:
                     return letter(ctx, g, e)
-        if cache is not None and any(
+        if collected and any(
             type(item) is list and item and type(item[0]) is list for item in w
         ):
-            return from_collected(ctx, parse_collected(ctx, w), cache)
+            return from_collected(ctx, parse_collected(ctx, w))
     return from_word(ctx, parse_word(w))
 
 
@@ -188,11 +188,11 @@ def parse_element(ctx: GroupContext, obj: Any) -> GroupElement:
 # maps
 
 def parse_map(obj: Any) -> GeneratorMap:
-    return _parse_map(obj, {})
+    return _parse_map(obj, True)
 
 
-def _parse_map(obj: Any, cache: Optional[dict]) -> GeneratorMap:
-    # `cache` as for _image
+def _parse_map(obj: Any, collected: bool) -> GeneratorMap:
+    # `collected` as for _image
     obj = _need_keys(obj, "map", ("rank", "class", "images"))
     rank = _need_int(obj["rank"], "rank")
     ctx = GroupContext(rank, _need_int(obj["class"], "class"))
@@ -205,14 +205,14 @@ def _parse_map(obj: Any, cache: Optional[dict]) -> GeneratorMap:
         # also match [[True, 1]] or [[1.0, 1]], which parse_word refuses
         if w == [[i, 1]] and type(w[0][0]) is int and type(w[0][1]) is int:
             continue
-        stored[i] = _image(ctx, w, cache)
+        stored[i] = _image(ctx, w, collected)
     return GeneratorMap._sparse(ctx, stored)
 
 
-def parse_stored(ctx: GroupContext, obj: Any, cache: Optional[dict] = None) -> GeneratorMap:
+def parse_stored(ctx: GroupContext, obj: Any, collected: bool = False) -> GeneratorMap:
     """The map x_g -> IMAGE for each listed g, fixing every other generator:
     the map parse_map builds from the dense images it stands for.  Images
-    in collected form need a bracket cache, `cache` (see _image)."""
+    are read in collected form only when `collected` is true (see _image)."""
     stored, last = {}, 0
     for item in _need_list(obj, "stored"):
         item = _need_list(item, "stored image")
@@ -223,7 +223,7 @@ def parse_stored(ctx: GroupContext, obj: Any, cache: Optional[dict] = None) -> G
         if g <= last:
             raise MalformedInput("stored generators must strictly increase")
         last = g
-        stored[g] = _image(ctx, item[1], cache)
+        stored[g] = _image(ctx, item[1], collected)
     return GeneratorMap._sparse(ctx, stored)
 
 
@@ -341,9 +341,7 @@ def _check_factor_context(ctx: GroupContext, phi: GeneratorMap) -> None:
         )
 
 
-def parse_factor(
-    ctx: GroupContext, obj: Any, version: int, cache: Optional[dict] = None
-) -> Factor:
+def parse_factor(ctx: GroupContext, obj: Any, version: int) -> Factor:
     obj = _need_keys(
         obj,
         "factor",
@@ -361,12 +359,12 @@ def parse_factor(
     if "map" in obj:
         if version >= 3:
             raise MalformedInput(f"version {version} factors carry stored, not map")
-        phi = _parse_map(obj["map"], None)
+        phi = _parse_map(obj["map"], False)
         _check_factor_context(ctx, phi)
     elif "stored" in obj:
         if version < 3:
             raise MalformedInput("stored needs a version 3 decomposition")
-        phi = parse_stored(ctx, obj["stored"], cache)
+        phi = parse_stored(ctx, obj["stored"], version >= 5)
     elif version < 2:
         raise MalformedInput("offsets need a version 2 decomposition")
     elif tag == "central_beta":
@@ -421,13 +419,11 @@ def parse_decomposition(obj: Any) -> Decomposition:
     version = obj.get("version", 1)
     if type(version) is not int or version not in VERSIONS:
         raise MalformedInput(f"unknown decomposition version {version!r}")
-    # one bracket cache for the whole payload, which is in one context
-    cache = {} if version >= 5 else None
-    sigma = _parse_map(obj["input"], cache)
+    sigma = _parse_map(obj["input"], version >= 5)
     fixed = _fixed_indices(obj["fixed"], version)
     sigma.ctx.check_generators(fixed)
     factors = [
-        parse_factor(sigma.ctx, f, version, cache)
+        parse_factor(sigma.ctx, f, version)
         for f in _need_list(obj["factors"], "factors")
     ]
     return Decomposition(sigma, frozenset(fixed), tuple(factors))

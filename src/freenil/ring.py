@@ -30,18 +30,22 @@ lists (g, a) for each nonzero a, then (w, e) for each bracket: w is a
 Lyndon word (a tuple) and its power is the standard bracketing of w with the
 exponent on the last letter, [u, v]^e read as [u, v^e] down the right spine.
 `from_collected` rebuilds the polynomial from nested commutators of
-polynomials, caching each bracket power per parse.  A bracket of length c,
-the class, is central, so its power is 1 + e * (the bracket expansion of
-w): it is added in that closed form, with no commutator formed, from a
-bounded cache of expansions.  `lie.collect_word` computes the coordinates
-of an element.
+polynomials.  A bracket of length c, the class, is central, so its power is
+1 + e * (the bracket expansion of w): it is added in that closed form, with
+no commutator formed.  `lie.collect_word` computes the coordinates of an
+element.
+
+Bracket powers.  A collected coordinate's bracket power and a left-normed
+term are each a power tree, nested pairs with (g, e) letters as leaves, and
+take one route: `_power_poly` builds the polynomial, `_power_letters` spells
+the word, and `_expansion` holds the expansions central powers are added
+from.  Both caches are bounded, and no function takes a cache.
 
 Left-normed commutators of generators also live here: `offset_image`
 builds the image x_g * prod [x_b1, x_b2^e, .., x_bk] of an IA map for the
-engine and the wire reader alike, from bracket expansions and cached
-commutator polynomials, with no word read back.  That and the Lyndon words
-that collected coordinates name are all the wire reader needs of
-commutators, so reading a decomposition never touches the Lyndon
+engine and the wire reader alike, with no word read back.  That and the
+Lyndon words that collected coordinates name are all the wire reader needs
+of commutators, so reading a decomposition never touches the Lyndon
 elimination in `lie`, which builds on these expansions.
 """
 
@@ -61,6 +65,8 @@ Poly = dict  # Monomial -> int, zero coefficients absent
 Collected = tuple
 # nested pairs with int leaves: 3 is x_3, (1, (2, 3)) is [x_1, [x_2, x_3]]
 BracketTree = Union[int, tuple]
+# nested pairs with (g, e) letter leaves: ((1, 1), (2, -3)) is [x_1, x_2^-3]
+PowerTree = tuple
 
 
 # ---------------------------------------------------------------------------
@@ -428,47 +434,28 @@ def standard_bracketing(word: tuple[int, ...]) -> BracketTree:
     return (standard_bracketing(word[:split]), standard_bracketing(word[split:]))
 
 
-def _bracket_power(tree: BracketTree, e: int, cap: int, cache: dict) -> Poly:
-    """The bracket power of a standard bracketing (module docstring): for
-    tree (u, v), the commutator of u's power 1 and v's power e.  Every one
-    met is kept in `cache`; callers only read the dicts."""
-    if isinstance(tree, int):
-        return _genpow_poly(tree, e, cap)
-    key = (tree, e, cap)
-    got = cache.get(key)
-    if got is None:
-        got = cache[key] = _comm_poly(
-            _bracket_power(tree[0], 1, cap, cache),
-            _bracket_power(tree[1], e, cap, cache),
-            cap,
-        )
-    return got
-
-
-def from_collected(
-    ctx: GroupContext, coords: Collected, cache: Optional[dict] = None
-) -> GroupElement:
+def from_collected(ctx: GroupContext, coords: Collected) -> GroupElement:
     """The element whose collected coordinates are `coords`, which it keeps.
 
-    The caller has checked them canonical and in range.  `cache` holds the
-    bracket powers of one parse, shared by its calls.  A bracket power of
-    length k with 2k > class multiplies by adding, as the product of two
+    The caller has checked them canonical and in range.  Each bracket power
+    is its power tree's cached polynomial (`_power_poly`).  A bracket power
+    of length k with 2k > class multiplies by adding, as the product of two
     such is dropped; the others are multiplied in, from the right.  At
     length k = class the power is central, 1 + e * (bracket expansion of
-    w), and is added in that closed form.
+    w), and is added in that closed form from `_expansion`.
     """
     cap = ctx.nilclass
-    cache = {} if cache is None else cache
     nletters = 0
     while nletters < len(coords) and type(coords[nletters][0]) is int:
         nletters += 1
     tail: Poly = {(): 1}
     low = []
     for w, e in coords[nletters:]:
+        tree = standard_bracketing(w)
         if len(w) == cap:
-            _poly_add_into(tail, _lyndon_expansion(w), e)
+            _poly_add_into(tail, _expansion(tree), e)
             continue
-        t = _bracket_power(standard_bracketing(w), e, cap, cache)
+        t = _power_poly(_power_tree(tree, e), cap)
         if 2 * len(w) > cap:
             _poly_add_into(tail, t)
             tail[()] = 1
@@ -480,15 +467,52 @@ def from_collected(
     return GroupElement(ctx, poly, coords=coords)
 
 
-@lru_cache(maxsize=_LETTER_CACHE)
-def _lyndon_expansion(w: tuple[int, ...]) -> Poly:
-    # the bracket expansion of w's standard bracketing; bounded like the
-    # one-letter caches, and callers only read the dict
-    return bracket_expansion(standard_bracketing(w))
-
-
 # ---------------------------------------------------------------------------
-# left-normed commutators in closed form
+# bracket powers: one route for their polynomials, words and expansions
+
+def _power_tree(tree: BracketTree, e: int = 1) -> PowerTree:
+    """The bracket power of a standard bracketing, as collected coordinates
+    name it: the exponent on the last leaf, [u, v]^e read as [u, v^e] down
+    the right spine."""
+    if isinstance(tree, int):
+        return (tree, e)
+    return (_power_tree(tree[0]), _power_tree(tree[1], e))
+
+
+def _left_normed_tree(seq: Sequence[int], e: int) -> PowerTree:
+    # [x_b1, x_b2^e, x_b3, .., x_bk]: the exponent on b2 (on b1 when k = 1)
+    t = (seq[0], 1 if len(seq) > 1 else e)
+    for k, b in enumerate(seq[1:]):
+        t = (t, (b, e if k == 0 else 1))
+    return t
+
+
+def _bare(t: PowerTree) -> BracketTree:
+    # the bracket of a power tree, exponents dropped
+    return t[0] if type(t[0]) is int else (_bare(t[0]), _bare(t[1]))
+
+
+@lru_cache(maxsize=_LETTER_CACHE)
+def _power_poly(t: PowerTree, cap: int) -> Poly:
+    """The polynomial of a power tree: a letter's (1 + X_g)^e, a pair's the
+    commutator (`_comm_poly`) of its halves'.  Cached with every subtree,
+    bounded like the one-letter caches; callers only read the dict."""
+    a, b = t
+    if type(a) is int:
+        return _genpow_poly(a, b, cap)
+    return _comm_poly(_power_poly(a, cap), _power_poly(b, cap), cap)
+
+
+def _power_letters(t: PowerTree) -> list[tuple[int, int]]:
+    """The letters of a power tree, each pair [u, v] spelled u^-1 v^-1 u v
+    as comm multiplies it, left unreduced."""
+    a, b = t
+    if type(a) is int:
+        return [t]
+    left, right = _power_letters(a), _power_letters(b)
+    # negating reversed(right + left) gives u^-1 and then v^-1
+    return [(g, -x) for g, x in reversed(right + left)] + left + right
+
 
 def bracket_expansion(tree: BracketTree) -> Poly:
     """Expand a bracket tree in the word basis via [U, V] = UV - VU."""
@@ -511,6 +535,16 @@ def bracket_expansion(tree: BracketTree) -> Poly:
     return out
 
 
+@lru_cache(maxsize=_LETTER_CACHE)
+def _expansion(tree: BracketTree) -> Poly:
+    # bracket_expansion, bounded like the one-letter caches: a central
+    # bracket power is 1 + e * this; callers only read the dict
+    return bracket_expansion(tree)
+
+
+# ---------------------------------------------------------------------------
+# left-normed commutators
+
 class LeftNormedTerm(Record):
     """Power of a left-normed commutator [x_{b1}, x_{b2}, ..., x_{bk}]."""
 
@@ -523,53 +557,23 @@ class LeftNormedTerm(Record):
         object.__setattr__(self, "exponent", exponent)
 
 
-def _left_normed_letters(seq: Sequence[int], exponent: int) -> list[tuple[int, int]]:
-    # the letters of [x_{b1}, x_{b2}^e, x_{b3}, .., x_{bk}], each bracket
-    # [a, b] spelled a^-1 b^-1 a b as comm multiplies it, left unreduced
-    if len(seq) == 1:
-        return [(seq[0], exponent)]
-    acc = [(seq[0], 1)]
-    for k, b in enumerate(seq[1:]):
-        e = exponent if k == 0 else 1
-        acc = [(g, -x) for g, x in reversed(acc)] + [(b, -e)] + acc + [(b, e)]
-    return acc
-
-
-@lru_cache(maxsize=None)
-def _left_normed_expansion(seq: tuple[int, ...]) -> Poly:
-    # cached per sequence like lie._lyndon_row; callers only read the dict
-    tree: BracketTree = seq[0]
-    for b in seq[1:]:
-        tree = (tree, b)
-    return bracket_expansion(tree)
-
-
-@lru_cache(maxsize=_LETTER_CACHE)
-def _left_normed_poly(seq: tuple[int, ...], e: int, cap: int) -> Poly:
-    # [x_{b1}, x_{b2}^e, x_{b3}, .., x_{bk}], k >= 2, over its cached prefix;
-    # bounded like the one-letter caches, and callers only read the dict
-    if len(seq) == 2:
-        return _comm_poly(_genpow_poly(seq[0], 1, cap), _genpow_poly(seq[1], e, cap), cap)
-    return _comm_poly(_left_normed_poly(seq[:-1], e, cap), _genpow_poly(seq[-1], 1, cap), cap)
-
-
 def offset_image(ctx: GroupContext, g: int, terms: Sequence[LeftNormedTerm]) -> GroupElement:
     """x_g times the left-normed commutator powers `terms`, in order: the
     image of x_g under x_g -> x_g * prod [x_b1, x_b2^e, .., x_bk].  A
     weight-c term is central and is added in closed form, 1 + e * (its
-    bracket expansion); a lighter one is multiplied in from its cached
-    commutator polynomial.  The word is x_g and every term's left-normed
+    bracket expansion); a lighter one is multiplied in from its power
+    tree's cached polynomial.  The word is x_g and every term's power-tree
     letters, freely reduced once, so the element equals generator(ctx, g)
     times the lie.left_normed_element pieces, in polynomial and in word.
     The caller has checked every index in 1..rank and weight in 2..c."""
     c = ctx.nilclass
     poly: Poly = {(): 1, (g,): 1}
     letters = [(g, 1)]
-    for t in terms:
-        seq, e = t.generators, t.exponent
-        if len(seq) == c:
-            _poly_add_into(poly, _left_normed_expansion(seq), e)
+    for term in terms:
+        t = _left_normed_tree(term.generators, term.exponent)
+        if len(term.generators) == c:
+            _poly_add_into(poly, _expansion(_bare(t)), term.exponent)
         else:
-            poly = _poly_mul(poly, _left_normed_poly(seq, e, c), c)
-        letters += _left_normed_letters(seq, e)
+            poly = _poly_mul(poly, _power_poly(t, c), c)
+        letters += _power_letters(t)
     return GroupElement(ctx, poly, Word(letters))

@@ -24,6 +24,7 @@ from freenil import (
 from freenil import ring
 from freenil.intmat import det
 from freenil.lie import lyndon_words, spell
+from freenil.reader import parse_offsets
 from freenil.ring import _poly_add_into, _poly_mul, from_collected
 from freenil.verifier import verify_payload
 
@@ -178,17 +179,17 @@ def test_from_collected_matches_the_spelled_word(n, c):
     ctx = GroupContext(n, c)
     rng = random.Random(2420 + 10 * n + c)
     words = {k: lyndon_words(n, k) for k in range(2, c + 1)}
-    cache = {}  # one cache shared by every call, as a parse shares it
-    for trial in range(16):
+    for _ in range(16):
         coords = _random_coords(rng, n, c, words)
-        got = from_collected(ctx, coords, cache if trial % 2 else None)
+        got = from_collected(ctx, coords)
         assert got.poly == from_word(ctx, spell(coords)).poly, coords
         assert got.coords == coords and got.word is None
 
 
 def test_the_expansion_cache_is_bounded():
-    maxsize = ring._lyndon_expansion.cache_info().maxsize
+    maxsize = ring._expansion.cache_info().maxsize
     assert maxsize is not None
+    assert ring._power_poly.cache_info().maxsize is not None
     # more distinct top-weight brackets than the cache holds
     n = 2
     while n * (n - 1) // 2 <= maxsize:
@@ -196,7 +197,17 @@ def test_the_expansion_cache_is_bounded():
     ctx = GroupContext(n, 2)
     for w in lyndon_words(n, 2):
         from_collected(ctx, ((w, 1),))
-    assert ring._lyndon_expansion.cache_info().currsize == maxsize
+    assert ring._expansion.cache_info().currsize == maxsize
+    # the same bound holds for the weight-c left-normed terms of offsets,
+    # read from the wire: [x_a, x_b]^a for every ordered pair a != b
+    ring._expansion.cache_clear()
+    m = 2
+    while m * (m - 1) <= maxsize:
+        m += 1
+    terms = [[[a, b], a] for a in range(1, m + 1) for b in range(1, m + 1) if a != b]
+    phi, _ = parse_offsets(GroupContext(m, 2), [[1, terms]], version=6)
+    assert phi.moved == {1}
+    assert ring._expansion.cache_info().currsize == maxsize
 
 
 # ---------------------------------------------------------------------------

@@ -190,16 +190,53 @@ def test_left_normalize_preserves_leaf_multiset(seed):
 
 
 def test_left_normed_element_exponent_slot():
-    # the element and its word letters agree with ring.comm's a^-1 b^-1 a b
+    # the element and its word letters agree with ring.comm's a^-1 b^-1 a b,
+    # nested by hand: the one word route that shares no speller with
+    # left_normed_element, spell and offset_image
     ctx = GroupContext(3, 3)
     x1, x2, x3 = (generator(ctx, i) for i in (1, 2, 3))
-    for got, want in (
+    rows = [
         (left_normed_element(ctx, (1, 2), 5), comm(x1, power(x2, 5))),
         (left_normed_element(ctx, (1, 2, 3), 1), comm(comm(x1, x2), x3)),
         (left_normed_element(ctx, (1, 1, 2), -2), comm(comm(x1, power(x1, -2)), x2)),
         (left_normed_element(ctx, (3,), 4), power(x3, 4)),
-    ):
+    ]
+    # weights 4 to 6, the last central, with exponents +-2 and 2^64 + 1
+    big = 2**64 + 1
+    ctx = GroupContext(4, 6)
+    y1, y2, y3, y4 = (generator(ctx, i) for i in (1, 2, 3, 4))
+    rows += [
+        (left_normed_element(ctx, (1, 2, 3, 1), 2), comm(comm(comm(y1, power(y2, 2)), y3), y1)),
+        (left_normed_element(ctx, (2, 1, 3, 4), -2), comm(comm(comm(y2, power(y1, -2)), y3), y4)),
+        (
+            left_normed_element(ctx, (4, 1, 2, 1, 3), big),
+            comm(comm(comm(comm(y4, power(y1, big)), y2), y1), y3),
+        ),
+        (
+            left_normed_element(ctx, (1, 2, 1, 3, 2, 4), -2),
+            comm(comm(comm(comm(comm(y1, power(y2, -2)), y1), y3), y2), y4),
+        ),
+        (
+            left_normed_element(ctx, (3, 1, 1, 2, 4, 2), big),
+            comm(comm(comm(comm(comm(y3, power(y1, big)), y1), y2), y4), y2),
+        ),
+    ]
+    for got, want in rows:
         assert (got.poly, got.word) == (want.poly, want.word)
+    # collected coordinates of one bracket power: the standard bracketing
+    # with the exponent on its last leaf, spelled and built from coordinates
+    for coords, want in (
+        (((1, 1, 2), 3), comm(y1, comm(y1, power(y2, 3)))),
+        (((1, 1, 2, 2), -2), comm(y1, comm(comm(y1, y2), power(y2, -2)))),
+        (((1, 1, 2, 1, 2), big), comm(comm(y1, comm(y1, y2)), comm(y1, power(y2, big)))),
+        (
+            ((1, 1, 2, 1, 2, 2), -2),
+            comm(y1, comm(comm(y1, y2), comm(comm(y1, y2), power(y2, -2)))),
+        ),
+    ):
+        assert spell((coords,)) == want.word
+        assert from_collected(ctx, (coords,)).poly == want.poly
+        assert from_word(ctx, want.word).poly == want.poly
 
 
 def test_central_factorize_identity_is_empty():

@@ -161,7 +161,7 @@ def test_reader_refuses_a_collected_image_that_is_not_canonical(row):
     image, error, _, message = ROWS[row]
     for read in (
         lambda: parse_map(_map_with(image)),
-        lambda: parse_stored(GroupContext(4, 3), [[1, image]], {}),
+        lambda: parse_stored(GroupContext(4, 3), [[1, image]], True),
     ):
         with pytest.raises(ERRORS[error]) as info:
             read()
