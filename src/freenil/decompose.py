@@ -11,16 +11,16 @@ nilpotency class:
             D-translation parts over each half of E.
 
   class c   the class-1 pieces, built once at class c from the same words:
-            they fix D, so each is its own lift.  Then, for k = 2..c, divide
-            the product so far out of sigma at class k, in closed form, read
-            off the degree-k part of their class-c images (no map is
-            projected or inverted), split the central rest into 2(k+1)
-            commuting maps beta_j, each avoiding one cell of a partition of
-            half of E (the certificate's fixed block).  Below the top, each
-            beta becomes one class-c factor, its images rebuilt at class c
-            from its terms: that map projects onto beta, and it moves no
-            generator of D, so nothing is lifted and nothing corrected.  A
-            weight-k commutator mentions at most k distinct generators, so
+            they fix D, so each is its own lift.  Then, for k = 2..c, read
+            the central offsets of (product so far)^-1 o sigma at class k
+            off the degree-k part of their class-c images, in closed form
+            (no map is built, projected or inverted), and split them over
+            at most 2(k+1) commuting maps beta_j, each avoiding one cell of
+            a partition of half of E (the certificate's fixed block).  Each
+            beta is built and certified once, at class c, from its terms;
+            below the top that map projects onto the level-k beta and moves
+            no generator of D, so nothing is lifted and nothing corrected.
+            A weight-k commutator mentions at most k distinct generators, so
             with k+1 cells one is always clean: that pigeonhole is checked
             at every assignment.
 
@@ -66,7 +66,7 @@ from .kernel import (
     ordered_product,
 )
 from .lie import central_factorize
-from .records import Decomposition, Factor, Offsets
+from .records import Decomposition, Factor
 from .ring import (
     GroupElement,
     LeftNormedTerm,
@@ -77,7 +77,6 @@ from .ring import (
     inv,
     lcs_weight,
     mul,
-    occurs,
     offset_image,
 )
 
@@ -98,27 +97,6 @@ def _certified(
     if not phi.fixes_pointwise(fixed):
         raise CertificateInvalid(f"{tag} factor moves the pinned set")
     return Factor(phi, cert, tag, **provenance)
-
-
-def _lifted(
-    fixed: frozenset[int],
-    phi: GeneratorMap,
-    f: Factor,
-    offsets: Optional[Offsets] = None,
-) -> Factor:
-    """phi, certified as a lift of f: f's certificate and provenance, and
-    the terms phi is built from, when the caller gives them."""
-    origin = f.origin or f.tag
-    return _certified(
-        fixed,
-        phi,
-        f.certificate,
-        "lifted",
-        origin=origin,
-        part=f.part,
-        side=f.side,
-        offsets=offsets,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +262,15 @@ def lift_factor(f: Factor, fixed: Iterable[int]) -> Factor:
             raise CertificateInvalid(f"factor moves pinned generator {d}")
         undo[d] = inv(z)
     lifted = compose(ia_central(ctx, undo), sigma0) if undo else sigma0
-    return _lifted(fixed, lifted, f)
+    return _certified(
+        fixed,
+        lifted,
+        f.certificate,
+        "lifted",
+        origin=f.origin or f.tag,
+        part=f.part,
+        side=f.side,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +311,11 @@ def _inverse_substitution(
 
 def _central_quotient(
     p: GeneratorMap, sigma: GeneratorMap, subst: Substitution, k: int
-) -> GeneratorMap:
-    """P^-1 o sigma at class k, for an automorphism P that agrees with sigma
-    modulo gamma_k, in closed form, without projecting, inverting or
-    multiplying maps; P and sigma stay at their own class c >= k.
+) -> dict[int, GroupElement]:
+    """The central offsets of P^-1 o sigma at class k, for an automorphism
+    P that agrees with sigma modulo gamma_k, in closed form, without
+    building, projecting, inverting or multiplying maps; P and sigma stay at
+    their own class c >= k.
 
     At class k, sigma(x_i) = P(x_i) * w_i with w_i central, and in the
     truncated ring P(x_i) * (1 + h) = P(x_i) + h, so h_i is the degree-k
@@ -338,8 +325,9 @@ def _central_quotient(
     sigma, which is refused.  P^-1 acts on the center through its inverse
     abelianization alone, which is sigma's, so P^-1(w_i) = 1 + L(h_i) for
     the substitution L = `subst` of that inverse, and the quotient sends
-    x_i to x_i * (1 + L(h_i)).  Only the generators P or sigma moves can
-    have an offset.
+    x_i to x_i * (1 + L(h_i)).  Returns these offsets {i: 1 + L(h_i)} at
+    class k, for each i with h_i != 0 (L is invertible, so no other offset
+    cancels to 1); only the generators P or sigma moves can have one.
     """
     ctx = GroupContext(sigma.ctx.rank, k)
     offsets = {}
@@ -364,7 +352,7 @@ def _central_quotient(
                     terms = {t + (r,): x * e for t, x in terms.items() for r, e in lin}
             _poly_add_into(z, terms)
         offsets[i] = GroupElement(ctx, z)
-    return ia_central(ctx, offsets)
+    return offsets
 
 
 def _chunks(items: Sequence[int], count: int) -> list[list[int]]:
@@ -377,18 +365,92 @@ def _chunks(items: Sequence[int], count: int) -> list[list[int]]:
     return out
 
 
-def central_decompose(alpha: GeneratorMap, fixed: Iterable[int]) -> list[Factor]:
-    """Split a central IA automorphism into 2(c+1) commuting certified maps.
+def _central_factors(
+    ctx: GroupContext, k: int, offsets: dict[int, GroupElement], fixed: frozenset[int]
+) -> list[Factor]:
+    """The level-k central stage: split the central offsets {g: w_g} of a
+    class-k map, each w_g of weight k, over at most 2(k+1) commuting maps
+    beta_j, each built and certified once, in ctx, of class c >= k.
 
     Follows the two-sided construction: E splits into halves F and G; the
-    G-images' central offsets are distributed over c+1 cells of F so that
-    beta_k's offsets avoid cell F_k (possible because a weight-c commutator
-    mentions at most c distinct generators), then the same with F and G
-    swapped.  All emitted maps are central IA, hence commute pairwise.
+    G-images' terms (`lie.central_factorize`) are distributed over k+1
+    cells of F so that beta_j's terms avoid cell F_j (possible because a
+    weight-k commutator mentions at most k distinct generators), then the
+    same with F and G swapped.  Each image is built from its cell's terms
+    (`ring.offset_image`), which the factor keeps as its `offsets`.
+    Truncation is a ring homomorphism, so the image's monomials of degree
+    <= k are the class-k image of the same terms: whether the terms cancel,
+    and which generators the level-k beta mentions, are read off those.
+    Below the top class the factor is the `lifted` map that projects onto
+    that beta, with its certificate; it stores images of free generators
+    only, so it fixes D with no correction.
+    """
+    free = sorted(ctx.generator_set() - fixed)
+    half = (len(free) + 1) // 2
+    sides = ((free[:half], free[half:], "F"), (free[half:], free[:half], "G"))
+    top = k == ctx.nilclass
+    factors: list[Factor] = []
+    for cells_source, movers, side in sides:
+        cells = _chunks(cells_source, k + 1)
+        cell_terms: list[dict[int, list[LeftNormedTerm]]] = [{} for _ in range(k + 1)]
+        for g in movers:
+            # an unmoved generator has the identity offset
+            if g not in offsets:
+                continue
+            for term in central_factorize(offsets[g]):
+                mentioned = set(term.generators)
+                j = next(
+                    (j for j in range(k + 1) if mentioned.isdisjoint(cells[j])),
+                    None,
+                )
+                if j is None:
+                    raise CertificateInvalid(
+                        f"a weight-{k} term touches all {k + 1} cells"
+                    )
+                cell_terms[j].setdefault(g, []).append(term)
+        for j in range(k + 1):
+            images, beta_offsets, used = {}, [], set()
+            for g, terms in cell_terms[j].items():
+                img = offset_image(ctx, g, terms)
+                low = [m for m in img.poly if len(m) <= k]
+                # terms that cancel at class k leave x_g, which is no offset
+                if len(low) > 2:
+                    images[g] = img
+                    beta_offsets.append((g, tuple(terms)))
+                    for m in low:
+                        used.update(m)
+            if not images:
+                continue
+            # every term has weight >= 2: the abelianization stays the identity
+            beta = GeneratorMap._sparse(ctx, images, unimodular=True)
+            spares = [e for e in cells_source if e not in cells[j] and e not in used]
+            pinned_block = frozenset(cells[j]) | frozenset(spares)
+            cert = MoietyCertificate(pinned_block, ctx.generator_set() - pinned_block)
+            factors.append(
+                _certified(
+                    fixed,
+                    beta,
+                    cert,
+                    "central_beta" if top else "lifted",
+                    origin=None if top else "central_beta",
+                    part=j + 1,
+                    side=side,
+                    offsets=tuple(beta_offsets),
+                )
+            )
+    return factors
 
-    Each beta image is built from its cell's left-normed terms
-    (`ring.offset_image`, in closed form at this weight), and the factor
-    keeps those terms as `offsets` for the wire format.
+
+def central_decompose(alpha: GeneratorMap, fixed: Iterable[int]) -> list[Factor]:
+    """Split a central IA automorphism into at most 2(c+1) commuting
+    certified maps (`_central_factors` at k = c), all central IA, hence
+    commuting pairwise.
+
+    Each offset is read straight off alpha's image polynomial: alpha(g) =
+    x_g * w with w central exactly when that polynomial is 1 + X_g + (terms
+    of degree c), and then w is 1 + those terms, so no ring product is
+    formed.  Part of the public contract; `decompose` hands each level's
+    offsets to `_central_factors` itself and builds no such alpha.
     """
     ctx = alpha.ctx
     c = ctx.nilclass
@@ -397,83 +459,18 @@ def central_decompose(alpha: GeneratorMap, fixed: Iterable[int]) -> list[Factor]
     fixed = _check_common(alpha, fixed, min_free=2 * (c + 1))
     free = sorted(ctx.generator_set() - fixed)
     half = (len(free) + 1) // 2
-    sides = ((free[:half], free[half:], "F"), (free[half:], free[:half], "G"))
-    factors: list[Factor] = []
-    for cells_source, movers, side in sides:
-        cells = _chunks(cells_source, c + 1)
-        cell_terms: list[dict[int, list[LeftNormedTerm]]] = [{} for _ in range(c + 1)]
-        for g in movers:
-            # an unmoved generator has the identity offset
-            if g not in alpha.moved:
-                continue
-            # alpha(g) = x_g * w with w central exactly when its polynomial
-            # is 1 + X_g + (terms of degree c), and then w is 1 + those terms
-            poly = dict(alpha(g).poly)
-            if poly.pop((g,), 0) != 1 or any(0 < len(m) < c for m in poly):
-                raise NotCentralIA(
-                    f"image of generator {g} is not central modulo the identity"
-                )
-            for term in central_factorize(GroupElement(ctx, poly)):
-                mentioned = set(term.generators)
-                k = next(
-                    (k for k in range(c + 1) if mentioned.isdisjoint(cells[k])),
-                    None,
-                )
-                if k is None:
-                    raise CertificateInvalid(
-                        f"a weight-{c} term touches all {c + 1} cells"
-                    )
-                cell_terms[k].setdefault(g, []).append(term)
-        for k in range(c + 1):
-            images, offsets = {}, []
-            for g, terms in cell_terms[k].items():
-                img = offset_image(ctx, g, terms)
-                # terms that cancel leave x_g, which is no offset
-                if len(img.poly) > 2:
-                    images[g] = img
-                    offsets.append((g, tuple(terms)))
-            if not images:
-                continue
-            beta = GeneratorMap._sparse(ctx, images, unimodular=True)
-            used = set()
-            for img in images.values():
-                used.update(occurs(img))
-            spares = [e for e in cells_source if e not in cells[k] and e not in used]
-            pinned_block = frozenset(cells[k]) | frozenset(spares)
-            cert = MoietyCertificate(
-                pinned_block, ctx.generator_set() - pinned_block
+    offsets = {}
+    for g in free[half:] + free[:half]:
+        # an unmoved generator has the identity offset
+        if g not in alpha.moved:
+            continue
+        poly = dict(alpha(g).poly)
+        if poly.pop((g,), 0) != 1 or any(0 < len(m) < c for m in poly):
+            raise NotCentralIA(
+                f"image of generator {g} is not central modulo the identity"
             )
-            factors.append(
-                _certified(
-                    fixed,
-                    beta,
-                    cert,
-                    "central_beta",
-                    part=k + 1,
-                    side=side,
-                    offsets=tuple(offsets),
-                )
-            )
-    return factors
-
-
-def _top_class_beta(
-    ctx: GroupContext, beta: Factor, fixed: frozenset[int]
-) -> Factor:
-    """A level-k beta as the class-c factor that projects onto it: its
-    images rebuilt at class c from beta's terms (`ring.offset_image`), with
-    the words beta's images have.  Truncation is a ring homomorphism, so
-    the map induces beta at class k, and c - k one-class lifts
-    (`lift_factor`) would re-read those words into the same map.  A beta
-    stores images of free generators only, so no D correction arises;
-    `_certified` still checks that D is fixed, and rechecks the certificate
-    once, at class c.  The factor keeps beta's terms as its `offsets`: the
-    wire carries those and the reader rebuilds the same images from them.
-    """
-    images = {g: offset_image(ctx, g, terms) for g, terms in beta.offsets}
-    # every term has weight >= 2: the abelianization stays the identity
-    phi = GeneratorMap._sparse(ctx, images, unimodular=True)
-    return _lifted(fixed, phi, beta, beta.offsets)
+        offsets[g] = GroupElement(ctx, poly)
+    return _central_factors(ctx, c, offsets, fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -539,13 +536,12 @@ def decompose(sigma: GeneratorMap, fixed: Iterable[int] = ()) -> Decomposition:
     factors = _class_one_factors(sigma, fixed, moves)
     product = ordered_product(ctx, [f.map for f in factors])
     for k in range(2, c + 1):
-        # (product)^-1 o sigma at class k, in closed form; at k = 2 it refuses
-        # any difference below the center: the class-1 multiply-back check
-        alpha = _central_quotient(product, sigma, subst, k)
-        betas = central_decompose(alpha, fixed)
-        if k < c:
-            betas = [_top_class_beta(ctx, f, fixed) for f in betas]
-            if betas:
-                product = ordered_product(ctx, [product] + [f.map for f in betas])
+        # the offsets of (product)^-1 o sigma at class k, in closed form; at
+        # k = 2 it refuses any difference below the center: the class-1
+        # multiply-back check
+        offsets = _central_quotient(product, sigma, subst, k)
+        betas = _central_factors(ctx, k, offsets, fixed)
+        if k < c and betas:
+            product = ordered_product(ctx, [product] + [f.map for f in betas])
         factors += betas
     return Decomposition(sigma, fixed, tuple(factors))

@@ -312,24 +312,31 @@ def test_central_decompose_single_offset_pigeonholes():
     assert ordered_product(ctx, [f.map]) == alpha
 
 
-def test_central_decompose_round_trip_and_commutation():
+def _random_central_ia(rng, ctx, fix):
+    # offsets of weight c, each a product of one or two left-normed powers,
+    # on a random nonempty set of the free generators
     from freenil import mul
 
+    n, c = ctx.rank, ctx.nilclass
+    free = [g for g in ctx.generators() if g not in fix]
+    assignment = {}
+    for b in rng.sample(free, k=rng.randrange(1, len(free))):
+        z = from_word(ctx, Word(()))
+        for _ in range(rng.randrange(1, 3)):
+            letters = tuple(rng.randrange(1, n + 1) for _ in range(c))
+            z = mul(z, left_normed_element(ctx, letters, rng.choice((-2, -1, 1, 2))))
+        if not z.is_identity():
+            assignment[b] = z
+    return ia_central(ctx, assignment)
+
+
+def test_central_decompose_round_trip_and_commutation():
     rng = random.Random(162)
     for _ in range(60):
         n, c = rng.choice(((8, 2), (10, 3)))
         ctx = GroupContext(n, c)
         fix = tuple(range(1, rng.choice((0, 1)) + 1))
-        free = [g for g in ctx.generators() if g not in fix]
-        assignment = {}
-        for b in rng.sample(free, k=rng.randrange(1, len(free))):
-            z = from_word(ctx, Word(()))
-            for _ in range(rng.randrange(1, 3)):
-                letters = tuple(rng.randrange(1, n + 1) for _ in range(c))
-                z = mul(z, left_normed_element(ctx, letters, rng.choice((-2, -1, 1, 2))))
-            if not z.is_identity():
-                assignment[b] = z
-        alpha = ia_central(ctx, assignment)
+        alpha = _random_central_ia(rng, ctx, fix)
         factors = central_decompose(alpha, fix)
         maps = [f.map for f in factors]
         assert ordered_product(ctx, maps) == alpha
@@ -340,6 +347,19 @@ def test_central_decompose_round_trip_and_commutation():
             shuffled = maps[:]
             rng.shuffle(shuffled)
             assert ordered_product(ctx, shuffled) == alpha
+
+
+def test_decompose_of_a_central_map_is_its_central_decomposition():
+    # a central IA map has no class-1 piece and no offset below the top, so
+    # decompose's one central stage, at k = c, writes what the public
+    # central_decompose does
+    rng = random.Random(3401)
+    for _ in range(60):
+        c = rng.choice((2, 3, 4))
+        fix = tuple(range(1, rng.choice((0, 1, 2)) + 1))
+        ctx = GroupContext(2 * (c + 1) + len(fix) + rng.randrange(3), c)
+        alpha = _random_central_ia(rng, ctx, fix)
+        assert decompose(alpha, fix).factors == tuple(central_decompose(alpha, fix))
 
 
 def test_central_decompose_rejects_shallow_maps():
@@ -375,14 +395,15 @@ def test_central_quotient_is_the_inverse_composed_with_sigma(monkeypatch):
     seen, substs = [], []
 
     def checking(p, sigma, subst, k):
-        alpha = original(p, sigma, subst, k)
+        offsets = original(p, sigma, subst, k)
+        alpha = ia_central(GroupContext(sigma.ctx.rank, k), offsets)
         if k < sigma.ctx.nilclass:
             assert alpha == compose(invert(project(p, k)), project(sigma, k))
         else:
             assert alpha == compose(invert(p), sigma)
         seen.append((k, len(alpha.moved)))
         substs.append(subst)
-        return alpha
+        return offsets
 
     monkeypatch.setattr(engine, "_central_quotient", checking)
     for n, c, dsize, seed in ((32, 2, 1, 1), (12, 4, 2, 1), (13, 5, 1, 1), (13, 5, 1, 2)):
@@ -402,6 +423,12 @@ def _substitution(engine, sigma):
     # the inverse substitution decompose hands to _central_quotient
     fixed, moves = engine._reduce_free_block(sigma, (), min_free=0)
     return engine._inverse_substitution(sigma, fixed, moves)
+
+
+def _quotient(engine, p, sigma, k):
+    # the class-k map of the offsets _central_quotient returns
+    offsets = engine._central_quotient(p, sigma, _substitution(engine, sigma), k)
+    return ia_central(GroupContext(sigma.ctx.rank, k), offsets)
 
 
 def test_inverse_substitution_matches_the_dense_inverse():
@@ -441,7 +468,7 @@ def test_central_quotient_refuses_a_product_that_differs_below_the_center():
         (transvection(ctx, 3, 4, 1), identity_map(ctx)),
     ):
         with pytest.raises(NotCentralIA):
-            engine._central_quotient(p, sigma, _substitution(engine, sigma), 3)
+            _quotient(engine, p, sigma, 3)
     # a central difference is divided out: P^-1 o (P o beta) = beta
     beta = ia_central(ctx, {5: left_normed_element(ctx, (1, 2, 6), -1)})
     p = ordered_product(
@@ -449,10 +476,10 @@ def test_central_quotient_refuses_a_product_that_differs_below_the_center():
         [transvection(ctx, 1, 2, 1), inversion(ctx, 6), permutational(ctx, {2: 6, 6: 2})],
     )
     sigma = compose(p, beta)
-    assert engine._central_quotient(p, sigma, _substitution(engine, sigma), 3) == beta
+    assert _quotient(engine, p, sigma, 3) == beta
     # an offset can sit where sigma moves nothing
     sigma = identity_map(ctx)
-    assert engine._central_quotient(beta, sigma, _substitution(engine, sigma), 3) == invert(beta)
+    assert _quotient(engine, beta, sigma, 3) == invert(beta)
 
 
 def test_central_decompose_class_and_rank_guards():
@@ -588,11 +615,21 @@ def _counting(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, wrapper)
 
 
+def _counting_everywhere(monkeypatch, module, name, calls):
+    # _counting wherever the package holds a reference to module.name
+    original = getattr(importlib.import_module(module), name)
+    for holder in list(sys.modules.values()):
+        if holder is not None and holder.__name__.startswith("freenil") and (
+            getattr(holder, name, None) is original
+        ):
+            _counting(monkeypatch, holder, name, calls)
+
+
 def test_central_decompose_works_on_moved_generators_only(monkeypatch):
-    # within decompose, alpha = P^-1 o sigma is built by ia_central and known
-    # to be unimodular, so the central stage takes no determinant; it reads
-    # each offset off alpha's image polynomial, with no ring product, and
-    # factorizes at the generators alpha moves, never at the ones it fixes
+    # within decompose, the central stage gets the offsets of P^-1 o sigma,
+    # whose abelianization is the identity, so it takes no determinant and
+    # forms no ring product, and it factorizes at the generators with an
+    # offset, never at the ones P^-1 o sigma fixes
     from freenil import intmat
 
     engine = importlib.import_module("freenil.decompose")
@@ -605,15 +642,15 @@ def test_central_decompose_works_on_moved_generators_only(monkeypatch):
     ):
         _counting(monkeypatch, module, name, calls)
     seen = []
-    original = engine.central_decompose
+    original = engine._central_factors
 
-    def stage(alpha, fixed):
+    def stage(ctx, k, offsets, fixed):
         calls.clear()
-        out = original(alpha, fixed)
-        seen.append((len(alpha.moved), alpha.ctx.rank - len(fixed), sorted(calls)))
+        out = original(ctx, k, offsets, fixed)
+        seen.append((len(offsets), ctx.rank - len(fixed), sorted(calls)))
         return out
 
-    monkeypatch.setattr(engine, "central_decompose", stage)
+    monkeypatch.setattr(engine, "_central_factors", stage)
     ctx = GroupContext(12, 4)
     for seed in (41, 42, 43):
         sigma = random_automorphism(ctx, seed, 10, (1, 2))
@@ -663,57 +700,104 @@ def test_class_two_builds_the_class_one_pieces_in_place(monkeypatch):
 
 
 def test_each_lower_beta_is_built_once_at_the_top_class(monkeypatch):
-    # nothing is lifted: a level-k beta becomes exactly one class-c factor,
-    # certified once, at class c, that projects onto it
+    # nothing is lifted: a level-k beta is built once, as a class-c factor
+    # that projects onto it, and certified once, at class c
+    from freenil.ring import offset_image
+
     engine = importlib.import_module("freenil.decompose")
     endo = importlib.import_module("freenil.endo")
-    split, certify = engine.central_decompose, engine._certified
+    split, certify = engine._central_factors, engine._certified
     lifts = []
     for module, name in (
         (engine, "lift_factor"), (engine, "lift_words"), (endo, "lift_words")
     ):
         _counting(monkeypatch, module, name, lifts)
-    betas, certified = [], []
+    levels, certified = [], []
 
-    def splitting(alpha, fixed):
-        found = split(alpha, fixed)
-        betas.extend(found)
+    def splitting(ctx, k, offsets, fixed):
+        found = split(ctx, k, offsets, fixed)
+        levels.extend([k] * len(found))
         return found
 
     def certifying(fixed, phi, cert, tag, **provenance):
         certified.append((tag, phi.ctx.nilclass, provenance.get("origin")))
         return certify(fixed, phi, cert, tag, **provenance)
 
-    monkeypatch.setattr(engine, "central_decompose", splitting)
+    monkeypatch.setattr(engine, "_central_factors", splitting)
     monkeypatch.setattr(engine, "_certified", certifying)
     cells = ((10, 3, (1, 2), 7), (12, 4, (1, 2), 3), (13, 5, (1,), 1), (15, 6, (1,), 1))
     for n, c, fix, seed in cells:
         ctx = GroupContext(n, c)
         sigma = random_automorphism(ctx, seed, 12, fix)
-        betas.clear()
+        levels.clear()
         certified.clear()
         dec = decompose(sigma, fix)
         assert lifts == []
-        lower = [beta for beta in betas if beta.map.ctx.nilclass < c]
-        assert {beta.map.ctx.nilclass for beta in lower} == set(range(2, c))
+        lower = [k for k in levels if k < c]
+        assert set(lower) == set(range(2, c))
         # the betas close the factor list, in the order they were split off,
         # after the class-1 pieces
-        cut = len(dec.factors) - len(betas)
+        cut = len(dec.factors) - len(levels)
         assert all(f.origin != "central_beta" for f in dec.factors[:cut])
-        for beta, f in zip(betas, dec.factors[cut:]):
-            if beta.map.ctx.nilclass == c:
-                assert f is beta
+        for k, f in zip(levels, dec.factors[cut:]):
+            if k == c:
+                assert (f.tag, f.map.ctx.nilclass) == ("central_beta", c)
                 continue
             assert (f.tag, f.map.ctx.nilclass, f.origin) == ("lifted", c, "central_beta")
-            assert (f.part, f.side, f.certificate) == (
-                beta.part, beta.side, beta.certificate
-            )
-            assert project(f.map, beta.map.ctx.nilclass) == beta.map
-        # each factor is certified once, and each lower beta once more, at
-        # its own level inside the central stage
+            # its projection is the level-k beta its terms build, and
+            # satisfies the certificate
+            ctx_k = GroupContext(n, k)
+            beta = project(f.map, k)
+            assert beta.moved == {g for g, _ in f.offsets}
+            for g, terms in f.offsets:
+                assert all(len(term.generators) == k for term in terms)
+                assert beta(g) == offset_image(ctx_k, g, terms)
+            assert check_certificate(beta, f.certificate)
+        # each factor is certified exactly once
         assert certified.count(("lifted", c, "central_beta")) == len(lower)
-        assert len(certified) == len(dec.factors) + len(lower)
+        assert len(certified) == len(dec.factors)
         assert product_of(ctx, dec) == sigma
+
+
+# one (n, c, D, seed) cell per class 2..6, decomposed after 12 moves
+_CELLS_BY_CLASS = (
+    (10, 2, (1,), 1), (10, 3, (1, 2), 7), (12, 4, (1, 2), 3),
+    (13, 5, (1,), 1), (15, 6, (1,), 1),
+)
+
+
+def test_decompose_builds_each_central_image_once(monkeypatch):
+    # the central stage builds each beta image once, at class c, from its
+    # terms: never at class k and again at class c
+    engine = importlib.import_module("freenil.decompose")
+    built = []
+    _counting(monkeypatch, engine, "offset_image", built)
+    for n, c, fix, seed in _CELLS_BY_CLASS:
+        ctx = GroupContext(n, c)
+        sigma = random_automorphism(ctx, seed, 12, fix)
+        built.clear()
+        dec = decompose(sigma, fix)
+        images = sum(len(f.offsets) for f in dec.factors if f.offsets)
+        assert images > 0
+        assert len(built) == images
+        assert product_of(ctx, dec) == sigma
+
+
+def test_decompose_builds_no_central_map(monkeypatch):
+    # each level hands its offsets straight to the central stage: no
+    # ia_central call, wherever the package holds a reference to it
+    calls = []
+    _counting_everywhere(monkeypatch, "freenil.kernel", "ia_central", calls)
+    for n, c, fix, seed in _CELLS_BY_CLASS:
+        ctx = GroupContext(n, c)
+        sigma = random_automorphism(ctx, seed, 12, fix)
+        calls.clear()
+        dec = decompose(sigma, fix)
+        assert calls == []
+        assert product_of(ctx, dec) == sigma
+    # the spy sees a direct call
+    importlib.import_module("freenil.kernel").ia_central(ctx, {})
+    assert calls == ["ia_central"]
 
 
 def test_decompose_projects_no_map(monkeypatch):
@@ -721,18 +805,9 @@ def test_decompose_projects_no_map(monkeypatch):
     # images: no map is projected and no element truncated, wherever the
     # package holds a reference to either function
     calls = []
-    for name, module in (("project", "freenil.endo"), ("truncate_class", "freenil.ring")):
-        original = getattr(importlib.import_module(module), name)
-        for holder in list(sys.modules.values()):
-            if holder is not None and holder.__name__.startswith("freenil") and (
-                getattr(holder, name, None) is original
-            ):
-                _counting(monkeypatch, holder, name, calls)
-    cells = (
-        (10, 2, (1,), 1), (10, 3, (1, 2), 7), (12, 4, (1, 2), 3),
-        (13, 5, (1,), 1), (15, 6, (1,), 1),
-    )
-    for n, c, fix, seed in cells:
+    for module, name in (("freenil.endo", "project"), ("freenil.ring", "truncate_class")):
+        _counting_everywhere(monkeypatch, module, name, calls)
+    for n, c, fix, seed in _CELLS_BY_CLASS:
         ctx = GroupContext(n, c)
         sigma = random_automorphism(ctx, seed, 12, fix)
         dec = decompose(sigma, fix)
@@ -755,7 +830,7 @@ def _recursive_factors(sigma, fixed, moves, subst):
         below = _recursive_factors(project(sigma, c - 1), fixed, moves, subst)
         lifted = [lift_factor(f, fixed) for f in below]
     product = ordered_product(sigma.ctx, [f.map for f in lifted])
-    alpha = engine._central_quotient(product, sigma, subst, c)
+    alpha = ia_central(sigma.ctx, engine._central_quotient(product, sigma, subst, c))
     return lifted + central_decompose(alpha, fixed)
 
 
