@@ -9,6 +9,7 @@ than most commands spend working.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from typing import Iterable
 
@@ -18,6 +19,15 @@ from .errors import BadClass, ContextMismatch, IndexOutOfRange, MalformedInput
 # one letter already carries c + 1 polynomial terms, so a huge class would
 # exhaust memory before any other check could refuse it
 MAX_CLASS = 64
+
+
+def _as_int(x, what: str) -> int:
+    # an integer by `operator.index`: int subclasses read, floats and
+    # strings are refused, never rounded or parsed
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise MalformedInput(f"{what} must be an integer") from None
 
 
 class Record:
@@ -97,9 +107,12 @@ class GroupContext(Record):
         return _generator_set(self.rank)
 
     def check_generators(self, indices: Iterable[int]) -> None:
-        """Raise IndexOutOfRange at the first index, in iteration order,
-        outside 1..rank."""
+        """Raise at the first index, in iteration order, that is not an
+        integer (MalformedInput, by `ring.Word`'s rule) or lies outside
+        1..rank (IndexOutOfRange)."""
         for i in indices:
+            if type(i) is not int:
+                i = _as_int(i, "generator index")
             if not 1 <= i <= self.rank:
                 raise IndexOutOfRange(f"generator {i} out of range 1..{self.rank}")
 

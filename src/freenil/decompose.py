@@ -63,6 +63,7 @@ from .kernel import (
     check_certificate,
     compose,
     ia_central,
+    identity_map,
     ordered_product,
 )
 from .lie import central_factorize
@@ -443,54 +444,29 @@ def _central_factors(
 
 def central_decompose(alpha: GeneratorMap, fixed: Iterable[int]) -> list[Factor]:
     """Split a central IA automorphism into at most 2(c+1) commuting
-    certified maps (`_central_factors` at k = c), all central IA, hence
-    commuting pairwise.
+    certified maps, all central IA, hence commuting pairwise: decompose's
+    own central stage at k = c.
 
-    Each offset is read straight off alpha's image polynomial: alpha(g) =
-    x_g * w with w central exactly when that polynomial is 1 + X_g + (terms
-    of degree c), and then w is 1 + those terms, so no ring product is
-    formed.  Part of the public contract; `decompose` hands each level's
-    offsets to `_central_factors` itself and builds no such alpha.
+    alpha is checked against D as `decompose` checks sigma
+    (`_reduce_free_block`: the same refusals in the same order).  Its
+    offsets are those of identity^-1 o alpha (`_central_quotient` with the
+    empty substitution, since an IA map's inverse abelianization is the
+    identity), which refuses any map that is not central IA, and
+    `_central_factors` splits them.  Part of the public contract.
     """
     ctx = alpha.ctx
     c = ctx.nilclass
     if c < 2:
         raise BadClass("the central stage needs class >= 2")
-    fixed = _check_common(alpha, fixed, min_free=2 * (c + 1))
-    free = sorted(ctx.generator_set() - fixed)
-    half = (len(free) + 1) // 2
-    offsets = {}
-    for g in free[half:] + free[:half]:
-        # an unmoved generator has the identity offset
-        if g not in alpha.moved:
-            continue
-        poly = dict(alpha(g).poly)
-        if poly.pop((g,), 0) != 1 or any(0 < len(m) < c for m in poly):
-            raise NotCentralIA(
-                f"image of generator {g} is not central modulo the identity"
-            )
-        offsets[g] = GroupElement(ctx, poly)
+    fixed, _ = _reduce_free_block(alpha, fixed, min_free=2 * (c + 1))
+    offsets = _central_quotient(identity_map(ctx), alpha, {}, c)
     return _central_factors(ctx, c, offsets, fixed)
 
 
 # ---------------------------------------------------------------------------
 # the full induction
 
-def _check_common(
-    phi: GeneratorMap, fixed: Iterable[int], min_free: int
-) -> frozenset[int]:
-    fixed = frozenset(fixed)
-    phi.ctx.check_generators(fixed)
-    if not phi.is_automorphism():
-        raise NotAutomorphism("determinant of the abelianization is not +-1")
-    if not phi.fixes_pointwise(fixed):
-        moved = sorted(set(fixed) & phi.moved)
-        raise DoesNotFixD(f"map moves pinned generators {moved}")
-    if phi.ctx.rank - len(fixed) < min_free:
-        raise RankTooSmall(
-            f"need at least {min_free} free generators, have {phi.ctx.rank - len(fixed)}"
-        )
-    return fixed
+_NOT_UNIMODULAR = "determinant of the abelianization is not +-1"
 
 
 def _reduce_free_block(
@@ -503,19 +479,26 @@ def _reduce_free_block(
     on D, so its determinant is det(B): the reduction of B succeeds exactly
     when sigma is an automorphism, and no determinant is taken.  B is read
     off sigma's images as sparse rows, never as a dense matrix.  A map that
-    moves D, or leaves too few generators free, goes to _check_common, whose
-    determinant keeps the order of the errors.
+    moves D, or leaves too few generators free, is refused in the order
+    determinant, D, rank: its determinant is taken first.
     """
     fixed = frozenset(fixed)
     ctx = sigma.ctx
     ctx.check_generators(fixed)
     free = sorted(ctx.generator_set() - fixed)
     if not sigma.fixes_pointwise(fixed) or len(free) < min_free:
-        _check_common(sigma, fixed, min_free)  # raises
+        if not sigma.is_automorphism():
+            raise NotAutomorphism(_NOT_UNIMODULAR)
+        if not sigma.fixes_pointwise(fixed):
+            moved = sorted(fixed & sigma.moved)
+            raise DoesNotFixD(f"map moves pinned generators {moved}")
+        raise RankTooSmall(
+            f"need at least {min_free} free generators, have {len(free)}"
+        )
     try:
         moves = intmat.factor_unimodular(sigma._rows(free))
     except NotUnimodular:
-        raise NotAutomorphism("determinant of the abelianization is not +-1") from None
+        raise NotAutomorphism(_NOT_UNIMODULAR) from None
     sigma._unimodular = True
     return fixed, moves
 

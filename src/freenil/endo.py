@@ -40,7 +40,7 @@ from .errors import (
 )
 from .kernel import GeneratorMap, compose, ia_central, identity_map
 from .lie import left_normed_element, word_of
-from .ring import Word, from_word, generator, inv, mul, occurs, truncate_class
+from .ring import Word, from_word, generator, inv, letter, mul, occurs, truncate_class
 from .rng import SplitMix64
 
 # perfbench/ reads GeneratorMap, compose and ia_central (used above) and
@@ -91,7 +91,7 @@ def permutational(ctx: GroupContext, perm) -> GeneratorMap:
     moves = {a: b for a, b in table.items() if a != b}
     if set(moves.values()) != set(moves):
         raise PermutationInvalid("mapping is not a bijection of 1..rank")
-    images = {a: generator(ctx, b) for a, b in moves.items()}
+    images = {a: letter(ctx, b, 1) for a, b in moves.items()}
     return GeneratorMap._sparse(ctx, images, unimodular=True)
 
 

@@ -57,8 +57,8 @@ from .ring import (
     Poly,
     _poly_add_into,
     _poly_mul,
-    generator,
     lcs_weight,
+    letter,
     mul,
     occurs,
 )
@@ -166,7 +166,7 @@ class GeneratorMap:
     def __call__(self, i: int) -> GroupElement:
         self.ctx.check_generators((i,))
         img = self.stored.get(i)
-        return generator(self.ctx, i) if img is None else img
+        return letter(self.ctx, i, 1) if img is None else img
 
     @property
     def images(self) -> tuple[GroupElement, ...]:
@@ -340,7 +340,7 @@ def ia_central(ctx: GroupContext, assignment: Mapping[int, GroupElement]) -> Gen
         check_same_context(ctx, z.ctx)
         if lcs_weight(z) < 2:
             raise NotInGamma2(f"offset for generator {b} has weight 1")
-        stored[b] = mul(generator(ctx, b), z)
+        stored[b] = mul(letter(ctx, b, 1), z)
     # the abelianization is the identity
     return GeneratorMap._sparse(ctx, stored, unimodular=True)
 

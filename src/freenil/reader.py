@@ -53,7 +53,7 @@ from __future__ import annotations
 from typing import Any
 
 from .context import GroupContext
-from .errors import ContextMismatch, IndexOutOfRange, MalformedInput, NotCentral
+from .errors import ContextMismatch, MalformedInput, NotCentral
 from .kernel import GeneratorMap, MoietyCertificate
 from .records import TAGS, Decomposition, Factor
 from .ring import (
@@ -293,7 +293,9 @@ def parse_offsets(
     offsets read.  A central_beta factor's terms have weight exactly the
     class; a lifted factor's (`lifted`, version 6 on) have weight 2..class.
     Every term has weight at least 2, so either map has the identity
-    abelianization and is an automorphism."""
+    abelianization and is an automorphism.  Each offset is checked in one
+    pass: its generator, then each term's weight, then the term's letters
+    (IndexOutOfRange beyond the rank)."""
     c = ctx.nilclass
     parsed = {}
     for item in _need_list(obj, "offsets"):
@@ -306,25 +308,20 @@ def parse_offsets(
         terms = tuple(
             parse_term(t, version) for t in _need_list(item[1], "offset terms")
         )
-        if lifted:
-            ctx.check_generators((g,))
+        ctx.check_generators((g,))
         for seq in (t.generators for t in terms):
             if lifted:
                 if len(seq) > c:
                     raise MalformedInput(
                         f"term {list(seq)} has weight {len(seq)}, above the class {c}"
                     )
-                ctx.check_generators(seq)
             elif len(seq) != c:
                 raise NotCentral(
                     f"term {list(seq)} has weight {len(seq)}; "
                     f"central terms need weight {c} >= 2"
                 )
-            elif not all(1 <= b <= ctx.rank for b in seq):
-                raise IndexOutOfRange(f"term {list(seq)} leaves generators 1..{ctx.rank}")
+            ctx.check_generators(seq)
         parsed[g] = terms
-    # a central_beta factor's generators are checked after all its terms
-    ctx.check_generators(parsed)
     images = {g: offset_image(ctx, g, terms) for g, terms in parsed.items()}
     return GeneratorMap._sparse(ctx, images, unimodular=True), tuple(parsed.items())
 

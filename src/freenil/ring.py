@@ -52,12 +52,11 @@ elimination in `lie`, which builds on these expansions.
 from __future__ import annotations
 
 import math
-import operator
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
-from .context import GroupContext, Record, check_same_context
-from .errors import BadClass, IndexOutOfRange, MalformedInput
+from .context import GroupContext, Record, _as_int, check_same_context
+from .errors import BadClass, IndexOutOfRange
 
 Monomial = tuple[int, ...]
 Poly = dict  # Monomial -> int, zero coefficients absent
@@ -71,13 +70,6 @@ PowerTree = tuple
 
 # ---------------------------------------------------------------------------
 # words
-
-def _as_int(x, what: str) -> int:
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise MalformedInput(f"{what} must be an integer") from None
-
 
 class Word(Record):
     """Free group word as a tuple of (generator, exponent) pairs.

@@ -990,6 +990,42 @@ def test_decompose_refusals_keep_their_order(flags):
             assert result[1] == message
 
 
+NOT_CENTRAL = "image of generator 2 is not central modulo the lifted product"
+
+# central_decompose's refusals: decompose's checks in decompose's order, then
+# the central test.  Each row is (images as {generator: word}, D, error,
+# message), at rank 8 and class 2, where 2(c+1) = 6 generators must stay
+# free
+CENTRAL_ERROR_ROWS = {
+    "index-beyond-the-rank": (
+        {2: [[2, 2]]}, [9], "IndexOutOfRange", "generator 9 out of range 1..8"
+    ),
+    "determinant-2": ({2: [[2, 2]]}, [1], "NotAutomorphism", NOT_AUTOMORPHISM),
+    "singular-block": ({2: [[3, 1]]}, [1], "NotAutomorphism", NOT_AUTOMORPHISM),
+    "moves-D-determinant-2": ({1: [[1, 2]]}, [1], "NotAutomorphism", NOT_AUTOMORPHISM),
+    "moves-D": ({1: [[1, -1]]}, [1], "DoesNotFixD", "map moves pinned generators [1]"),
+    "too-few-free": (
+        {}, [1, 2, 3], "RankTooSmall", "need at least 6 free generators, have 5"
+    ),
+    "transvection": ({2: [[2, 1], [3, 1]]}, [1], "NotCentralIA", NOT_CENTRAL),
+    "D-shear": ({2: [[2, 1], [1, 1]]}, [1], "NotCentralIA", NOT_CENTRAL),
+}
+
+
+@pytest.mark.parametrize("row", list(CENTRAL_ERROR_ROWS))
+def test_central_decompose_refuses_in_decomposes_order(row):
+    # parsed from JSON, so no determinant is known beforehand
+    from freenil import DomainError
+    from freenil.reader import parse_map
+
+    images, fix, error, message = CENTRAL_ERROR_ROWS[row]
+    words = [images.get(g, [[g, 1]]) for g in range(1, 9)]
+    alpha = parse_map({"rank": 8, "class": 2, "images": words})
+    with pytest.raises(DomainError) as info:
+        central_decompose(alpha, fix)
+    assert (info.value.name, str(info.value)) == (error, message)
+
+
 # ---------------------------------------------------------------------------
 # verify as an adversarial checker
 

@@ -755,8 +755,12 @@ def test_map_operation_calls_do_not_grow_with_rank(monkeypatch):
 
     monkeypatch.setattr(GeneratorMap, "apply", counting("apply", GeneratorMap.apply))
     make = counting("generator", ring.generator)
-    for module in (ring, kernel, endo, lie):
+    for module in (ring, endo, lie):
         monkeypatch.setattr(module, "generator", make)
+    # kernel and endo build x_i with ring.letter once they have checked i
+    spell = counting("generator", ring.letter)
+    for module in (kernel, endo):
+        monkeypatch.setattr(module, "letter", spell)
 
     def profile(rank):
         ctx = GroupContext(rank, 3)

@@ -15,11 +15,14 @@ from freenil import (
     IndexOutOfRange,
     MalformedInput,
     Word,
+    central_decompose,
     comm,
     decompose,
     from_word,
     generator,
+    ia_central,
     identity,
+    identity_map,
     inv,
     lcs_weight,
     mul,
@@ -196,6 +199,45 @@ def test_word_refuses_values_that_are_not_integers():
     w = Word([(True, 2), (Two(), Two())])
     assert w == Word([(1, 2), (2, 2)])
     assert all(type(g) is int and type(e) is int for g, e in w.letters)
+
+
+# each entry point that takes generator indices, called with the index 2.5;
+# operands are built beforehand: (ctx, phi, z), z of weight 2
+NON_INTEGER_INDEX_CALLS = {
+    "generator": lambda ctx, phi, z: generator(ctx, 2.5),
+    "map-call": lambda ctx, phi, z: phi(2.5),
+    "retract": lambda ctx, phi, z: retract(z, [1, 2.5]),
+    "preserves": lambda ctx, phi, z: phi.preserves([1, 2.5]),
+    "ia_central": lambda ctx, phi, z: ia_central(ctx, {2.5: z}),
+    "random_automorphism": lambda ctx, phi, z: random_automorphism(ctx, 3, 8, fix=[2.5]),
+    "decompose": lambda ctx, phi, z: decompose(phi, [1, 2.5]),
+    "central_decompose": lambda ctx, phi, z: central_decompose(identity_map(ctx), [1, 2.5]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_INDEX_CALLS))
+def test_generator_indices_must_be_integers(name):
+    # Word's rule at every entry point: a float index is refused, with
+    # Word's message, before any one-letter polynomial is built for it
+    ctx = GroupContext(8, 2)
+    phi = random_automorphism(ctx, 3, 8, (1,))
+    z = comm(generator(ctx, 1), generator(ctx, 2))
+    before = _genpow_poly.cache_info()
+    with pytest.raises(MalformedInput) as info:
+        NON_INTEGER_INDEX_CALLS[name](ctx, phi, z)
+    assert str(info.value) == "generator index must be an integer"
+    after = _genpow_poly.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_generator_indices_read_int_subclasses():
+    class Two:
+        def __index__(self):
+            return 2
+
+    ctx = GroupContext(3, 2)
+    ctx.check_generators([True, Two(), 3])
+    assert generator(ctx, True) == generator(ctx, 1)
 
 
 def _random_word(rng, n):

@@ -179,7 +179,7 @@ ROWS = {
     ),
     "letter-above-the-rank-in-a-central-beta": (
         _with_term(BETA, [[2, 3, 2, 13], -1]), R, 1,
-        "term [2, 3, 2, 13] leaves generators 1..12",
+        "generator 13 out of range 1..12",
     ),
     "zero-exponent": (_with_term(LIFTED, [[2, 3], 0]), M, 2, "exp must be nonzero"),
     "bool-exponent": (_with_term(LIFTED, [[2, 3], True]), M, 2, "exp must be an integer"),
