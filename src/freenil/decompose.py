@@ -239,21 +239,31 @@ def abelian_decompose(
 def lift_factor(f: Factor, fixed: Iterable[int]) -> Factor:
     """Lift a certified factor of class c to class c + 1, pinning D exactly.
 
-    sigma_0 reinterprets the image words one class higher; it already fixes D
-    modulo the center.  sigma_1 is the central IA map agreeing with sigma_0
-    on D and fixing everything else, so sigma_1^-1 o sigma_0 fixes D on the
-    nose while inducing the original factor one class down.  Its offsets are
-    central, so sigma_1^-1 is sigma_1 with every offset inverted; a factor
-    that moves D has no such correction and is refused.  The certificate is
-    carried over unchanged and rechecked; a factor whose D-image words
-    smuggle letters from outside the preserved block can break it, which is
-    reported rather than repaired.
+    sigma_0 reinterprets the image words one class higher; a factor that
+    keeps its offsets is rebuilt from its terms in class c + 1 instead
+    (`ring.offset_image`), the same map, and the lift keeps those offsets.
+    sigma_0 already fixes D modulo the center.  sigma_1 is the central IA
+    map agreeing with sigma_0 on D and fixing everything else, so
+    sigma_1^-1 o sigma_0 fixes D on the nose while inducing the original
+    factor one class down.  Its offsets are central, so sigma_1^-1 is
+    sigma_1 with every offset inverted; a factor that moves D has no such
+    correction and is refused, and a corrected lift drops its offsets.  The
+    certificate is carried over unchanged and rechecked; a factor whose
+    D-image words smuggle letters from outside the preserved block can
+    break it, which is reported rather than repaired.
 
     Part of the public contract; `decompose` builds every factor at its top
     class and calls neither this nor `lift_words`.
     """
     fixed = frozenset(fixed)
-    sigma0 = lift_words(f.map)
+    if f.offsets is None:
+        sigma0 = lift_words(f.map)
+    else:
+        up = GroupContext(f.map.ctx.rank, f.map.ctx.nilclass + 1)
+        # every term has weight >= 2: the abelianization stays the identity
+        sigma0 = GeneratorMap._sparse(
+            up, {g: offset_image(up, g, terms) for g, terms in f.offsets}, unimodular=True
+        )
     ctx = sigma0.ctx
     undo = {}  # the offsets of sigma_1^-1
     # sigma_0 fixes every pinned generator it does not move
@@ -271,6 +281,7 @@ def lift_factor(f: Factor, fixed: Iterable[int]) -> Factor:
         origin=f.origin or f.tag,
         part=f.part,
         side=f.side,
+        offsets=None if undo else f.offsets,
     )
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from . import intmat
-from .context import GroupContext, check_same_context
+from .context import GroupContext, _as_int, check_same_context
 from .errors import (
     BadClass,
     BlockConstraintViolated,
@@ -70,7 +70,8 @@ def permutational(ctx: GroupContext, perm) -> GeneratorMap:
     """x_i -> x_{p(i)} for a bijection p of 1..n.
 
     `perm` may be a mapping (missing indices are fixed) or a sequence of
-    length n giving p(1)..p(n).  Every key and value must lie in 1..n.
+    length n giving p(1)..p(n).  Every key and value must be an integer
+    by `ring.Word`'s rule (MalformedInput) in 1..n (PermutationInvalid).
     """
     if isinstance(perm, Mapping):
         table = dict(perm)
@@ -81,6 +82,11 @@ def permutational(ctx: GroupContext, perm) -> GeneratorMap:
                 f"permutation sequence has length {len(seq)}, rank is {ctx.rank}"
             )
         table = {i + 1: seq[i] for i in range(ctx.rank)}
+    # a range holds 3.0 too: its containment compares by equality
+    table = {
+        _as_int(a, "generator index"): _as_int(b, "generator index")
+        for a, b in table.items()
+    }
     gens = ctx.generators()
     for a, b in table.items():
         if a not in gens or b not in gens:

@@ -20,12 +20,13 @@ Decompositions are written as version 6.  A factor lists only the images
 its map stores ("stored"): every generator it leaves out maps to itself, so
 a factor that moves two of n generators costs two images on the wire, not
 n.  A factor that keeps its terms carries "offsets" instead: a central_beta
-factor, and a lifted factor that `decompose` builds at the top class from
-a lower-level beta, which ships that beta's terms; the reader rebuilds its
-images as the engine built them (`ring.offset_image`).  Inside offsets
-each term is the pair [[b1, .., bk], e] that stands for the <term> object
-{"comm": [b1, .., bk], "exp": e}; `central-factorize` still prints the
-objects.  The input map stays dense, one image per generator.
+factor, a lifted factor that `decompose` builds at the top class from a
+lower-level beta, which ships that beta's terms, and a `lift_factor` lift
+of either; the reader rebuilds its images as the engine built them
+(`ring.offset_image`).  Inside offsets each term is the pair
+[[b1, .., bk], e] that stands for the <term> object {"comm": [b1, .., bk],
+"exp": e}; `central-factorize` still prints the objects.  The input map
+stays dense, one image per generator.
 
 An image is written as its provenance word when it has one, else in
 collected form (`ring`, "Collected coordinates"): the coordinates it was

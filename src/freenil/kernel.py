@@ -50,7 +50,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import intmat
-from .context import GroupContext, Record, check_same_context
+from .context import GroupContext, Record, _as_int, check_same_context
 from .errors import IndexOutOfRange, NotAutomorphism, NotInGamma2, PartitionInvalid
 from .ring import (
     GroupElement,
@@ -237,8 +237,11 @@ class GeneratorMap:
         if not self.is_automorphism():
             raise NotAutomorphism("preserves() is only defined for automorphisms")
         sub = frozenset(subset)
-        if not sub <= self.ctx.generator_set():
-            self.ctx.check_generators(sorted(sub))  # raises
+        if not (sub <= self.ctx.generator_set() and all(type(i) is int for i in sub)):
+            # Word's rule first (2.0 == 2 would pass the subset test), then
+            # the range, at the least index
+            sub = frozenset(_as_int(i, "generator index") for i in sub)
+            self.ctx.check_generators(sorted(sub))
         # an unmoved generator's image is itself, inside <sub>.  Once every
         # moved one maps into <sub>, the abelianization is block triangular
         # with the sub block A on the diagonal, so det(A) divides det = +-1

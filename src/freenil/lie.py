@@ -190,7 +190,9 @@ def left_normed_element(ctx: GroupContext, seq: tuple[int, ...], exponent: int) 
     agree modulo weight > k, and exactly at weight k = nilclass, so the word
     stays short no matter how large the exponent is.  The polynomial comes
     from group commutators of word-less generators, the word from the
-    power tree's letters (`ring._power_letters`), as offset_image spells it.
+    power tree's letters (`ring._power_letters`), as `spell` spells a
+    bracket power; `ring.offset_image` multiplies in the same polynomial
+    and spells no word.
     """
     x = [GroupElement(ctx, generator(ctx, b).poly) for b in seq]
     if len(x) == 1:

@@ -32,7 +32,8 @@ class Factor(Record):
     side: Optional[str]  # which half of E the cells partition
     # (g, terms) per moved generator, x_g -> ring.offset_image(ctx, g, terms):
     # on a central_beta factor, terms of weight class; on a lifted factor that
-    # decompose splits off at a level k below the class, terms of weight k
+    # decompose splits off at a level k below the class, terms of weight k;
+    # on a lift_factor lift of either, the same terms, one class up
     offsets: Optional[Offsets]
 
     def __init__(

@@ -38,12 +38,13 @@ element.
 Bracket powers.  A collected coordinate's bracket power and a left-normed
 term are each a power tree, nested pairs with (g, e) letters as leaves, and
 take one route: `_power_poly` builds the polynomial, `_power_letters` spells
-the word, and `_expansion` holds the expansions central powers are added
-from.  Both caches are bounded, and no function takes a cache.
+the word `lie` writes, and `_expansion` holds the expansions central powers
+are added from.  Both caches are bounded, and no function takes a cache.
 
 Left-normed commutators of generators also live here: `offset_image`
 builds the image x_g * prod [x_b1, x_b2^e, .., x_bk] of an IA map for the
-engine and the wire reader alike, with no word read back.  That and the
+engine and the wire reader alike, as a polynomial with no word: the terms
+are its spelling, and no caller reads a word of it.  That and the
 Lyndon words that collected coordinates name are all the wire reader needs
 of commutators, so reading a decomposition never touches the Lyndon
 elimination in `lie`, which builds on these expansions.
@@ -554,18 +555,16 @@ def offset_image(ctx: GroupContext, g: int, terms: Sequence[LeftNormedTerm]) -> 
     image of x_g under x_g -> x_g * prod [x_b1, x_b2^e, .., x_bk].  A
     weight-c term is central and is added in closed form, 1 + e * (its
     bracket expansion); a lighter one is multiplied in from its power
-    tree's cached polynomial.  The word is x_g and every term's power-tree
-    letters, freely reduced once, so the element equals generator(ctx, g)
-    times the lie.left_normed_element pieces, in polynomial and in word.
-    The caller has checked every index in 1..rank and weight in 2..c."""
+    tree's cached polynomial.  The element equals generator(ctx, g) times
+    the lie.left_normed_element pieces; it has no word, since the terms
+    are its spelling.  The caller has checked every index in 1..rank and
+    weight in 2..c."""
     c = ctx.nilclass
     poly: Poly = {(): 1, (g,): 1}
-    letters = [(g, 1)]
     for term in terms:
         t = _left_normed_tree(term.generators, term.exponent)
         if len(term.generators) == c:
             _poly_add_into(poly, _expansion(_bare(t)), term.exponent)
         else:
             poly = _poly_mul(poly, _power_poly(t, c), c)
-        letters += _power_letters(t)
-    return GroupElement(ctx, poly, Word(letters))
+    return GroupElement(ctx, poly)

@@ -45,9 +45,12 @@ from freenil import (
     random_automorphism,
     transvection,
     verify,
+    verify_payload,
 )
 
-from test_wire_fixtures import as_v3
+from freenil.jsonio import decomposition_payload, dumps, loads
+
+from test_wire_fixtures import as_v3, term_product
 
 
 def product_of(ctx, dec):
@@ -530,9 +533,6 @@ def test_decompose_round_trips_through_the_wire_above_class_3(c):
     # decompose -> payload text -> verify_payload on small random maps at
     # the least rank the class allows (plus a spare); capped in time, so
     # once the budget is spent the remaining examples do no work
-    from freenil import verify_payload
-    from freenil.jsonio import decomposition_payload, dumps, loads
-
     start = time.perf_counter()
     checked = []
 
@@ -678,6 +678,37 @@ def test_lift_factor_multiplies_only_at_moved_pinned_generators(monkeypatch):
             assert lifted.map.fixes_pointwise(fix)
             quiet += not pinned
     assert quiet > 10
+
+
+@pytest.mark.parametrize("c", [2, 3])
+def test_lift_factor_lifts_offsets_from_their_terms(c):
+    # a factor that keeps its terms is lifted from them and keeps them: its
+    # map is the one the left_normed_element pieces give one class up, and
+    # it is written as offsets and verifies
+    fix = (1, 2)
+    ctx = GroupContext(2 * (c + 1) + len(fix) + 1, c)
+    up = GroupContext(ctx.rank, c + 1)
+    seen = 0
+    for seed in (1, 2, 3):
+        sigma = random_automorphism(ctx, seed, 12, fix)
+        for f in decompose(sigma, fix).factors:
+            if f.offsets is None:
+                continue
+            seen += 1
+            lifted = lift_factor(f, fix)
+            assert lifted.offsets == f.offsets
+            assert (lifted.tag, lifted.origin) == ("lifted", "central_beta")
+            pieces = {
+                g: term_product(up, [(t.generators, t.exponent) for t in terms])
+                for g, terms in f.offsets
+            }
+            assert lifted.map == ia_central(up, pieces)
+            payload = decomposition_payload(
+                Decomposition(lifted.map, frozenset(fix), (lifted,))
+            )
+            assert "offsets" in payload["factors"][0]
+            assert verify_payload(loads(dumps(payload))).ok
+    assert seen
 
 
 def test_class_two_builds_the_class_one_pieces_in_place(monkeypatch):

@@ -11,6 +11,7 @@ from freenil import (
     GeneratorMap,
     GroupContext,
     IndexOutOfRange,
+    MalformedInput,
     MoietyCertificate,
     NotAutomorphism,
     NotInGamma2,
@@ -400,6 +401,23 @@ def test_permutational_rejects_non_bijection():
             permutational(GroupContext(4, 2), perm)
 
 
+@pytest.mark.parametrize(
+    "perm", [{3.0: 2, 2: 3}, {3: 2.0, 2: 3}, {"3": 2}, [1, 2.0, 3, 4, 5, 6, 7, 8]]
+)
+def test_permutational_refuses_non_integer_entries(perm):
+    # Word's rule before the range: a range holds 3.0, since 3.0 == 3
+    with pytest.raises(MalformedInput) as info:
+        permutational(GroupContext(8, 2), perm)
+    assert str(info.value) == "generator index must be an integer"
+
+
+def test_permutational_reads_int_subclasses_as_ints():
+    ctx = GroupContext(4, 2)
+    swap = permutational(ctx, {True: 2, 2: True})
+    assert swap == permutational(ctx, {1: 2, 2: 1})
+    assert all(type(i) is int for i in (*swap.stored, *swap.moved))
+
+
 def test_ia_central_empty_assignment_is_identity():
     ctx = GroupContext(3, 2)
     assert ia_central(ctx, {}).is_identity()
@@ -502,6 +520,21 @@ def test_preserves_examples():
     for bad in ({1, 99}, {2, 99}, {0, 1}, {0, 2}):
         with pytest.raises(IndexOutOfRange):
             phi.preserves(bad)
+
+
+@pytest.mark.parametrize(
+    "subset",
+    [[1, "a"], [1, 2.0], [1, 2.5], ["a", 99]],
+    ids=["str", "float", "fraction", "str-and-range"],
+)
+def test_preserves_refuses_non_integer_indices(subset):
+    # Word's rule, before the subset test that reads 2.0 as 2 and before the
+    # sort that cannot order "a" against 1
+    ctx = GroupContext(8, 2)
+    for phi in (identity_map(ctx), transvection(ctx, 1, 2, 1)):
+        with pytest.raises(MalformedInput) as info:
+            phi.preserves(subset)
+        assert str(info.value) == "generator index must be an integer"
 
 
 def test_check_certificate_examples():

@@ -12,6 +12,8 @@ from the CLI plain and under python -O; version 5 reads neither pairs nor
 lifted offsets.
 """
 
+import importlib
+import itertools
 import json
 import subprocess
 import sys
@@ -26,10 +28,11 @@ from freenil import (
     decompose,
     from_word,
     ia_central,
+    identity_map,
     random_automorphism,
     verify_payload,
 )
-from freenil.jsonio import decomposition_payload, dumps, loads
+from freenil.jsonio import decomposition_payload, dumps, loads, map_payload
 from freenil.reader import parse_decomposition
 
 from test_wire_fixtures import as_v5, fixture_path, term_product
@@ -94,7 +97,8 @@ def test_lifted_betas_rebuild_the_images_the_engine_built(c):
             for g in beta.moved:
                 want = from_word(f.map.ctx, beta(g).word)
                 for img in (got.map(g), f.map(g)):
-                    assert (img.poly, img.word) == (want.poly, want.word)
+                    assert img.poly == want.poly
+                    assert img.word is None
             assert got.offsets == f.offsets
     assert seen
 
@@ -105,6 +109,79 @@ def test_a_lifted_term_may_have_the_weight_of_the_class():
     phi = parse_decomposition(payload).factors[LIFTED].map
     ctx = phi.ctx
     assert phi(10) == ia_central(ctx, {10: term_product(ctx, [((2, 3, 2, 3), 1)])})(10)
+
+
+# ---------------------------------------------------------------------------
+# a hostile payload: heavy terms, each read as a polynomial
+
+def _heavy_payload(c):
+    # N(3, c), D = {1}: one central_beta factor moving x_3 by all 2^(c-1)
+    # weight-c left-normed terms over {1, 2} with b1 != b2.  [x_1, x_2, ..]
+    # and [x_2, x_1, ..] cancel, so the image is x_3 and the payload is
+    # valid, yet each term spells to 3 * 2^(c-1) - 2 letters
+    terms = [[list(b), 1] for b in itertools.product((1, 2), repeat=c) if b[0] != b[1]]
+    return {
+        "version": 6,
+        "input": map_payload(identity_map(GroupContext(3, c))),
+        "fixed": [1],
+        "factors": [
+            {"offsets": [[3, terms]], "certificate": {"fixed": [1, 2]}, "tag": "central_beta"}
+        ],
+    }
+
+
+# verify one payload from stdin; the peak RSS it adds in KiB (ru_maxrss
+# counts KiB on Linux, bytes on macOS) and its wall time
+_RSS_DRIVER = """
+import json, resource, sys, time
+from freenil import verify_payload
+from freenil.jsonio import loads
+payload = loads(sys.stdin.read())
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+start = time.perf_counter()
+report = verify_payload(payload)
+seconds = time.perf_counter() - start
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+if sys.platform == "darwin":
+    grown //= 1024
+print(json.dumps({"ok": report.ok, "grown_kib": grown, "seconds": seconds}))
+"""
+
+
+def test_heavy_offsets_verify_without_spelling_a_word():
+    # the verifier reads the 512 weight-10 terms as polynomials: no word of
+    # 512 * 1534 letters is spelled, so the peak RSS grows by a few MB, not
+    # the hundred the spelled word took
+    text = dumps(_heavy_payload(10))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RSS_DRIVER],
+        input=text.encode(),
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
+    got = json.loads(proc.stdout)
+    print(f"{len(text)} B payload verified in {got['seconds']:.3f} s, "
+          f"peak RSS +{got['grown_kib']} KiB")
+    assert got["ok"]
+    assert got["grown_kib"] < 10 * 1024
+
+
+def test_the_reader_builds_offsets_images_with_no_word(monkeypatch):
+    reader = importlib.import_module("freenil.reader")
+    built = []
+
+    def recording(ctx, g, terms):
+        built.append(original(ctx, g, terms))
+        return built[-1]
+
+    original = reader.offset_image
+    monkeypatch.setattr(reader, "offset_image", recording)
+    fixture = loads(fixture_path("v6", (12, 4, 2)).read_text(encoding="utf-8"))
+    for payload in (_heavy_payload(9), fixture):
+        assert verify_payload(payload).ok
+    assert len(built) > 1
+    assert all(img.word is None for img in built)
 
 
 # ---------------------------------------------------------------------------
